@@ -33,10 +33,12 @@ from .problem import (
     ZETA_SCALE,
     Y_UPPER,
     CoefficientModel,
+    CoefficientTable,
     CounterexamplePaths,
     CounterexampleScenario,
     InitialCondition,
     ValidationReport,
+    coefficient_table,
     counterexample_paths,
     delta_grid,
     example1_y,
@@ -90,6 +92,7 @@ __all__ = [
     "BrownianBatch",
     "CheckResult",
     "CoefficientModel",
+    "CoefficientTable",
     "ConfigError",
     "CostEstimate",
     "CounterexamplePaths",
@@ -125,6 +128,7 @@ __all__ = [
     "ZETA_SCALE",
     "closed_form_counterexample",
     "closed_form_example1",
+    "coefficient_table",
     "completion_of_squares_check",
     "cost",
     "counterexample_divergence_probe",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -124,6 +125,15 @@ def _expect(cond: bool, fld: str, msg: str) -> None:
         raise ConfigError(f"config field '{fld}': {msg}", field=fld)
 
 
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _validate_config(raw: dict) -> ExperimentConfig:
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in raw:
@@ -135,8 +145,8 @@ def _validate_config(raw: dict) -> ExperimentConfig:
         setattr(cfg, key, value)
     _expect(cfg.scenario in SCENARIOS, "scenario",
             f"must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    _expect(isinstance(cfg.T, (int, float)) and not isinstance(cfg.T, bool)
-            and float(cfg.T) > 0, "T", f"must be a positive real, got {cfg.T!r}")
+    _expect(_is_finite_real(cfg.T) and cfg.T > 0, "T",
+            f"must be a finite positive real, got {cfg.T!r}")
     cfg.T = float(cfg.T)
     _expect(isinstance(cfg.steps, int) and not isinstance(cfg.steps, bool)
             and cfg.steps >= 2, "steps", f"must be an integer >= 2, got {cfg.steps!r}")
@@ -147,9 +157,8 @@ def _validate_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(cfg.start_index, int) and 0 <= cfg.start_index < cfg.steps,
             "start_index", f"must be an integer in [0, steps), got {cfg.start_index!r}")
     _expect(isinstance(cfg.eta, list) and cfg.eta
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in cfg.eta),
-            "eta", f"must be a non-empty list of reals, got {cfg.eta!r}")
+            and all(_is_finite_real(v) for v in cfg.eta),
+            "eta", f"must be a non-empty list of finite reals, got {cfg.eta!r}")
     cfg.eta = [float(v) for v in cfg.eta]
     _expect(cfg.solver in SOLVERS, "solver",
             f"must be one of {SOLVERS}, got {cfg.solver!r}")
@@ -168,15 +177,14 @@ def _validate_config(raw: dict) -> ExperimentConfig:
     for name, value in cfg.tolerances.items():
         _expect(name in TOLERANCE_DEFAULTS, "tolerances",
                 f"unknown tolerance {name!r}; known: {sorted(TOLERANCE_DEFAULTS)}")
-        _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-                "tolerances", f"{name} must be a real, got {value!r}")
+        _expect(_is_finite_real(value) and value >= 0, "tolerances",
+                f"{name} must be a finite real >= 0, got {value!r}")
     cfg.tolerances = {k: float(v) for k, v in cfg.tolerances.items()}
     _expect(isinstance(cfg.output_dir, str) and cfg.output_dir, "output_dir",
             "must be a non-empty path string")
     _expect(isinstance(cfg.deterministic, list) and len(cfg.deterministic) == 7
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in cfg.deterministic),
-            "deterministic", "must be a list of 7 reals [a,b,c,d,q,r,g]")
+            and all(_is_finite_real(v) for v in cfg.deterministic),
+            "deterministic", "must be a list of 7 finite reals [a,b,c,d,q,r,g]")
     cfg.deterministic = [float(v) for v in cfg.deterministic]
     if cfg.scenario == "custom-from-file":
         _expect(isinstance(cfg.custom_model, str) and ":" in (cfg.custom_model or ""),

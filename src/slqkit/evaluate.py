@@ -5,9 +5,13 @@ terms entering one residual are evaluated on the same Brownian batch, so the
 Monte Carlo noise largely cancels in the differences and the reported
 standard error is that of the *difference*, not of the individual costs.
 
-Open- and closed-loop simulation share one Euler step kernel; replaying the
+Open- and closed-loop simulation share one Euler driver; replaying the
 recorded closed-loop control through the open-loop simulator reproduces the
-closed-loop states bit for bit.
+closed-loop states bit for bit.  The driver and the cost quadrature read the
+model's coefficient table (:func:`slqkit.problem.coefficient_table`), built
+once per (model, batch) and shared by every check on that batch.  A 1x1
+problem steps and sums elementwise on ``(P,)`` slices, in the operation order
+of the matrix kernel, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .problem import (
     Y_SHIFT,
     Y_UPPER,
     ZETA_SCALE,
+    coefficient_table,
     counterexample_paths,
     delta_grid,
 )
@@ -96,16 +101,22 @@ def _per_path_matrices(arr: np.ndarray, n_paths: int) -> np.ndarray:
 
 
 def _euler_step(x, u, A, B, C, D, h, dw):
-    """One Euler–Maruyama step shared by the open- and closed-loop routes."""
+    """One Euler–Maruyama step on ``(P, n, 1)`` states (the matrix kernel)."""
     drift = A @ x + B @ u
     diffusion = C @ x + D @ u
     return x + h * drift + diffusion * dw[:, None, None]
 
 
+def _euler_step_scalar(x, u, a, b, c, d, h, dw):
+    """The same step on the ``(P,)`` states of a 1x1 problem.  It keeps the
+    matrix kernel's operation order, so both kernels give the same bits."""
+    return x + h * (a * x + b * u) + (c * x + d * u) * dw
+
+
 def _check_finite(x: np.ndarray, i: int) -> None:
     if np.isfinite(x).all():
         return
-    bad = np.nonzero(~np.isfinite(x).all(axis=(1, 2)))[0]
+    bad = np.nonzero(~np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1))[0]
     raise FiniteEscapeError(
         f"state became non-finite at step {i + 1}, first path {int(bad[0])}",
         time=None,
@@ -113,32 +124,60 @@ def _check_finite(x: np.ndarray, i: int) -> None:
 
 
 def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBatch,
-              control_at):
-    """Shared driver: ``control_at(i, x_i) -> u_i`` supplies the control."""
+              theta: np.ndarray | None = None, control: np.ndarray | None = None):
+    """Shared Euler driver: the closed loop ``u_i = theta_i x_i`` when
+    ``theta`` (``(N+1, k, m, n)``) is given, else the open loop under
+    ``control`` (``(N+1, k, m, 1)``), with ``k`` 1 or the batch's path count.
+
+    Coefficients come from the model's table on ``batch``; a 1x1 problem
+    steps elementwise on ``(P,)`` slices.  Returns ``(x, u)`` as
+    ``(N+1, P, n, 1)`` and ``(N+1, P, m, 1)`` arrays.
+    """
     grid = batch.grid
     N, h = grid.N, grid.h
     P = batch.n_paths
     s = init.start_index
     if s >= N:
         raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
+    given = theta if theta is not None else control
+    if given.shape[1] not in (1, P):
+        raise InvalidArgumentError(
+            f"path dimension mismatch: have {given.shape[1]}, batch has {P}"
+        )
     n, m = model.n, model.m
-    x = np.empty((N + 1, P, n, 1))
-    u = np.zeros((N + 1, P, m, 1))
-    eta = init.eta_column(n, P)
-    x[: s + 1] = eta
+    tab = coefficient_table(model, batch.W)
+    coeffs = (tab.A, tab.B, tab.C, tab.D)
+    scalar = n == m == 1
+    if scalar:
+        step = _euler_step_scalar
+        coeffs = tuple(v[:, :, 0, 0] for v in coeffs)
+        given = given[:, :, 0, 0]
+        x = np.empty((N + 1, P))
+        u = np.zeros((N + 1, P))
+        x[: s + 1] = init.eta_column(1, P)[:, 0, 0]
+    else:
+        step = _euler_step
+        x = np.empty((N + 1, P, n, 1))
+        u = np.zeros((N + 1, P, m, 1))
+        x[: s + 1] = init.eta_column(n, P)
+    A, B, C, D = coeffs
+    dW = batch.increments
+
+    def control_at(i):
+        if theta is None:
+            return given[i]
+        return given[i] * x[i] if scalar else given[i] @ x[i]
+
     # Overflow inside a step is expected on escaping instances; it is
     # detected and re-raised as FiniteEscapeError, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(s, N):
-            pre = batch.W[: i + 1]
-            A = model.coeff("A", i, pre, P)
-            B = model.coeff("B", i, pre, P)
-            C = model.coeff("C", i, pre, P)
-            D = model.coeff("D", i, pre, P)
-            u[i] = control_at(i, x[i])
-            x[i + 1] = _euler_step(x[i], u[i], A, B, C, D, h, batch.increments[i])
+            u[i] = control_at(i)
+            x[i + 1] = step(x[i], u[i], A[i], B[i], C[i], D[i], h, dW[i])
             _check_finite(x[i + 1], i)
-        u[N] = control_at(N, x[N])
+        u[N] = control_at(N)
+    if scalar:
+        return x[:, :, None, None], u[:, :, None, None]
     return x, u
 
 
@@ -164,12 +203,7 @@ def simulate_closed_loop(
     th = law.theta.values
     if th.shape[0] != batch.grid.N + 1:
         raise InvalidArgumentError("feedback law and batch have inconsistent step counts")
-    P = batch.n_paths
-
-    def control_at(i, xi):
-        return _per_path_matrices(th[i], P) @ xi
-
-    x, u = _simulate(model, init, batch, control_at)
+    x, u = _simulate(model, init, batch, theta=th)
     return PathArray(x), PathArray(u)
 
 
@@ -189,12 +223,7 @@ def simulate_open_loop(
             f"control entries must be ({model.m}, 1) columns, got "
             f"({uv.shape[2]}, {uv.shape[3]})"
         )
-    P = batch.n_paths
-
-    def control_at(i, xi):
-        return _per_path_matrices(uv[i], P)
-
-    x, _ = _simulate(model, init, batch, control_at)
+    x, _ = _simulate(model, init, batch, control=uv)
     return PathArray(x)
 
 
@@ -210,10 +239,16 @@ def cost(
 
     ``J_p = 1/2 [ sum_{i=s}^{N-1} h (<Q x, x> + <R u, u>) + <G x_N, x_N> ]``.
 
-    ``batch`` supplies the Brownian paths to the coefficient evaluators; it
-    is required whenever the model's weights are path-dependent (constant-
-    coefficient models may omit it, in which case evaluators see zero
-    prefixes they ignore anyway).
+    ``batch`` supplies the Brownian paths to the coefficient table; only a
+    ``"deterministic"`` model may omit it, and is then tabulated on a
+    one-path zero prefix.  A 1x1 problem is summed elementwise, in the
+    left-to-right order ``x * q * x`` of the matrix form.
+
+    Raises
+    ------
+    InvalidArgumentError
+        On mismatched shapes, or on a missing ``batch`` for a model whose
+        kind is not ``"deterministic"``.
     """
     xv, uv = x.values, u.values
     N = grid.N
@@ -226,23 +261,33 @@ def cost(
         if batch.grid.N != N or batch.n_paths != P:
             raise InvalidArgumentError("batch does not match the state arrays")
         W = batch.W
+    elif model.kind == "deterministic":
+        W = np.zeros((N + 1, 1))
     else:
-        W = np.zeros((N + 1, P))
+        raise InvalidArgumentError(
+            f"cost of a {model.kind!r} model needs the batch its weights depend on"
+        )
+    tab = coefficient_table(model, W)
     s = init.start_index
     h = grid.h
     run_state = np.zeros(P)
     run_ctrl = np.zeros(P)
-    for i in range(s, N):
-        pre = W[: i + 1]
-        Q = model.coeff("Q", i, pre, P)
-        R = model.coeff("R", i, pre, P)
-        xi = xv[i, :, :, 0]
-        ui = uv[i, :, :, 0]
-        run_state += h * np.einsum("pn,pnm,pm->p", xi, Q, xi)
-        run_ctrl += h * np.einsum("pn,pnm,pm->p", ui, R, ui)
-    xN = xv[N, :, :, 0]
-    Gv = model.terminal(W, P)
-    term = np.einsum("pn,pnm,pm->p", xN, Gv, xN)
+    if model.n == model.m == 1:
+        xs, us = xv[:, :, 0, 0], uv[:, :, 0, 0]
+        q, r = tab.Q[:, :, 0, 0], tab.R[:, :, 0, 0]
+        for i in range(s, N):
+            run_state += h * (xs[i] * q[i] * xs[i])
+            run_ctrl += h * (us[i] * r[i] * us[i])
+        term = xs[N] * tab.G[:, 0, 0] * xs[N]
+    else:
+        for i in range(s, N):
+            xi = xv[i, :, :, 0]
+            ui = uv[i, :, :, 0]
+            run_state += h * np.einsum("pn,pnm,pm->p", xi, tab.at("Q", i, P), xi)
+            run_ctrl += h * np.einsum("pn,pnm,pm->p", ui, tab.at("R", i, P), ui)
+        xN = xv[N, :, :, 0]
+        Gv = np.broadcast_to(tab.G, (P,) + tab.G.shape[1:])
+        term = np.einsum("pn,pnm,pm->p", xN, Gv, xN)
     per_path = 0.5 * (run_state + run_ctrl + term)
     se = float(per_path.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
     return CostEstimate(

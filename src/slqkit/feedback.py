@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidArgumentError, SynthesisInfeasibleError
 from .grid import PathArray, TimeGrid
 from .pinv import pinv, psd_check, range_inclusion
-from .problem import CoefficientModel
+from .problem import CoefficientModel, coefficient_table
 from .riccati import RiccatiSolution
 
 __all__ = [
@@ -245,14 +245,9 @@ def stationarity_residual(
         worst = 0.0
         Pv = sol.P.values
         Lam = sol.Lambda.values
-        if W is None:
-            W = np.zeros((sol.grid.N + 1, n_paths))
+        tab = coefficient_table(model, np.zeros((sol.grid.N + 1, 1)) if W is None else W)
         for i in range(sol.grid.N + 1):
-            pre = W[: i + 1]
-            B = model.coeff("B", i, pre, n_paths)
-            C = model.coeff("C", i, pre, n_paths)
-            D = model.coeff("D", i, pre, n_paths)
-            R = model.coeff("R", i, pre, n_paths)
+            B, C, D, R = (tab.at(name, i, n_paths) for name in ("B", "C", "D", "R"))
             Pi = Lam[i] + Pv[i] @ (C + D @ th[i])
             r = (np.einsum("pnm,pnk->pmk", B, Pv[i])
                  + np.einsum("pnm,pnk->pmk", D, Pi)

@@ -108,7 +108,9 @@ class BrownianBatch:
 
     The identity ``W[i+1] - W[i] == increments[i]`` holds exactly in floating
     point (increments are canonicalized as differences of the cumulative
-    array).
+    array).  Batches built by :func:`sample_brownian` and
+    :meth:`from_increments` are immutable: both arrays are read-only, which
+    lets the coefficient tables of :mod:`slqkit.problem` be shared per batch.
     """
 
     grid: TimeGrid
@@ -135,7 +137,15 @@ class BrownianBatch:
         n_paths = inc.shape[1]
         W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
         np.cumsum(inc, axis=0, out=W[1:])
+        return BrownianBatch._frozen(grid, n_paths, seed, W)
+
+    @staticmethod
+    def _frozen(grid: TimeGrid, n_paths: int, seed: int, W: np.ndarray) -> "BrownianBatch":
+        """Batch of the cumulative paths ``W``, with canonical increments;
+        both arrays are made read-only."""
         inc = np.diff(W, axis=0)
+        W.setflags(write=False)
+        inc.setflags(write=False)
         return BrownianBatch(grid=grid, n_paths=n_paths, seed=int(seed), increments=inc, W=W)
 
 
@@ -206,8 +216,7 @@ def sample_brownian(
     rows *= sqrt_h
     W = np.zeros((N + 1, n_paths), dtype=np.float64)
     np.cumsum(rows.T, axis=0, out=W[1:])
-    inc = np.diff(W, axis=0)
-    return BrownianBatch(grid=grid, n_paths=n_paths, seed=int(seed), increments=inc, W=W)
+    return BrownianBatch._frozen(grid, n_paths, seed, W)
 
 
 @dataclass(frozen=True)

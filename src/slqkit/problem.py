@@ -10,6 +10,11 @@ matrix`` receiving only the Brownian prefix ``W_0..W_i`` (shape
 ``(i+1, n_paths)``), so anticipating evaluations are impossible by
 construction.  The terminal weight ``G`` receives the full path.
 
+A :class:`CoefficientTable` holds every coefficient of one model evaluated
+once on one path batch (:func:`coefficient_table`); the solvers, the
+simulator and the cost quadrature read it instead of calling the evaluators
+at every step.
+
 Built-in scenarios:
 
 * :func:`scenario_example1` — the solvable scalar instance with closed-form
@@ -24,7 +29,9 @@ Built-in scenarios:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,10 +41,12 @@ from .grid import BrownianBatch, TimeGrid, make_grid
 
 __all__ = [
     "CoefficientModel",
+    "CoefficientTable",
     "InitialCondition",
     "ValidationReport",
     "CounterexamplePaths",
     "CounterexampleScenario",
+    "coefficient_table",
     "validate",
     "scenario_example1",
     "scenario_counterexample",
@@ -157,6 +166,92 @@ def _normalize_eval(raw: np.ndarray, name: str, n_paths: int, rows: int, cols: i
     raise InvalidArgumentError(f"{name} evaluator returned ndim={raw.ndim} output")
 
 
+def _drop_broadcast(v: np.ndarray) -> np.ndarray:
+    """The 1-row base of a path-constant (stride-0) ``(n_paths, r, c)``
+    evaluation; any other evaluation unchanged."""
+    return v[:1] if v.shape[0] == 1 or v.strides[0] == 0 else v
+
+
+_TABLE_NAMES = ("A", "B", "C", "D", "Q", "R")
+
+
+class CoefficientTable:
+    """Every coefficient of one model evaluated once on one path array.
+
+    ``A, B, C, D, Q, R`` are read-only ``(N+1, k, rows, cols)`` arrays whose
+    row ``i`` is the model's ``coeff(name, i, W[:i+1], n_paths)``, with ``k = 1``
+    when the evaluator returned a path-constant (broadcast) value at every
+    index and ``k = n_paths`` otherwise.  ``G`` is the terminal weight,
+    ``(1 or n_paths, n, n)``, evaluated on first use.  All evaluation goes
+    through :meth:`CoefficientModel.coeff` and
+    :meth:`CoefficientModel.terminal`, so shapes are validated there.
+    """
+
+    def __init__(self, model: CoefficientModel, W: np.ndarray):
+        self.model = model
+        self.n_paths = W.shape[1]
+        self._paths = lambda: W  # for G; memoized tables hold W weakly
+        for name in _TABLE_NAMES:
+            setattr(self, name, self._tabulate(name, W))
+
+    def _tabulate(self, name: str, W: np.ndarray) -> np.ndarray:
+        N, P = W.shape[0] - 1, self.n_paths
+        out = np.empty((N + 1, 1) + self.model._shape_of(name))
+        for i in range(N + 1):
+            v = _drop_broadcast(self.model.coeff(name, i, W[: i + 1], P))
+            if v.shape[0] > out.shape[1]:
+                # First path-dependent value: widen, keeping the rows so far.
+                out = np.repeat(out, P, axis=1)
+            out[i] = v
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        W = self._paths()
+        if W is None:
+            raise InvalidArgumentError("the path array of this coefficient table was freed")
+        return _drop_broadcast(self.model.terminal(W, self.n_paths))
+
+    def at(self, name: str, i: int, n_paths: int) -> np.ndarray:
+        """Row ``i`` of coefficient ``name`` broadcast to ``(n_paths, r, c)``."""
+        row = getattr(self, name)[i]
+        return np.broadcast_to(row, (n_paths,) + row.shape[1:])
+
+
+# Tables of read-only path arrays, keyed by id(W) then id(model).  An entry
+# is dropped when its array is freed, so the memo lives exactly as long as
+# the batch's paths (never as long as a model), and a table is a pure
+# function of its key, so sharing it between callers changes no result.
+_TABLES: dict[int, dict[int, tuple[CoefficientModel, CoefficientTable]]] = {}
+
+
+def coefficient_table(model: CoefficientModel, W: np.ndarray) -> CoefficientTable:
+    """The :class:`CoefficientTable` of ``model`` on the paths ``W``
+    (shape ``(N+1, n_paths)``).
+
+    Read-only arrays that own their data, such as the ``W`` of every
+    :class:`~slqkit.grid.BrownianBatch` built by :mod:`slqkit.grid`, get
+    one table per model, built on first request and shared until the array
+    is freed.  Any other array gets a fresh table on every call.
+    """
+    if W.flags.writeable or W.base is not None:
+        return CoefficientTable(model, W)
+    key = id(W)
+    per_model = _TABLES.get(key)
+    if per_model is None:
+        per_model = _TABLES[key] = {}
+        weakref.finalize(W, _TABLES.pop, key, None)
+    entry = per_model.get(id(model))
+    if entry is None:
+        table = CoefficientTable(model, W)
+        # A memo that held W strongly would keep it alive for ever.
+        table._paths = weakref.ref(W)
+        # The model is held with its table, so its id cannot be reused.
+        entry = per_model[id(model)] = (model, table)
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class InitialCondition:
     """Start pair (s, eta): the grid index of s and the initial state.
@@ -224,33 +319,29 @@ def validate(model: CoefficientModel, batch: BrownianBatch, tol: float = 1e-8) -
     """
     N = batch.grid.N
     h = batch.grid.h
-    P = batch.n_paths
+    tab = coefficient_table(model, batch.W)
     max_asym: dict[str, float] = {}
     max_abs: dict[str, float] = {}
+    sqint: dict[str, np.ndarray] = {}  # pathwise integrals of |B|^2, |C|^2
     failures: list[str] = []
-    b_sq = np.zeros(P)
-    c_sq = np.zeros(P)
-    for name in ("A", "B", "C", "D", "Q", "R"):
-        worst_abs = 0.0
-        worst_asym = 0.0
-        for i in range(N + 1):
-            vals = model.coeff(name, i, batch.W[: i + 1], P)
-            if not np.isfinite(vals).all():
-                failures.append(f"{name} non-finite at index {i}")
-                break
-            worst_abs = max(worst_abs, float(np.abs(vals).max()))
-            if name in ("Q", "R"):
-                worst_asym = max(worst_asym, float(np.abs(vals - vals.transpose(0, 2, 1)).max()))
-            if name == "B" and i < N:
-                b_sq += h * np.sum(vals * vals, axis=(1, 2))
-            if name == "C" and i < N:
-                c_sq += h * np.sum(vals * vals, axis=(1, 2))
+    for name in _TABLE_NAMES:
+        vals = getattr(tab, name)
+        finite = np.isfinite(vals).all(axis=(1, 2, 3))
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            failures.append(f"{name} non-finite at index {bad}")
+            vals = vals[:bad]
+        worst_abs = float(np.abs(vals).max(initial=0.0))
         max_abs[name] = worst_abs
+        if name in ("B", "C"):
+            running = vals[:N]
+            sqint[name] = h * np.sum(running * running, axis=(2, 3)).sum(axis=0)
         if name in ("Q", "R"):
+            worst_asym = float(np.abs(vals - vals.swapaxes(2, 3)).max(initial=0.0))
             max_asym[name] = worst_asym
             if worst_asym > tol * (1.0 + worst_abs):
                 failures.append(f"{name} asymmetry {worst_asym:.6g} exceeds tolerance")
-    gvals = model.terminal(batch.W, P)
+    gvals = tab.G
     if not np.isfinite(gvals).all():
         failures.append("G non-finite")
     max_abs["G"] = float(np.abs(gvals).max())
@@ -260,8 +351,8 @@ def validate(model: CoefficientModel, batch: BrownianBatch, tol: float = 1e-8) -
     return ValidationReport(
         max_asymmetry=max_asym,
         max_abs=max_abs,
-        b_sqint_max=float(b_sq.max()),
-        c_sqint_max=float(c_sq.max()),
+        b_sqint_max=float(sqint["B"].max()),
+        c_sqint_max=float(sqint["C"].max()),
         tol=float(tol),
         passed=not failures,
         failures=failures,

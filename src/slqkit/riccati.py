@@ -38,6 +38,8 @@ from .grid import BrownianBatch, PathArray, TimeGrid
 from .pinv import pinv, psd_check, range_inclusion
 from .problem import (
     CoefficientModel,
+    CoefficientTable,
+    coefficient_table,
     counterexample_paths,
     example1_y,
     scenario_counterexample,
@@ -101,18 +103,15 @@ class RegressionBasis:
             raise InvalidArgumentError(f"basis degree must be >= 0, got {self.degree}")
 
 
-def _derive_KL(model: CoefficientModel, grid: TimeGrid, W: np.ndarray,
-               Pv: np.ndarray, Lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _derive_KL(tab: CoefficientTable, Pv: np.ndarray,
+               Lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_i = R + D^T P D and L_i = B^T P + D^T (P C + Lambda) at every node."""
-    n_paths = Pv.shape[1]
-    K = np.empty((grid.N + 1, n_paths, model.m, model.m))
-    L = np.empty((grid.N + 1, n_paths, model.m, model.n))
-    for i in range(grid.N + 1):
-        pre = W[: i + 1]
-        B = model.coeff("B", i, pre, n_paths)
-        C = model.coeff("C", i, pre, n_paths)
-        D = model.coeff("D", i, pre, n_paths)
-        R = model.coeff("R", i, pre, n_paths)
+    steps, n_paths, n, _ = Pv.shape
+    m = tab.model.m
+    K = np.empty((steps, n_paths, m, m))
+    L = np.empty((steps, n_paths, m, n))
+    for i in range(steps):
+        B, C, D, R = (tab.at(name, i, n_paths) for name in ("B", "C", "D", "R"))
         Pi = Pv[i]
         K[i] = R + np.einsum("pnm,pnk,pkl->pml", D, Pi, D)
         L[i] = (np.einsum("pnm,pnk->pmk", B, Pi)
@@ -122,6 +121,11 @@ def _derive_KL(model: CoefficientModel, grid: TimeGrid, W: np.ndarray,
 
 def _zero_prefix(grid: TimeGrid) -> np.ndarray:
     return np.zeros((grid.N + 1, 1))
+
+
+def _node(tab: CoefficientTable, i: int) -> tuple:
+    """The table's ``(A, B, C, D, Q, R)`` at node ``i``, each ``(k, rows, cols)``."""
+    return tuple(getattr(tab, name)[i] for name in ("A", "B", "C", "D", "Q", "R"))
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
@@ -150,10 +154,10 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
             f'solve_deterministic needs kind="deterministic", got {model.kind!r}'
         )
     N = grid.N
-    W0 = _zero_prefix(grid)
+    tab = coefficient_table(model, _zero_prefix(grid))
     n = model.n
     Pv = np.empty((N + 1, 1, n, n))
-    Pv[N] = _sym(model.terminal(W0, 1))
+    Pv[N] = _sym(tab.G)
 
     def rhs(P: np.ndarray, coeffs, t: float) -> np.ndarray:
         if not np.isfinite(P).all():
@@ -178,10 +182,7 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
     # detected and re-raised as FiniteEscapeError, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(N - 1, -1, -1):
-            pre = W0[: i + 1]
-            coeffs = tuple(
-                model.coeff(name, i, pre, 1)[0] for name in ("A", "B", "C", "D", "Q", "R")
-            )
+            coeffs = tuple(v[0] for v in _node(tab, i))
             P = Pv[i + 1][0]
             dt = -grid.h / 4.0
             t = grid.points[i + 1]
@@ -198,7 +199,7 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
                     )
             Pv[i] = P
     Lv = np.zeros_like(Pv)
-    K, L = _derive_KL(model, grid, W0, Pv, Lv)
+    K, L = _derive_KL(tab, Pv, Lv)
     return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
                            K=PathArray(K), L=PathArray(L), solver_tag="deterministic_ode")
 
@@ -226,19 +227,16 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
             f'discrete_recursion_oracle needs kind="deterministic", got {model.kind!r}'
         )
     N, h = grid.N, grid.h
-    W0 = _zero_prefix(grid)
+    tab = coefficient_table(model, _zero_prefix(grid))
     n = model.n
     Pv = np.empty((N + 1, 1, n, n))
-    Pv[N] = _sym(model.terminal(W0, 1))
+    Pv[N] = _sym(tab.G)
     eye = np.eye(n)
     # As in the ODE route: overflow on escaping instances surfaces as
     # FiniteEscapeError, so the intermediate warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(N - 1, -1, -1):
-            pre = W0[: i + 1]
-            A, B, C, D, Q, R = (
-                model.coeff(name, i, pre, 1)[0] for name in ("A", "B", "C", "D", "Q", "R")
-            )
+            A, B, C, D, Q, R = (v[0] for v in _node(tab, i))
             Pn = Pv[i + 1][0]
             Phi = eye + h * A
             H = h * R + h * h * (B.T @ Pn @ B) + h * (D.T @ Pn @ D)
@@ -261,7 +259,7 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
             if not np.isfinite(Pv[i]).all():
                 raise FiniteEscapeError(f"discrete recursion blew up at t={t:.6g}", time=t)
     Lv = np.zeros_like(Pv)
-    K, L = _derive_KL(model, grid, W0, Pv, Lv)
+    K, L = _derive_KL(tab, Pv, Lv)
     return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
                            K=PathArray(K), L=PathArray(L), solver_tag="deterministic_ode")
 
@@ -339,19 +337,16 @@ def solve_bsre_regression(
     W = batch.W
     dW = batch.increments
     n_paths = batch.n_paths
+    tab = coefficient_table(model, W)
     Pv = np.empty((N + 1, n_paths))
     Lv = np.zeros((N + 1, n_paths))
-    Pv[N] = model.terminal(W, n_paths)[:, 0, 0]
+    Pv[N] = tab.G[:, 0, 0]
     for i in range(N - 1, -1, -1):
-        pre = W[: i + 1]
         X = _design_matrix(W[i], basis.degree)
         p_next = Pv[i + 1]
         m_hat = _fit(X, p_next, i)
         lam = _fit(X, (p_next - m_hat) * dW[i] / h, i)
-        a, b, c, d, q, r = (
-            model.coeff(name, i, pre, n_paths)[:, 0, 0]
-            for name in ("A", "B", "C", "D", "Q", "R")
-        )
+        a, b, c, d, q, r = (v[:, 0, 0] for v in _node(tab, i))
         K = r + d * d * p_next
         if np.any(K < EPS_CLAMP):
             bad = int(np.argmax(K < EPS_CLAMP))
@@ -366,7 +361,7 @@ def solve_bsre_regression(
         Lv[i] = lam
     Pm = Pv[:, :, None, None]
     Lm = Lv[:, :, None, None]
-    K, L = _derive_KL(model, grid, W, Pm, Lm)
+    K, L = _derive_KL(tab, Pm, Lm)
     return RiccatiSolution(grid=grid, P=PathArray(Pm), Lambda=PathArray(Lm),
                            K=PathArray(K), L=PathArray(L), solver_tag="regression_mc")
 
@@ -377,12 +372,12 @@ def closed_form_example1(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolutio
     :func:`slqkit.problem.example1_y`."""
     if batch.grid.N != grid.N or batch.grid.T != grid.T:
         raise InvalidArgumentError("batch grid does not match the supplied grid")
-    model = scenario_example1(grid.T)
-    R = model.coeff("R", 0, batch.W[:1], 1)[0, 0, 0]
+    tab = coefficient_table(scenario_example1(grid.T), batch.W)
+    R = tab.R[0, 0, 0, 0]
     y = example1_y(grid, batch.W)
     Pv = (1.0 / y - R)[:, :, None, None]
     Lv = (-np.cos(batch.W) / (y * y))[:, :, None, None]
-    K, L = _derive_KL(model, grid, batch.W, Pv, Lv)
+    K, L = _derive_KL(tab, Pv, Lv)
     return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
                            K=PathArray(K), L=PathArray(L),
                            solver_tag="closed_form_example1")
@@ -398,7 +393,7 @@ def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiS
     aux = counterexample_paths(grid, batch)
     Pv = (1.0 / aux.Y - 0.25)[:, :, None, None]
     Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]
-    K, L = _derive_KL(scenario.model, grid, batch.W, Pv, Lv)
+    K, L = _derive_KL(coefficient_table(scenario.model, batch.W), Pv, Lv)
     return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
                            K=PathArray(K), L=PathArray(L),
                            solver_tag="closed_form_counterexample")

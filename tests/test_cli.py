@@ -76,6 +76,11 @@ def test_load_config_rejects_malformed_json(tmp_path):
     ({"scenario": "example1", "output_dir": ""}, "output_dir"),
     ({"scenario": "deterministic", "deterministic": [1.0, 2.0]}, "deterministic"),
     ({"scenario": "custom-from-file"}, "custom_model"),
+    ({"scenario": "example1", "T": 10 ** 400}, "T"),
+    ({"scenario": "example1", "eta": [float("inf")]}, "eta"),
+    ({"scenario": "example1", "tolerances": {"synthesis": -1e-8}}, "tolerances"),
+    ({"scenario": "deterministic",
+      "deterministic": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, float("nan")]}, "deterministic"),
 ])
 def test_config_schema_violations_name_the_field(tmp_path, fields, bad_field):
     with pytest.raises(ConfigError) as err:
@@ -223,6 +228,9 @@ def test_cli_config_and_input_errors_exit_3(tmp_path, capsys):
     assert main(["--scenario", "example1", "--steps", "1"]) == 3
     assert main(["--scenario", "example1", "--tol", "n_se"]) == 3
     assert main(["--scenario", "example1", "--tol", "n_se=abc"]) == 3
+    assert main(["--scenario", "example1", "--T", "inf"]) == 3
+    assert main(["--scenario", "example1", "--tol", "n_se=nan"]) == 3
+    assert main(["--scenario", "example1", "--tol", "disc_coeff=-1"]) == 3
     err = capsys.readouterr().err
     assert "config-error" in err
 

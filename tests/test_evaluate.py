@@ -1,14 +1,20 @@
 """Tests for simulation, cost evaluation, verification checks, and the probe."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from slqkit.errors import FiniteEscapeError, InvalidArgumentError
-from slqkit.feedback import synthesize
+from slqkit.feedback import FeedbackLaw, synthesize
 from slqkit.grid import BrownianBatch, PathArray, make_grid, sample_brownian
-from slqkit.problem import InitialCondition, scenario_deterministic, scenario_example1
+from slqkit.problem import (
+    CoefficientModel,
+    InitialCondition,
+    scenario_deterministic,
+    scenario_example1,
+)
 from slqkit.riccati import closed_form_example1, solve_deterministic
 from slqkit.evaluate import (
     completion_of_squares_check,
@@ -158,6 +164,134 @@ def test_cost_guards():
     with pytest.raises(InvalidArgumentError):
         cost(model, x, _zero_control(grid, 4), INIT, grid,
              batch=sample_brownian(make_grid(1.0, 4), 4, seed=1))
+
+
+def test_cost_without_batch_needs_a_deterministic_model():
+    # A path-dependent G evaluated on an all-zero path would be silently wrong.
+    model = scenario_example1(1.0)
+    grid = make_grid(1.0, 8)
+    x = PathArray(np.ones((9, 4, 1, 1)))
+    with pytest.raises(InvalidArgumentError):
+        cost(model, x, _zero_control(grid, 4), INIT, grid)
+    batch = sample_brownian(grid, 4, seed=1)
+    assert math.isfinite(cost(model, x, _zero_control(grid, 4), INIT, grid, batch).mean)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient-table kernels against the per-step reference loop
+# ---------------------------------------------------------------------------
+
+def _path_dependent_1x1():
+    """1x1 model with every coefficient nonzero; R is a constant."""
+    return CoefficientModel(
+        n=1, m=1,
+        A=lambda j, W: 0.3 * np.sin(W[j]),
+        B=lambda j, W: np.cos(W[j]),
+        C=lambda j, W: 0.5 * W[j] + 0.1,
+        D=lambda j, W: 1.0 + 0.1 * W[j] ** 2,
+        Q=lambda j, W: W[j] ** 2 + 0.5,
+        R=lambda j, W: np.full((1, 1), 1.5),
+        G=lambda W: 1.0 + W[-1] ** 2,
+        kind="path_dependent",
+    )
+
+
+def _path_dependent_2x2():
+    """2x2 model: A is a constant matrix, everything else moves with W."""
+    rng = np.random.default_rng(4)
+    A0, B0, C0, D0 = (0.4 * rng.uniform(-1, 1, (2, 2)) for _ in range(4))
+
+    def moving(M0):
+        return lambda j, W: M0 + 0.2 * np.sin(W[j])[:, None, None] * np.eye(2)
+
+    def spd(j, W):
+        s = np.sin(W[j])[:, None, None]
+        return np.eye(2) + 0.3 * s * np.array([[1.0, 0.5], [0.5, 1.0]])
+
+    return CoefficientModel(
+        n=2, m=2, A=lambda j, W: A0, B=moving(B0), C=moving(C0), D=moving(D0),
+        Q=spd, R=spd, G=lambda W: spd(-1, W), kind="path_dependent",
+    )
+
+
+def _reference_simulate(model, batch, eta, theta=None, u=None):
+    """Per-step loop: every coefficient from model.coeff, batched matmuls."""
+    N, h, P = batch.grid.N, batch.grid.h, batch.n_paths
+    x = np.empty((N + 1, P, model.n, 1))
+    uu = np.zeros((N + 1, P, model.m, 1))
+    x[0] = eta.reshape(1, -1, 1)
+    for i in range(N + 1):
+        uu[i] = theta[i] @ x[i] if theta is not None else u[i]
+        if i == N:
+            break
+        A, B, C, D = (model.coeff(k, i, batch.W[: i + 1], P) for k in "ABCD")
+        drift = A @ x[i] + B @ uu[i]
+        diffusion = C @ x[i] + D @ uu[i]
+        x[i + 1] = x[i] + h * drift + diffusion * batch.increments[i][:, None, None]
+    return x, uu
+
+
+def _reference_cost(model, batch, x, u):
+    N, h, P = batch.grid.N, batch.grid.h, batch.n_paths
+    run = np.zeros(P)
+    ctrl = np.zeros(P)
+    for i in range(N):
+        Q, R = (model.coeff(k, i, batch.W[: i + 1], P) for k in "QR")
+        run += h * np.einsum("pn,pnm,pm->p", x[i, :, :, 0], Q, x[i, :, :, 0])
+        ctrl += h * np.einsum("pn,pnm,pm->p", u[i, :, :, 0], R, u[i, :, :, 0])
+    G = model.terminal(batch.W, P)
+    term = np.einsum("pn,pnm,pm->p", x[N, :, :, 0], G, x[N, :, :, 0])
+    return 0.5 * (run + ctrl + term)
+
+
+@pytest.mark.parametrize("make_model", [_path_dependent_1x1, _path_dependent_2x2])
+def test_table_kernels_match_reference_loop_bit_for_bit(make_model):
+    # The 1x1 model runs the elementwise kernel, the 2x2 model the matrix
+    # kernel; both must reproduce the per-step loop exactly.
+    model = make_model()
+    n, m = model.n, model.m
+    grid = make_grid(1.0, 32)
+    batch = sample_brownian(grid, 50, seed=6)
+    rng = np.random.default_rng(2)
+    eta = np.linspace(0.5, 1.5, n)
+    init = InitialCondition(0, eta)
+    theta = 0.5 * rng.uniform(-1, 1, (grid.N + 1, 50, m, n))
+    u = PathArray(rng.normal(size=(grid.N + 1, 50, m, 1)))
+    law = FeedbackLaw(theta=PathArray(theta), theta_free=PathArray(np.zeros_like(theta)),
+                      source=None)
+
+    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
+    x_ref, u_ref = _reference_simulate(model, batch, eta, theta=theta)
+    np.testing.assert_array_equal(x_fb.values, x_ref)
+    np.testing.assert_array_equal(u_fb.values, u_ref)
+    np.testing.assert_array_equal(cost(model, x_fb, u_fb, init, grid, batch).per_path,
+                                  _reference_cost(model, batch, x_ref, u_ref))
+
+    x_u = simulate_open_loop(model, u, init, batch)
+    x_ref, _ = _reference_simulate(model, batch, eta, u=u.values)
+    np.testing.assert_array_equal(x_u.values, x_ref)
+    np.testing.assert_array_equal(cost(model, x_u, u, init, grid, batch).per_path,
+                                  _reference_cost(model, batch, x_ref, u.values))
+
+
+def test_terminal_weight_is_evaluated_once_per_batch():
+    base = scenario_example1(1.0)
+    calls = []
+
+    def counted_G(W):
+        calls.append(W.shape)
+        return base.G(W)
+
+    model = dataclasses.replace(base, G=counted_G)
+    grid = make_grid(1.0, 16)
+    batch = sample_brownian(grid, 200, seed=1)
+    sol = closed_form_example1(grid, batch)
+    law = synthesize(sol, model)
+    value_identity_check(sol, law, model, INIT, batch)
+    _, u_fb = simulate_closed_loop(model, law, INIT, batch)
+    completion_of_squares_check(sol, law, model, u_fb, INIT, batch)
+    optimality_sweep(sol, law, model, INIT, batch)
+    assert calls == [(grid.N + 1, 200)]
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,17 @@ def test_from_increments_round_trip_and_canonicalization():
     np.testing.assert_array_equal(batch.increments, np.diff(batch.W, axis=0))
 
 
+def test_batches_are_read_only():
+    # A coefficient table memoized per batch is only valid on immutable paths.
+    grid = make_grid(1.0, 4)
+    for batch in (sample_brownian(grid, 3, seed=1),
+                  BrownianBatch.from_increments(grid, np.zeros((4, 3)))):
+        with pytest.raises(ValueError):
+            batch.W[1, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch.increments[0] += 1.0
+
+
 def test_from_increments_guards():
     grid = make_grid(1.0, 4)
     with pytest.raises(InvalidArgumentError):

@@ -1,6 +1,8 @@
 """Tests for the coefficient-model data layer and the built-in scenarios."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from slqkit.problem import (
     ZETA_SCALE,
     CoefficientModel,
     InitialCondition,
+    coefficient_table,
     counterexample_paths,
     delta_grid,
     example1_y,
@@ -100,6 +103,52 @@ def test_initial_condition_shapes_and_guards():
         init.eta_column(3, 5)  # length mismatch
     with pytest.raises(InvalidArgumentError):
         per_path.eta_column(2, 4)  # path-count mismatch
+
+
+# ---------------------------------------------------------------------------
+# Coefficient tables
+# ---------------------------------------------------------------------------
+
+def test_table_keeps_constants_as_one_row_and_widens_path_dependent_ones():
+    base = scenario_deterministic(0.5, 1, 0, 0, 0, 1, 2, T=1.0)
+    model = CoefficientModel(
+        n=1, m=1, A=base.A, B=base.B, D=base.D, Q=base.Q, R=base.R,
+        # constant for the first three nodes, then path-dependent
+        C=lambda i, W: np.full((1, 1), 0.2) if i < 3 else 0.5 * W[i],
+        G=base.G, kind="path_dependent",
+    )
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 5, seed=2)
+    tab = coefficient_table(model, batch.W)
+    assert tab.A.shape == (9, 1, 1, 1)
+    assert tab.G.shape == (1, 1, 1)
+    assert tab.C.shape == (9, 5, 1, 1)
+    np.testing.assert_array_equal(tab.C[:3], 0.2)
+    np.testing.assert_array_equal(tab.C[3:, :, 0, 0], 0.5 * batch.W[3:])
+    assert not tab.A.flags.writeable and not tab.C.flags.writeable
+
+
+def test_table_is_memoized_per_read_only_batch_only():
+    model = scenario_example1(1.0)
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 4, seed=1)
+    assert coefficient_table(model, batch.W) is coefficient_table(model, batch.W)
+    assert coefficient_table(model, batch.W) is not coefficient_table(
+        scenario_example1(1.0), batch.W)
+    writable = batch.W.copy()
+    assert coefficient_table(model, writable) is not coefficient_table(model, writable)
+
+
+def test_table_memo_does_not_outlive_its_batch():
+    # The memo is bound to the batch's paths, never to the model: a model
+    # kept across batches must not keep a dead batch alive.
+    model = scenario_example1(1.0)
+    batch = sample_brownian(make_grid(1.0, 8), 4, seed=1)
+    coefficient_table(model, batch.W).G
+    ref = weakref.ref(batch.W)
+    del batch
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +411,12 @@ def test_adaptedness_under_suffix_perturbation():
         a = state_dep.coeff(name, i, batch.W[: i + 1], 8)
         b = state_dep.coeff(name, i, batch2.W[: i + 1], 8)
         np.testing.assert_array_equal(a, b)
+    # The same holds for every row 0..i of the coefficient tables.
+    tab1 = coefficient_table(state_dep, batch.W)
+    tab2 = coefficient_table(state_dep, batch2.W)
+    for name in ("A", "B", "C", "D", "Q", "R"):
+        np.testing.assert_array_equal(getattr(tab1, name)[: i + 1],
+                                      getattr(tab2, name)[: i + 1])
 
     aux1 = counterexample_paths(grid, batch)
     aux2 = counterexample_paths(grid, batch2)
