@@ -39,10 +39,10 @@ def main() -> None:
     print("\ncoarse-grid synthesis attempt (N = 128, 500 paths):")
     grid = make_grid(1.0, 128)
     batch = sample_brownian(grid, 500, seed=1)
-    scen = scenario_counterexample(1.0)
+    model = scenario_counterexample(1.0)
     sol = closed_form_counterexample(grid, batch)
     try:
-        synthesize(sol, scen.model)
+        synthesize(sol, model)
     except SynthesisInfeasibleError as exc:
         print(f"  refused ({exc.reason}): {exc}")
         print(f"  offending (t, path) pairs: {exc.offenders}")
@@ -51,8 +51,8 @@ def main() -> None:
     grid = make_grid(1.0, 512)
     batch = sample_brownian(grid, 200, seed=1)
     sol = closed_form_counterexample(grid, batch)
-    law = synthesize(sol, scen.model)
-    st = stationarity_residual(law, sol, scen.model, batch.W)
+    law = synthesize(sol, model)
+    st = stationarity_residual(law, sol, model, batch.W)
     print(f"  stationarity residual max |L + K Theta| = {st.max_residual:.1e}")
     reg = regularity_diagnostics(law, grid)
     print(f"  pathwise norm: median {reg.quantiles[0.5]:.3f}, "

@@ -35,7 +35,6 @@ from .problem import (
     CoefficientModel,
     CoefficientTable,
     CounterexamplePaths,
-    CounterexampleScenario,
     InitialCondition,
     ValidationReport,
     coefficient_table,
@@ -74,7 +73,6 @@ from .evaluate import (
     ProbeRow,
     SweepResult,
     SweepRow,
-    VerificationReport,
     completion_of_squares_check,
     cost,
     counterexample_divergence_probe,
@@ -96,7 +94,6 @@ __all__ = [
     "ConfigError",
     "CostEstimate",
     "CounterexamplePaths",
-    "CounterexampleScenario",
     "DISC_ALLOWANCE",
     "DriverSingularError",
     "EPS_CLAMP",
@@ -123,7 +120,6 @@ __all__ = [
     "SynthesisInfeasibleError",
     "TimeGrid",
     "ValidationReport",
-    "VerificationReport",
     "Y_UPPER",
     "ZETA_SCALE",
     "closed_form_counterexample",

@@ -192,6 +192,19 @@ def _validate_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _read_config(path: str) -> dict:
+    p = Path(path)
+    if not p.is_file():
+        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}", field="json") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object", field="json")
+    return raw
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Load and validate a JSON experiment config.
 
@@ -202,23 +215,14 @@ def load_config(path: str) -> ExperimentConfig:
     ConfigError
         Malformed JSON or schema violation; names the offending field.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}", field="json") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object", field="json")
-    return _validate_config(raw)
+    return _validate_config(_read_config(path))
 
 
 def _resolve_model(cfg: ExperimentConfig):
     if cfg.scenario == "example1":
         return scenario_example1(cfg.T)
     if cfg.scenario == "counterexample":
-        return scenario_counterexample(cfg.T).model
+        return scenario_counterexample(cfg.T)
     if cfg.scenario == "deterministic":
         return scenario_deterministic(*cfg.deterministic, T=cfg.T)
     import importlib
@@ -305,6 +309,9 @@ def run(config: ExperimentConfig) -> RunReport:
     try:
         t0 = time.perf_counter()
         model = _resolve_model(config)
+        if len(config.eta) != model.n:
+            raise ConfigError(f"eta has length {len(config.eta)}, state dimension is "
+                              f"{model.n}", field="eta")
         grid = make_grid(config.T, config.steps)
         batch = sample_brownian(grid, config.paths, config.seed)
         timings["setup_s"] = time.perf_counter() - t0
@@ -529,22 +536,11 @@ def main(argv: list | None = None) -> int:
                         help="override a tolerance (repeatable)")
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            cfg_path = Path(args.config)
-            if not cfg_path.is_file():
-                print(f"io-error: config file not found: {args.config}",
-                      file=sys.stderr)
-                return 3
-            try:
-                raw = json.loads(cfg_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}", field="json")
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be a JSON object", field="json")
-        else:
-            raw = {}
-        raw = _apply_flag_overrides(raw, args)
-        config = _validate_config(raw)
+        raw = _read_config(args.config) if args.config else {}
+        config = _validate_config(_apply_flag_overrides(raw, args))
+    except FileNotFoundError as exc:
+        print(f"io-error: {exc}", file=sys.stderr)
+        return 3
     except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 3

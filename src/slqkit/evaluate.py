@@ -23,15 +23,15 @@ import numpy as np
 
 from .errors import FiniteEscapeError, InvalidArgumentError
 from .feedback import FeedbackLaw
-from .grid import BrownianBatch, PathArray, TimeGrid, make_grid, sample_brownian
+from .grid import BrownianBatch, PathArray, TimeGrid, _path_major_increments, make_grid
 from .problem import (
     CoefficientModel,
     InitialCondition,
     Y_SHIFT,
     Y_UPPER,
     ZETA_SCALE,
+    _stopped_processes,
     coefficient_table,
-    counterexample_paths,
     delta_grid,
 )
 from .riccati import RiccatiSolution
@@ -43,7 +43,6 @@ __all__ = [
     "SweepResult",
     "ProbeRow",
     "ProbeResult",
-    "VerificationReport",
     "simulate_closed_loop",
     "simulate_open_loop",
     "cost",
@@ -588,6 +587,25 @@ class ProbeResult:
     bounds_ok: bool
 
 
+def _probe_chunk(grid: TimeGrid, n_paths: int, seed: int,
+                 path_offset: int) -> tuple[np.ndarray, ...]:
+    """Per-path ``integral zeta^2 dt``, ``integral Theta^2 dt``, min Y and
+    max Y of paths ``[path_offset, path_offset + n_paths)``."""
+    _, _, zeta, Y = _stopped_processes(
+        grid, _path_major_increments(grid, n_paths, seed, path_offset))
+    # Time integrals add in time order (an in-place cumsum), as np.sum(axis=0)
+    # does on counterexample_paths' time-major arrays.
+    sq = zeta * zeta
+    zsq = grid.h * np.cumsum(sq, axis=1, out=sq)[:, -1]
+    theta = sq  # Theta_i = zeta_i / Y_i, with Y_0 = Y_SHIFT
+    np.divide(zeta[:, 0], Y_SHIFT, out=theta[:, 0])
+    np.divide(zeta[:, 1:], Y[:, :-1], out=theta[:, 1:])
+    theta *= theta
+    theta_sq = grid.h * np.cumsum(theta, axis=1, out=theta)[:, -1]
+    return (zsq, theta_sq, np.minimum(Y.min(axis=1), Y_SHIFT),
+            np.maximum(Y.max(axis=1), Y_SHIFT))
+
+
 def counterexample_divergence_probe(
     T: float,
     steps_seq,
@@ -597,13 +615,14 @@ def counterexample_divergence_probe(
 ) -> ProbeResult:
     """Measure the counterexample's blow-up across (steps, paths) ladders.
 
-    For each configuration the probe streams paths in chunks (bit-identical
-    to monolithic sampling thanks to per-path streams) and accumulates: the
-    max/median pathwise gain norm ``integral of |Theta|^2 dt`` with
-    ``Theta = zeta / Y`` (sign conventions drop out of the square), the max
-    stopped-integrand norm ``integral of zeta^2 dt``, the sample mean of its
-    exponential (saturated at float-max and flagged on overflow — that *is*
-    the divergence finding at large step counts), the stopped-envelope
+    Paths are sampled path-major in chunks of ``chunk_size`` (per-path
+    streams make the result independent of it) and each chunk is reduced
+    straight to per-path scalars by :func:`counterexample_paths`' stopping
+    rule, time integrals summed in time order: the max/median pathwise gain
+    norm ``integral of |Theta|^2 dt`` with ``Theta = zeta / Y`` (signs drop
+    out of the square), the max stopped-integrand norm ``integral of zeta^2
+    dt``, the mean of its exponential (saturated at float-max and flagged on
+    overflow — that *is* the divergence finding at large step counts), the
     extremes of Y and of the Ito sums, and envelope-violation counts beyond
     the two-sided ``3 h^0.4`` grid allowance.
     """
@@ -615,57 +634,36 @@ def counterexample_divergence_probe(
         raise InvalidArgumentError("probe needs at least one configuration")
     if any(b <= a for a, b in zip(steps_seq, steps_seq[1:])):
         raise InvalidArgumentError("steps_seq must be strictly increasing")
-    if any(b <= a for a, b in zip(paths_seq, paths_seq[1:])):
-        raise InvalidArgumentError("paths_seq must be strictly increasing")
-    fmax = float(np.finfo(np.float64).max)
+    if paths_seq[0] < 1 or any(b <= a for a, b in zip(paths_seq, paths_seq[1:])):
+        raise InvalidArgumentError("paths_seq must be positive and strictly increasing")
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer)) \
+            or chunk_size < 1:
+        raise InvalidArgumentError(f"chunk_size must be a positive integer, got {chunk_size!r}")
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     rows: list[ProbeRow] = []
     for N, n_paths in zip(steps_seq, paths_seq):
         grid = make_grid(T, N)
         delta = delta_grid(grid.h)
-        max_zeta_sq = 0.0
-        max_theta_sq = 0.0
-        max_ito = 0.0
-        ymin, ymax = math.inf, -math.inf
-        exp_sum = 0.0
-        overflow = False
-        ito_bad = 0
-        y_bad = 0
-        theta_all = np.empty(n_paths)
-        done = 0
-        while done < n_paths:
-            chunk = min(chunk_size, n_paths - done)
-            batch = sample_brownian(grid, chunk, seed, path_offset=done)
-            aux = counterexample_paths(grid, batch)
-            zsq = grid.h * np.sum(aux.zeta[:N] ** 2, axis=0)
-            theta_sq = grid.h * np.sum((aux.zeta[:N] / aux.Y[:N]) ** 2, axis=0)
-            ito = np.abs(aux.Y - Y_SHIFT).max(axis=0)
-            y_lo = aux.Y.min(axis=0)
-            y_hi = aux.Y.max(axis=0)
-            with np.errstate(over="ignore"):
-                ez = np.exp(zsq)
-            if np.isinf(ez).any():
-                overflow = True
-                ez = np.minimum(ez, fmax)
-            theta_all[done:done + chunk] = theta_sq
-            max_zeta_sq = max(max_zeta_sq, float(zsq.max()))
-            max_theta_sq = max(max_theta_sq, float(theta_sq.max()))
-            max_ito = max(max_ito, float(ito.max()))
-            ymin = min(ymin, float(y_lo.min()))
-            ymax = max(ymax, float(y_hi.max()))
-            exp_sum += float(ez.sum())
-            ito_bad += int((ito > ZETA_SCALE + delta).sum())
-            y_bad += int(((y_lo < 1.0 - delta) | (y_hi > Y_UPPER + delta)).sum())
-            done += chunk
+        chunks = [_probe_chunk(grid, min(chunk_size, n_paths - lo), seed, lo)
+                  for lo in range(0, n_paths, chunk_size)]
+        zsq, theta_sq, y_lo, y_hi = (np.concatenate(parts) for parts in zip(*chunks))
+        # max_i |Y_i - Y_SHIFT| exactly: rounded subtraction is monotone and
+        # Y_0 = Y_SHIFT lies between the extremes.
+        ito = np.maximum(y_hi - Y_SHIFT, Y_SHIFT - y_lo)
+        with np.errstate(over="ignore"):
+            ez = np.exp(zsq)
         rows.append(ProbeRow(
             steps=N, n_paths=n_paths, h=grid.h, delta_grid=delta,
-            max_zeta_sqint=max_zeta_sq,
-            mean_exp_zeta_sqint=exp_sum / n_paths,
-            exp_overflow=overflow,
-            max_theta_sqint=max_theta_sq,
-            median_theta_sqint=float(np.median(theta_all)),
-            max_abs_ito=max_ito,
-            min_Y=ymin, max_Y=ymax,
-            ito_violations=ito_bad, y_violations=y_bad,
+            max_zeta_sqint=float(zsq.max()),
+            mean_exp_zeta_sqint=float(np.minimum(ez, np.finfo(np.float64).max).mean()),
+            exp_overflow=bool(np.isinf(ez).any()),
+            max_theta_sqint=float(theta_sq.max()),
+            median_theta_sqint=float(np.median(theta_sq)),
+            max_abs_ito=float(ito.max()),
+            min_Y=float(y_lo.min()), max_Y=float(y_hi.max()),
+            ito_violations=int((ito > ZETA_SCALE + delta).sum()),
+            y_violations=int(((y_lo < 1.0 - delta) | (y_hi > Y_UPPER + delta)).sum()),
         ))
     growth_ratio = rows[-1].max_theta_sqint / rows[0].max_theta_sqint if rows else 0.0
     growth_monotone = all(
@@ -676,14 +674,3 @@ def counterexample_divergence_probe(
         rows=rows, seed=int(seed), growth_ratio=float(growth_ratio),
         growth_monotone=growth_monotone, bounds_ok=bounds_ok,
     )
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Aggregate of the verification checks for one experiment run."""
-
-    value_identity_residual: float | None
-    cos_identity_residual: float | None
-    stationarity_residual: float | None
-    optimality_sweep: list
-    pass_flags: dict

@@ -6,8 +6,11 @@ Conventions used across the package:
   final point pinned to ``T`` exactly;
 * all sampled quantities are stored time-major: increments have shape
   ``(N, n_paths)`` and cumulative paths ``(N+1, n_paths)``;
-* path batches are reproducible from ``(seed, path_index)`` alone.  Each path
-  draws from its own counter-based stream, so generating paths in chunks
+* path batches are reproducible from ``(seed, path_index)`` alone.  Path
+  ``p`` reads the counter-based Philox stream keyed by
+  ``(seed mod 2**64, p mod 2**64)`` from a zero counter (Salmon et al.,
+  "Parallel random numbers: as easy as 1, 2, 3", SC'11).  One generator per
+  call is re-keyed for every path, so generating paths in chunks
   (``path_offset``) yields bit-identical results to one monolithic call.
 
 A batch sampled at ``2N`` steps is *not* a pathwise refinement of the batch
@@ -149,11 +152,41 @@ class BrownianBatch:
         return BrownianBatch(grid=grid, n_paths=n_paths, seed=int(seed), increments=inc, W=W)
 
 
-def _path_stream(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path, keyed by (seed, path index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _scaled_normals(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 0,
+                    antithetic: bool = False) -> np.ndarray:
+    """``sqrt(h)`` times the standard normals of paths ``[path_offset,
+    path_offset + n_paths)``, path-major ``(n_paths, N)`` (with
+    ``antithetic``, odd paths negate their even partner).  One Philox is
+    re-keyed per path, far cheaper than building one, which reads OS entropy."""
+    rows = np.empty((n_paths, grid.N), dtype=np.float64)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = np.array([int(seed) & 2**64 - 1, 0], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for p in range(n_paths):
+        g = int(path_offset) + p
+        if antithetic and g % 2:
+            np.negative(rows[p - 1], out=rows[p])
+            continue
+        key[1] = g & 2**64 - 1
+        bitgen.state = state
+        gen.standard_normal(out=rows[p])
+    rows *= math.sqrt(grid.h)
+    return rows
+
+
+def _path_major_increments(grid: TimeGrid, n_paths: int, seed: int,
+                           path_offset: int = 0) -> np.ndarray:
+    """``sample_brownian(grid, n_paths, seed, path_offset=path_offset)
+    .increments.T`` bit for bit, built path-major; arguments are not checked."""
+    W = _scaled_normals(grid, n_paths, seed, path_offset)
+    np.cumsum(W, axis=1, out=W)  # W_1 .. W_N
+    dW = np.empty_like(W)
+    dW[:, 0] = W[:, 0]
+    np.subtract(W[:, 1:], W[:, :-1], out=dW[:, 1:])
+    return dW
 
 
 def sample_brownian(
@@ -204,17 +237,8 @@ def sample_brownian(
                 "antithetic sampling needs an even n_paths and even path_offset"
             )
     n_paths = int(n_paths)
-    N = grid.N
-    sqrt_h = math.sqrt(grid.h)
-    rows = np.empty((n_paths, N), dtype=np.float64)
-    for p in range(n_paths):
-        g = path_offset + p
-        if antithetic and g % 2:
-            rows[p] = -rows[p - 1]
-        else:
-            rows[p] = _path_stream(seed, g).standard_normal(N)
-    rows *= sqrt_h
-    W = np.zeros((N + 1, n_paths), dtype=np.float64)
+    rows = _scaled_normals(grid, n_paths, seed, path_offset, antithetic)
+    W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
     np.cumsum(rows.T, axis=0, out=W[1:])
     return BrownianBatch._frozen(grid, n_paths, seed, W)
 

@@ -47,7 +47,6 @@ __all__ = [
     "InitialCondition",
     "ValidationReport",
     "CounterexamplePaths",
-    "CounterexampleScenario",
     "coefficient_table",
     "validate",
     "scenario_example1",
@@ -460,8 +459,6 @@ class CounterexamplePaths:
         integrand is singular at T).
     Y : numpy.ndarray
         ``(N+1, n_paths)``; ``Y_i = sum_{j<i} zeta_j dW_j + 1 + pi/(2 sqrt 2)``.
-    Z : numpy.ndarray
-        Alias of ``zeta`` (the martingale integrand of Y).
     """
 
     M: np.ndarray
@@ -469,9 +466,25 @@ class CounterexamplePaths:
     zeta: np.ndarray
     Y: np.ndarray
 
-    @property
-    def Z(self) -> np.ndarray:
-        return self.zeta
+
+def _stopped_processes(grid: TimeGrid, dW: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The counterexample's stopping rule, stated once: from path-major
+    increments ``dW`` ``(n_paths, N)``, ``(M_1..M_N, tau_index,
+    zeta_0..zeta_{N-1}, Y_1..Y_N)`` of :class:`CounterexamplePaths`, each
+    process path-major ``(n_paths, N)``.  Sums run in time order."""
+    N = grid.N
+    inv_sqrt = 1.0 / np.sqrt(grid.T - grid.points[:N])  # (N,), finite: t_i < T
+    M = inv_sqrt * dW
+    np.cumsum(M, axis=1, out=M)
+    crossed = (M > 1.0) | (M < -1.0)
+    # M_0 = 0 never crosses: tau is 1 + the first crossing among M_1..M_N.
+    tau_index = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, N)
+    # zeta is still on at the crossing index itself.
+    zeta = (ZETA_SCALE * inv_sqrt) * (np.arange(N) <= tau_index[:, None])
+    Y = zeta * dW
+    np.cumsum(Y, axis=1, out=Y)
+    Y += Y_SHIFT
+    return M, tau_index, zeta, Y
 
 
 def counterexample_paths(grid: TimeGrid, batch: BrownianBatch) -> CounterexamplePaths:
@@ -484,34 +497,18 @@ def counterexample_paths(grid: TimeGrid, batch: BrownianBatch) -> Counterexample
     """
     if batch.grid.N != grid.N or batch.grid.T != grid.T:
         raise InvalidArgumentError("batch grid does not match the supplied grid")
-    N, T, h = grid.N, grid.T, grid.h
-    dW = batch.increments
-    inv_sqrt = 1.0 / np.sqrt(T - grid.points[:N])  # (N,), finite: t_i < T
-    M = np.zeros((N + 1, batch.n_paths))
-    np.cumsum(inv_sqrt[:, None] * dW, axis=0, out=M[1:])
-    crossed = np.abs(M) > 1.0
-    crossed_before = np.zeros_like(crossed)
-    np.maximum.accumulate(crossed[:N], axis=0, out=crossed_before[1:])
-    tau_index = np.where(crossed.any(axis=0), crossed.argmax(axis=0), N)
-    zeta = np.zeros((N + 1, batch.n_paths))
-    zeta[:N] = ZETA_SCALE * inv_sqrt[:, None] * ~crossed_before[:N]
-    Y = np.full((N + 1, batch.n_paths), Y_SHIFT)
-    np.cumsum(zeta[:N] * dW, axis=0, out=Y[1:])
-    Y[1:] += Y_SHIFT
+    M_t, tau_index, zeta_t, Y_t = _stopped_processes(
+        grid, np.ascontiguousarray(batch.increments.T))
+    M = np.zeros((grid.N + 1, batch.n_paths))
+    M[1:] = M_t.T
+    zeta = np.zeros_like(M)
+    zeta[:-1] = zeta_t.T
+    Y = np.full_like(M, Y_SHIFT)
+    Y[1:] = Y_t.T
     return CounterexamplePaths(M=M, tau_index=tau_index, zeta=zeta, Y=Y)
 
 
-@dataclass(frozen=True)
-class CounterexampleScenario:
-    """The counterexample model plus its auxiliary path evaluators."""
-
-    model: CoefficientModel
-
-    def paths(self, grid: TimeGrid, batch: BrownianBatch) -> CounterexamplePaths:
-        return counterexample_paths(grid, batch)
-
-
-def scenario_counterexample(T: float) -> CounterexampleScenario:
+def scenario_counterexample(T: float) -> CoefficientModel:
     """The scalar scenario with no qualified feedback: A=B=C=Q=0, D=1,
     R = 1/4, and G = Y(T)^{-1} - 1/4 built from the stopped singular
     integrand (see :func:`counterexample_paths`).
@@ -524,18 +521,14 @@ def scenario_counterexample(T: float) -> CounterexampleScenario:
         raise InvalidArgumentError(f"T must be finite and > 0, got {T!r}")
 
     def G(W: np.ndarray) -> np.ndarray:
-        grid = make_grid(T, W.shape[0] - 1)
-        fake = BrownianBatch(grid=grid, n_paths=W.shape[1], seed=0,
-                             increments=np.diff(W, axis=0), W=W)
-        aux = counterexample_paths(grid, fake)
-        return (1.0 / aux.Y[-1] - 0.25)[:, None, None]
+        Y = _stopped_processes(make_grid(T, W.shape[0] - 1), np.diff(W, axis=0).T)[3]
+        return (1.0 / Y[:, -1] - 0.25)[:, None, None]  # Y_N
 
-    model = CoefficientModel(
+    return CoefficientModel(
         n=1, m=1,
         A=_const(0.0), B=_const(0.0), C=_const(0.0), D=_const(1.0),
         Q=_const(0.0), R=_const(0.25), G=G, kind="markov_in_W",
     )
-    return CounterexampleScenario(model=model)
 
 
 def scenario_deterministic(a: float, b: float, c: float, d: float,

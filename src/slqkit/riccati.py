@@ -478,11 +478,10 @@ def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiS
     integrand (:func:`slqkit.problem.counterexample_paths`)."""
     if batch.grid.N != grid.N or batch.grid.T != grid.T:
         raise InvalidArgumentError("batch grid does not match the supplied grid")
-    scenario = scenario_counterexample(grid.T)
     aux = counterexample_paths(grid, batch)
     Pv = (1.0 / aux.Y - 0.25)[:, :, None, None]
     Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]
-    K, L = _derive_KL(coefficient_table(scenario.model, batch.W), Pv, Lv)
+    K, L = _derive_KL(coefficient_table(scenario_counterexample(grid.T), batch.W), Pv, Lv)
     return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
                            K=PathArray(K), L=PathArray(L),
                            solver_tag="closed_form_counterexample")

@@ -280,10 +280,10 @@ def test_criterion_8_stationarity(ex1, ex1_regression):
     r_ex1 = stationarity_residual(law, sol, model, batch.W).max_residual
     cgrid = make_grid(1.0, 512)
     cbatch = sample_brownian(cgrid, 200, seed=1)
-    scen = scenario_counterexample(1.0)
+    cmodel = scenario_counterexample(1.0)
     csol = closed_form_counterexample(cgrid, cbatch)
-    claw = synthesize(csol, scen.model)
-    r_cex = stationarity_residual(claw, csol, scen.model, cbatch.W).max_residual
+    claw = synthesize(csol, cmodel)
+    r_cex = stationarity_residual(claw, csol, cmodel, cbatch.W).max_residual
     rlaw = synthesize(ex1_regression, model)
     r_reg = stationarity_residual(
         rlaw, ex1_regression, model, batch.W).max_residual

@@ -233,6 +233,14 @@ def test_cli_config_and_input_errors_exit_3(tmp_path, capsys):
     assert main(["--scenario", "example1", "--tol", "disc_coeff=-1"]) == 3
     err = capsys.readouterr().err
     assert "config-error" in err
+    # eta's length is checked against the model before any path is sampled.
+    out = tmp_path / "eta"
+    cfg = _write_config(tmp_path, "eta.json", scenario="example1", eta=[1.0, 2.0],
+                        steps=8, paths=4, output_dir=str(out))
+    assert main(["--config", cfg]) == 3
+    assert "config-error: eta has length 2" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed"].startswith("ConfigError") and report["timings"] == {}
 
 
 def test_cli_solver_scenario_mismatch_exits_3(tmp_path, capsys):

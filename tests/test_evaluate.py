@@ -471,3 +471,10 @@ def test_probe_guards():
         counterexample_divergence_probe(1.0, [64, 128], [200, 100], seed=1)
     with pytest.raises(InvalidArgumentError):
         counterexample_divergence_probe(1.0, [64], [100, 200], seed=1)
+    for bad in (0, -5, 2.5, True, None):
+        with pytest.raises(InvalidArgumentError, match="chunk_size"):
+            counterexample_divergence_probe(1.0, [64], [100], seed=1, chunk_size=bad)
+    with pytest.raises(InvalidArgumentError, match="paths_seq"):
+        counterexample_divergence_probe(1.0, [64, 128], [0, 100], seed=1)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        counterexample_divergence_probe(1.0, [64], [100], seed=1.5)

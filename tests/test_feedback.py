@@ -84,7 +84,7 @@ def test_synthesize_psd_violation_lists_offenders():
     batch = sample_brownian(grid, 500, seed=1)
     sol = closed_form_counterexample(grid, batch)
     with pytest.raises(SynthesisInfeasibleError) as exc:
-        synthesize(sol, scenario_counterexample(1.0).model)
+        synthesize(sol, scenario_counterexample(1.0))
     err = exc.value
     assert err.reason == "psd"
     assert err.total_offenders == 4

@@ -71,6 +71,12 @@ def test_sample_brownian_deterministic_in_seed():
     np.testing.assert_array_equal(a.W, b.W)
     c = sample_brownian(grid, 6, seed=43)
     assert not np.array_equal(a.W, c.W)
+    # NumPy integers key the same streams as the Python ints they equal.
+    for seed, offset in ((np.int64(42), np.int64(0)), (np.int64(-7), np.int64(4)),
+                         (np.uint64(2**63 + 5), 2)):
+        np.testing.assert_array_equal(
+            sample_brownian(grid, 6, seed=seed, path_offset=offset).W,
+            sample_brownian(grid, 6, seed=int(seed), path_offset=int(offset)).W)
 
 
 def test_sample_brownian_path_is_function_of_seed_and_index():

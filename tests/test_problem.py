@@ -302,8 +302,7 @@ def test_counterexample_constants():
 
 
 def test_counterexample_model_coefficients():
-    scen = scenario_counterexample(1.0)
-    model = scen.model
+    model = scenario_counterexample(1.0)
     W = np.zeros((1, 2))
     assert model.coeff("R", 0, W, 2)[0, 0, 0] == 0.25
     np.testing.assert_array_equal(model.coeff("D", 0, W, 2), 1.0)
@@ -325,7 +324,7 @@ def test_counterexample_zero_path():
     np.testing.assert_allclose(aux.zeta[:8], expected, rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(aux.zeta[8], 0.0)
     np.testing.assert_array_equal(aux.Y, Y_SHIFT)
-    g = scenario_counterexample(1.0).model.terminal(batch.W, 2)
+    g = scenario_counterexample(1.0).terminal(batch.W, 2)
     np.testing.assert_allclose(g, 1.0 / Y_SHIFT - 0.25, rtol=0.0, atol=1e-15)
 
 
@@ -349,8 +348,6 @@ def test_counterexample_forced_crossing():
     assert aux.Y[2, 0] == pytest.approx(y2, abs=1e-14)
     assert aux.Y[3, 0] == pytest.approx(y2, abs=1e-14)
     assert aux.Y[4, 0] == pytest.approx(y2, abs=1e-14)
-    # Z aliases zeta.
-    np.testing.assert_array_equal(aux.Z, aux.zeta)
 
 
 def test_counterexample_stopped_sum_identity():

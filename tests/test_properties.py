@@ -1,11 +1,23 @@
-"""Property tests (hypothesis) for path sampling and coefficient tables."""
+"""Property tests (hypothesis) for path sampling, coefficient tables and the
+divergence probe."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slqkit.grid import make_grid, sample_brownian
-from slqkit.problem import CoefficientModel, coefficient_table
+from slqkit.evaluate import counterexample_divergence_probe
+from slqkit.grid import _path_major_increments, make_grid, sample_brownian
+from slqkit.problem import (
+    Y_SHIFT,
+    Y_UPPER,
+    ZETA_SCALE,
+    CoefficientModel,
+    coefficient_table,
+    counterexample_paths,
+    delta_grid,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -25,6 +37,83 @@ def test_sample_brownian_any_chunking_reproduces_the_batch(N, n_paths, seed, cut
         chunk = sample_brownian(grid, hi - lo, seed, path_offset=lo)
         np.testing.assert_array_equal(chunk.W, whole.W[:, lo:hi])
         np.testing.assert_array_equal(chunk.increments, whole.increments[:, lo:hi])
+
+
+def _fresh_philox_paths(grid, n_paths, seed, path_offset, antithetic):
+    """Reference sampler: a new Philox keyed by ``(seed, path)`` mod 2**64
+    for every path, its first N standard normals scaled by sqrt(h)."""
+    mask = 2**64 - 1
+    rows = np.empty((n_paths, grid.N))
+    for p in range(n_paths):
+        g = path_offset + p
+        if antithetic and g % 2:
+            rows[p] = -rows[p - 1]
+            continue
+        key = np.array([seed & mask, g & mask], dtype=np.uint64)
+        rows[p] = np.random.Generator(np.random.Philox(key=key)).standard_normal(grid.N)
+    rows *= math.sqrt(grid.h)
+    W = np.zeros((grid.N + 1, n_paths))
+    np.cumsum(rows.T, axis=0, out=W[1:])
+    return W
+
+
+@SETTINGS
+@given(
+    N=st.integers(2, 40),
+    half_paths=st.integers(1, 12),
+    seed=st.one_of(st.integers(-(2**63), -1), st.integers(2**63, 2**64 - 1),
+                   st.integers(0, 2**64 - 1)),
+    half_offset=st.one_of(st.just(0), st.integers(1, 2**65)),
+    antithetic=st.booleans(),
+)
+def test_sample_brownian_matches_a_fresh_philox_per_path(N, half_paths, seed, half_offset,
+                                                          antithetic):
+    grid = make_grid(1.0, N)
+    n_paths, offset = 2 * half_paths, 2 * half_offset
+    batch = sample_brownian(grid, n_paths, seed, antithetic=antithetic, path_offset=offset)
+    W = _fresh_philox_paths(grid, n_paths, seed, offset, antithetic)
+    np.testing.assert_array_equal(batch.W, W)
+    np.testing.assert_array_equal(batch.increments, np.diff(W, axis=0))
+    if not antithetic:
+        np.testing.assert_array_equal(_path_major_increments(grid, n_paths, seed, offset),
+                                      batch.increments.T)
+
+
+# Relative bound on the probe's two time integrals: the sums of at most 64
+# non-negative terms agree within 64 * 2**-52 whatever their order (the
+# probe adds in time order, as the reductions below do, so they are equal
+# in practice).
+INTEGRAL_RTOL = 64 * 2.0**-52
+
+
+@SETTINGS
+@given(
+    N=st.integers(2, 64),
+    n_paths=st.integers(1, 40),
+    chunk_size=st.integers(1, 50),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_probe_rows_equal_reductions_of_counterexample_paths(N, n_paths, chunk_size, seed):
+    row = counterexample_divergence_probe(1.0, [N], [n_paths], seed,
+                                          chunk_size=chunk_size).rows[0]
+    grid = make_grid(1.0, N)
+    aux = counterexample_paths(grid, sample_brownian(grid, n_paths, seed))
+    zeta_sq = grid.h * np.sum(aux.zeta[:N] ** 2, axis=0)
+    theta_sq = grid.h * np.sum((aux.zeta[:N] / aux.Y[:N]) ** 2, axis=0)
+    ito = np.abs(aux.Y - Y_SHIFT).max(axis=0)
+    y_lo, y_hi = aux.Y.min(axis=0), aux.Y.max(axis=0)
+    delta = delta_grid(grid.h)
+    assert row.max_abs_ito == ito.max()
+    assert (row.min_Y, row.max_Y) == (y_lo.min(), y_hi.max())
+    assert row.ito_violations == int((ito > ZETA_SCALE + delta).sum())
+    assert row.y_violations == int(((y_lo < 1.0 - delta) | (y_hi > Y_UPPER + delta)).sum())
+    for got, want in ((row.max_zeta_sqint, zeta_sq.max()),
+                      (row.max_theta_sqint, theta_sq.max()),
+                      (row.median_theta_sqint, np.median(theta_sq))):
+        assert math.isclose(got, want, rel_tol=INTEGRAL_RTOL, abs_tol=0.0)
+    # The probe adds the exponentials chunk by chunk, so only their grouping
+    # differs from one mean over the batch.
+    assert math.isclose(row.mean_exp_zeta_sqint, np.exp(zeta_sq).mean(), rel_tol=1e-12)
 
 
 # How an evaluator may depend on the path: a constant matrix, per-path

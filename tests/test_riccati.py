@@ -268,7 +268,7 @@ def test_closed_form_counterexample_terminal_matches_G_bitwise():
     grid = make_grid(1.0, 32)
     batch = sample_brownian(grid, 100, seed=2)
     sol = closed_form_counterexample(grid, batch)
-    g = scenario_counterexample(1.0).model.terminal(batch.W, batch.n_paths)
+    g = scenario_counterexample(1.0).terminal(batch.W, batch.n_paths)
     np.testing.assert_array_equal(sol.P.values[-1], g)
 
 
@@ -454,7 +454,7 @@ def test_regression_counterexample_completes_at_moderate_scale():
     # backward induction runs to completion with a finite fitted solution.
     grid = make_grid(1.0, 512)
     batch = sample_brownian(grid, 200, seed=1)
-    sol = solve_bsre_regression(scenario_counterexample(1.0).model, grid, batch)
+    sol = solve_bsre_regression(scenario_counterexample(1.0), grid, batch)
     assert np.isfinite(sol.P.values).all()
-    g = scenario_counterexample(1.0).model.terminal(batch.W, batch.n_paths)
+    g = scenario_counterexample(1.0).terminal(batch.W, batch.n_paths)
     np.testing.assert_array_equal(sol.P.values[-1], g)
