@@ -4,13 +4,15 @@ The gain is the pseudoinverse formula
 
     Theta = -K^+ L + (I - K^+ K) theta_free
 
-evaluated pointwise in (time, path).  It is well defined — and the resulting
-control optimal — exactly where ``K`` is PSD and the columns of ``L`` lie in
-the range of ``K``; violations abort synthesis with the offending sample
-points.  Whether the gain is *usable* is a separate question answered by
-:func:`regularity_diagnostics`: the pathwise squared L2 time-norm of Theta
-must stay bounded across scenarios, and the report quantifies its sampled
-distribution and flags the verdict.
+evaluated pointwise in (time, path), with ``theta_free = 0`` unless the
+caller supplies one.  It is well defined — and the resulting control
+optimal — exactly where ``K`` is PSD and the columns of ``L`` lie in the
+range of ``K``.  Both conditions and ``K^+`` come from one batched call of
+:func:`slqkit.pinv.solvability` over every sample; violations abort
+synthesis with the offending sample points.  Whether the gain is *usable*
+is a separate question answered by :func:`regularity_diagnostics`: the
+pathwise squared L2 time-norm of Theta must stay bounded across scenarios,
+and the report quantifies its sampled distribution and flags the verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SynthesisInfeasibleError
 from .grid import PathArray, TimeGrid
-from .pinv import pinv, psd_check, range_inclusion
+from .pinv import solvability
 from .problem import CoefficientModel, coefficient_table
 from .riccati import RiccatiSolution
 
@@ -62,15 +64,12 @@ class FeedbackLaw:
     ----------
     theta : PathArray
         ``(N+1, n_paths, m, n)`` gain matrices.
-    theta_free : PathArray
-        The free component used in the null directions of K (zero default).
     source : RiccatiSolution
     diagnostics : RegularityReport or None
         Populated by :func:`regularity_diagnostics`.
     """
 
     theta: PathArray
-    theta_free: PathArray
     source: RiccatiSolution
     diagnostics: RegularityReport | None = None
 
@@ -84,71 +83,43 @@ def synthesize(
     """Build the gain ``-K^+ L + (I - K^+ K) theta_free`` from a solution.
 
     Solvability is checked at every (time, path) sample: ``K`` PSD within
-    ``tol`` and ``L`` in the range of ``K`` within ``tol``-scale.  When ``K``
+    ``tol`` and ``L`` in the range of ``K`` within ``tol``-scale, by one
+    call of :func:`slqkit.pinv.solvability`.  ``theta_free`` must broadcast
+    to the gain's shape; without it the null-space term is zero.  When ``K``
     is invertible everywhere the result does not depend on ``theta_free``.
 
     Raises
     ------
     SynthesisInfeasibleError
-        Listing up to 100 offending ``(t, path)`` pairs, with
-        ``reason="psd"`` or ``reason="range"``.
+        Listing up to 100 offending ``(t, path)`` pairs in time-then-path
+        order, with ``reason="psd"``, else ``reason="range"``.
+    InvalidArgumentError
+        Bad ``tol`` or ``theta_free``, or solution and model of different sizes.
     """
-    Kv = sol.K.values
-    Lv = sol.L.values
-    steps, n_paths, m, _ = Kv.shape
-    n = Lv.shape[3]
-    if Lv.shape[:2] != (steps, n_paths) or Lv.shape[2] != m:
-        raise InvalidArgumentError("K and L arrays of the solution are inconsistent")
+    K = sol.K.values
+    L = sol.L.values
+    m, n = L.shape[2:]
     if model.m != m or model.n != n:
         raise InvalidArgumentError(
             f"model dimensions (n={model.n}, m={model.m}) do not match solution "
             f"(n={n}, m={m})"
         )
-    if theta_free is None:
-        free = np.zeros((steps, n_paths, m, n))
-    elif isinstance(theta_free, PathArray):
-        free = np.broadcast_to(theta_free.values, (steps, n_paths, m, n))
-    else:
-        free = np.broadcast_to(np.asarray(theta_free, dtype=np.float64),
-                               (steps, n_paths, m, n))
-
-    times = sol.grid.points
-
-    if m == 1 and n == 1:
-        k = Kv[:, :, 0, 0]
-        ell = Lv[:, :, 0, 0]
-        th_free = free[:, :, 0, 0]
-        psd_bad = k < -tol * (1.0 + np.abs(k))
-        kd = np.where(k != 0.0, 1.0 / np.where(k != 0.0, k, 1.0), 0.0)
-        proj_resid = np.abs(ell - k * kd * ell)
-        range_bad = ~psd_bad & (proj_resid > tol * (1.0 + np.abs(ell)))
-        _raise_if_any(psd_bad, "psd", times)
-        _raise_if_any(range_bad, "range", times)
-        theta = -kd * ell + (1.0 - kd * k) * th_free
-        theta_arr = theta[:, :, None, None]
-    else:
-        theta_arr = np.empty((steps, n_paths, m, n))
-        psd_bad_pts: list[tuple[float, int]] = []
-        range_bad_pts: list[tuple[float, int]] = []
-        for i in range(steps):
-            for p in range(n_paths):
-                K = Kv[i, p]
-                L = Lv[i, p]
-                if not psd_check(K, tol):
-                    psd_bad_pts.append((float(times[i]), p))
-                    continue
-                if not range_inclusion(K, L, tol):
-                    range_bad_pts.append((float(times[i]), p))
-                    continue
-                Kd = pinv(K).pinv
-                theta_arr[i, p] = -Kd @ L + (np.eye(m) - Kd @ K) @ free[i, p]
-        if psd_bad_pts:
-            _raise_points(psd_bad_pts, "psd")
-        if range_bad_pts:
-            _raise_points(range_bad_pts, "range")
-
-    return FeedbackLaw(theta=PathArray(theta_arr), theta_free=PathArray(free),
-                       source=sol)
+    if theta_free is not None:
+        free = np.asarray(theta_free.values if isinstance(theta_free, PathArray)
+                          else theta_free, dtype=np.float64)
+        try:
+            free = np.broadcast_to(free, L.shape)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"theta_free of shape {free.shape} does not broadcast to {L.shape}") from None
+    Kd, psd, in_range = solvability(K, L, tol)
+    _raise_if_any(~psd, "psd", sol.grid.points)
+    _raise_if_any(~in_range, "range", sol.grid.points)
+    theta = Kd @ L
+    np.negative(theta, out=theta)
+    if theta_free is not None:
+        theta += (np.eye(m) - Kd @ K) @ free
+    return FeedbackLaw(theta=PathArray(theta), source=sol)
 
 
 def _raise_if_any(bad: np.ndarray, reason: str, times: np.ndarray) -> None:
@@ -156,16 +127,11 @@ def _raise_if_any(bad: np.ndarray, reason: str, times: np.ndarray) -> None:
         return
     idx_t, idx_p = np.nonzero(bad)
     pts = [(float(times[i]), int(p)) for i, p in zip(idx_t[:100], idx_p[:100])]
-    _raise_points(pts, reason, total=int(bad.sum()))
-
-
-def _raise_points(pts, reason: str, total: int | None = None) -> None:
-    total = len(pts) if total is None else total
     label = ("control weight not positive semidefinite"
              if reason == "psd" else "range condition violated")
     raise SynthesisInfeasibleError(
-        f"{label} at {total} sample point(s); first offenders (t, path): {pts[:5]}",
-        reason=reason, offenders=pts, total_offenders=total,
+        f"{label} at {idx_t.size} sample point(s); first offenders (t, path): {pts[:5]}",
+        reason=reason, offenders=pts, total_offenders=idx_t.size,
     )
 
 

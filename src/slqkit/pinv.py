@@ -1,10 +1,14 @@
-"""Moore-Penrose pseudoinverse with explicit rank control, plus the
-regularized-limit construction and the solvability predicates built on it.
+"""Moore-Penrose pseudoinverse with explicit rank control, the
+regularized-limit construction, and the solvability kernel built on them.
 
 The pseudoinverse is SVD-based: singular values at or below the cutoff are
 treated as exact zeros.  ``pinv_limit`` computes the Tikhonov approximation
 ``(M^T M + delta I)^{-1} M^T``, which converges to the pseudoinverse as
 ``delta -> 0+``; both routes are kept available so each can check the other.
+:func:`solvability` is the one statement of the pointwise conditions (``K``
+PSD, ``L`` in its range) and of ``K^+`` used by the solvers and synthesis,
+batched over stacks; ``psd_check`` and ``range_inclusion`` are its
+single-matrix views.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SlqError
 
-__all__ = ["PinvResult", "pinv", "pinv_limit", "range_inclusion", "psd_check"]
+__all__ = ["PinvResult", "pinv", "pinv_limit", "solvability", "range_inclusion", "psd_check"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,14 @@ def _as_matrix(M, name: str) -> np.ndarray:
         A = A.reshape(-1, 1)
     if A.ndim != 2:
         raise InvalidArgumentError(f"{name} must be at most 2-dimensional, got shape {A.shape}")
+    return _as_stack(A, name)
+
+
+def _as_stack(M, name: str) -> np.ndarray:
+    """``M`` as a non-empty, finite float64 array of matrices ``(..., rows, cols)``."""
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim < 2:
+        raise InvalidArgumentError(f"{name} must be a stack of matrices, got shape {A.shape}")
     if A.size == 0:
         raise InvalidArgumentError(f"{name} must be non-empty")
     if not np.isfinite(A).all():
@@ -106,48 +118,68 @@ def pinv_limit(M, delta: float) -> np.ndarray:
         raise SlqError(f"regularized normal equations failed to factorize: {exc}") from exc
 
 
-def _symmetrize_checked(K, tol: float, name: str) -> np.ndarray:
-    A = _as_matrix(K, name)
-    if A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square, got shape {A.shape}")
-    scale = 1.0 + np.abs(A).max()
-    asym = np.abs(A - A.T).max()
-    if asym > tol * scale:
-        raise InvalidArgumentError(
-            f"{name} is not symmetric within tolerance (max asymmetry {asym:.3e})"
-        )
-    return 0.5 * (A + A.T)
+def solvability(K, L, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(K^+, psd, in_range)`` for stacks ``K (..., m, m)`` and ``L (..., m, n)``.
+
+    ``K^+`` is the pseudoinverse of the symmetrized ``K``; ``K`` whose
+    asymmetry exceeds ``tol * (1 + max|K|)`` is rejected.  The boolean
+    verdicts, of the leading shape, are ``lambda_min(K) >= -tol * (1 + max|K|)``
+    and ``||(I - K K^+) L||_F <= tol * (1 + ||L||_F)``.  Each ``K`` is
+    decomposed once by ``eigh``, with eigenvalues of modulus at most
+    ``m * eps * max|lambda|`` taken as zero (the cutoff of :func:`pinv`); for
+    ``m = 1`` the closed form ``K^+ = 1/k`` (``0`` at ``k = 0``) replaces it.
+
+    Raises :class:`InvalidArgumentError` on a ``tol`` that is not finite and
+    non-negative, on empty or non-finite input, and on mismatched shapes.
+    """
+    tol = float(tol)
+    if not np.isfinite(tol) or tol < 0:
+        raise InvalidArgumentError(f"tol must be a finite non-negative real, got {tol!r}")
+    K = _as_stack(K, "K")
+    L = _as_stack(L, "L")
+    m = K.shape[-1]
+    if K.shape[-2] != m:
+        raise InvalidArgumentError(f"K must be square, got shape {K.shape}")
+    if L.shape[:-1] != K.shape[:-1]:
+        raise InvalidArgumentError(f"L of shape {L.shape} does not match K of shape {K.shape}")
+    if m == 1:
+        lam_min = K[..., 0, 0]
+        k_max = np.abs(lam_min)
+        Kd = np.divide(1.0, K, out=np.zeros_like(K), where=K != 0.0)
+        product = np.multiply  # equals matmul on 1x1 matrices, and is faster
+    else:
+        asym = np.abs(K - K.swapaxes(-1, -2)).max(axis=(-2, -1))
+        if np.any(asym > tol * (1.0 + np.abs(K).max(axis=(-2, -1)))):
+            raise InvalidArgumentError(
+                f"K is not symmetric within tolerance (max asymmetry {asym.max():.3e})"
+            )
+        K = 0.5 * (K + K.swapaxes(-1, -2))
+        lam, V = np.linalg.eigh(K)
+        lam_min = lam[..., 0]
+        k_max = np.abs(K).max(axis=(-2, -1))
+        lam_abs = np.abs(lam)
+        keep = lam_abs > m * np.finfo(np.float64).eps * lam_abs.max(axis=-1, keepdims=True)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+        Kd = (V * inv[..., None, :]) @ V.swapaxes(-1, -2)
+        product = np.matmul
+    psd = lam_min >= -tol * (1.0 + k_max)
+    del k_max  # as large as L, which is a whole batch in synthesis
+    in_range = _frobenius(product(K, product(Kd, L)) - L) <= tol * (1.0 + _frobenius(L))
+    return Kd, psd, in_range
+
+
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...ij,...ij->...", M, M))
 
 
 def range_inclusion(K, L, tol: float = 1e-8) -> bool:
-    """Check that the columns of ``L`` lie in the range of symmetric ``K``.
-
-    Uses the projector residual ``||(I - K K^+) L||_F <= tol * (1 + ||L||_F)``.
-    ``K`` is symmetrized if its asymmetry is below ``tol``-scale, otherwise an
-    :class:`InvalidArgumentError` is raised.
-    """
-    tol = float(tol)
-    if not np.isfinite(tol) or tol < 0:
-        raise InvalidArgumentError(f"tol must be a finite non-negative real, got {tol!r}")
-    Ks = _symmetrize_checked(K, tol, "K")
-    Lm = _as_matrix(L, "L")
-    if Lm.shape[0] != Ks.shape[0]:
-        raise InvalidArgumentError(
-            f"L has {Lm.shape[0]} rows but K is {Ks.shape[0]}x{Ks.shape[0]}"
-        )
-    Kd = pinv(Ks).pinv
-    resid = np.linalg.norm(Lm - Ks @ (Kd @ Lm))
-    return bool(resid <= tol * (1.0 + np.linalg.norm(Lm)))
+    """Whether the columns of ``L`` lie in the range of symmetric ``K``
+    within ``tol``: the single-matrix ``in_range`` of :func:`solvability`."""
+    return bool(solvability(_as_matrix(K, "K"), _as_matrix(L, "L"), tol)[2])
 
 
 def psd_check(K, tol: float = 1e-8) -> bool:
-    """Check positive semidefiniteness of symmetric ``K`` within ``tol``.
-
-    True iff the smallest eigenvalue is ``>= -tol * (1 + max|K|)``.
-    """
-    tol = float(tol)
-    if not np.isfinite(tol) or tol < 0:
-        raise InvalidArgumentError(f"tol must be a finite non-negative real, got {tol!r}")
-    Ks = _symmetrize_checked(K, tol, "K")
-    lam_min = np.linalg.eigvalsh(Ks)[0]
-    return bool(lam_min >= -tol * (1.0 + np.abs(Ks).max()))
+    """Whether symmetric ``K`` is positive semidefinite within ``tol``: the
+    single-matrix ``psd`` of :func:`solvability`."""
+    K = _as_matrix(K, "K")
+    return bool(solvability(K, np.zeros((K.shape[0], 1)), tol)[1])

@@ -37,7 +37,7 @@ from .errors import (
     RiccatiSingularError,
 )
 from .grid import BrownianBatch, PathArray, TimeGrid
-from .pinv import pinv, psd_check, range_inclusion
+from .pinv import solvability
 from .problem import (
     CoefficientModel,
     CoefficientTable,
@@ -62,8 +62,8 @@ __all__ = [
 # means the fitted solution left the region where the driver's inverse is
 # trustworthy.
 EPS_CLAMP = 1e-6
-# Solvability tolerance used during deterministic integration (matches the
-# pseudoinverse-based predicates' scaling).
+# Solvability tolerance used during deterministic integration (the
+# ``tol`` of :func:`slqkit.pinv.solvability`).
 SOLVE_TOL = 1e-8
 # Rank thresholds of the regression fit (see _whiten and _projector).
 SPREAD_FLOOR = 1e-12
@@ -176,15 +176,15 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
         A, B, C, D, Q, R = coeffs
         K = R + D.T @ P @ D
         L = B.T @ P + D.T @ (P @ C)
-        if not psd_check(K, SOLVE_TOL):
+        Kd, psd, in_range = solvability(K, L, SOLVE_TOL)
+        if not psd:
             raise RiccatiSingularError(
                 f"control weight lost positive semidefiniteness at t={t:.6g}", time=t
             )
-        if not range_inclusion(K, L, SOLVE_TOL):
+        if not in_range:
             raise RiccatiSingularError(
                 f"range condition failed at t={t:.6g}", time=t
             )
-        Kd = pinv(K).pinv
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ (Kd @ L))
 
     # Overflow inside a stage is expected on escaping instances; it is
@@ -255,15 +255,15 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
                 raise FiniteEscapeError(
                     f"discrete recursion blew up at t={t:.6g}", time=t
                 )
-            if not psd_check(H, SOLVE_TOL):
+            Hd, psd, in_range = solvability(H, M, SOLVE_TOL)
+            if not psd:
                 raise RiccatiSingularError(
                     f"discrete control weight not PSD at t={t:.6g}", time=t
                 )
-            if not range_inclusion(H, M, SOLVE_TOL):
+            if not in_range:
                 raise RiccatiSingularError(
                     f"discrete range condition failed at t={t:.6g}", time=t
                 )
-            Hd = pinv(H).pinv
             Pv[i] = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
             if not np.isfinite(Pv[i]).all():
                 raise FiniteEscapeError(f"discrete recursion blew up at t={t:.6g}", time=t)

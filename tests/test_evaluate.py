@@ -257,8 +257,7 @@ def test_table_kernels_match_reference_loop_bit_for_bit(make_model):
     init = InitialCondition(0, eta)
     theta = 0.5 * rng.uniform(-1, 1, (grid.N + 1, 50, m, n))
     u = PathArray(rng.normal(size=(grid.N + 1, 50, m, 1)))
-    law = FeedbackLaw(theta=PathArray(theta), theta_free=PathArray(np.zeros_like(theta)),
-                      source=None)
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
 
     x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
     x_ref, u_ref = _reference_simulate(model, batch, eta, theta=theta)

@@ -42,6 +42,23 @@ def _manual_solution(grid, K, L, n_paths=1):
     )
 
 
+def _matrix_problem(grid, Kv, Lv):
+    """A solution with the given ``(N+1, n_paths, m, m)`` K and
+    ``(N+1, n_paths, m, n)`` L, and a zero model of matching dimensions."""
+    m, n = Lv.shape[2:]
+    z = PathArray(np.zeros(Lv.shape[:2] + (n, n)))
+    sol = RiccatiSolution(grid=grid, P=z, Lambda=z, K=PathArray(Kv), L=PathArray(Lv))
+    model = scenario_deterministic(0, 0, 0, 0, 0, 0, 0, T=1.0)
+    model = type(model)(
+        n=n, m=m,
+        A=lambda i, W: np.zeros((n, n)), B=lambda i, W: np.zeros((n, m)),
+        C=lambda i, W: np.zeros((n, n)), D=lambda i, W: np.zeros((n, m)),
+        Q=lambda i, W: np.zeros((n, n)), R=lambda i, W: np.eye(m),
+        G=lambda W: np.zeros((n, n)),
+    )
+    return sol, model
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -53,7 +70,6 @@ def test_synthesize_example1_gain_values():
     assert law.theta.values[0, 0, 0, 0] == pytest.approx(0.4, abs=1e-15)
     expected = -sol.L.values / sol.K.values
     np.testing.assert_allclose(law.theta.values, expected, rtol=0.0, atol=1e-14)
-    np.testing.assert_array_equal(law.theta_free.values, 0.0)
     assert law.source is sol
     assert law.diagnostics is None
 
@@ -115,20 +131,68 @@ def test_synthesize_matrix_branch_solves_normal_equations():
             S = rng.uniform(-1.0, 1.0, (m, m))
             Kv[i, p] = S @ S.T + 0.5 * np.eye(m)
             Lv[i, p] = rng.uniform(-1.0, 1.0, (m, n))
-    z = PathArray(np.zeros((steps, n_paths, n, n)))
-    sol = RiccatiSolution(grid=grid, P=z, Lambda=z,
-                          K=PathArray(Kv), L=PathArray(Lv))
-    model = scenario_deterministic(0, 0, 0, 0, 0, 0, 0, T=1.0)
-    two = type(model)(
-        n=2, m=2,
-        A=lambda i, W: np.zeros((2, 2)), B=lambda i, W: np.zeros((2, 2)),
-        C=lambda i, W: np.zeros((2, 2)), D=lambda i, W: np.zeros((2, 2)),
-        Q=lambda i, W: np.zeros((2, 2)), R=lambda i, W: np.eye(2),
-        G=lambda W: np.zeros((2, 2)),
-    )
-    law = synthesize(sol, two)
+    law = synthesize(*_matrix_problem(grid, Kv, Lv))
     resid = Lv + np.einsum("tpij,tpjk->tpik", Kv, law.theta.values)
     assert np.abs(resid).max() <= 1e-10
+
+
+def test_synthesize_matrix_offenders_in_time_then_path_order():
+    grid = make_grid(1.0, 3)
+    t = grid.points
+    Kv = np.broadcast_to(np.eye(2), (grid.N + 1, 50, 2, 2)).copy()
+    Lv = np.ones((grid.N + 1, 50, 2, 1))
+    # Range offenders: K = diag(1, 0) with L outside its range; at (1, 1) L
+    # lies inside it and the rank-deficient K is fine.
+    for i, p in ((0, 5), (2, 9), (2, 1), (1, 1)):
+        Kv[i, p] = np.diag([1.0, 0.0])
+    Lv[1, 1] = [[1.0], [0.0]]
+    # PSD offenders: a negative eigenvalue; (2, 9) is out of range as well.
+    bad_psd = ((3, 2), (1, 30), (1, 7), (2, 9))
+    psd_Kv = Kv.copy()
+    for i, p in bad_psd:
+        psd_Kv[i, p] = np.diag([-1.0, 0.0]) if (i, p) == (2, 9) else np.diag([1.0, -1.0])
+
+    with pytest.raises(SynthesisInfeasibleError) as exc:
+        synthesize(*_matrix_problem(grid, psd_Kv, Lv))
+    assert exc.value.reason == "psd"
+    assert exc.value.total_offenders == 4
+    assert exc.value.offenders == [(t[1], 7), (t[1], 30), (t[2], 9), (t[3], 2)]
+
+    # With K PSD everywhere the range offenders surface, and only they.
+    with pytest.raises(SynthesisInfeasibleError) as exc:
+        synthesize(*_matrix_problem(grid, Kv, Lv))
+    assert exc.value.reason == "range"
+    assert exc.value.total_offenders == 3
+    assert exc.value.offenders == [(t[0], 5), (t[2], 1), (t[2], 9)]
+
+    # The offender list stops at 100; the count does not.
+    psd_Kv[:] = np.diag([1.0, -1.0])
+    with pytest.raises(SynthesisInfeasibleError) as exc:
+        synthesize(*_matrix_problem(grid, psd_Kv, Lv))
+    assert exc.value.total_offenders == (grid.N + 1) * 50
+    assert len(exc.value.offenders) == 100
+    assert exc.value.offenders[0] == (t[0], 0) and exc.value.offenders[-1] == (t[1], 49)
+
+
+def test_synthesize_guards():
+    # The counterexample batch has 4 PSD offenders (see above); a NaN
+    # tolerance must not switch the check off, nor a negative one flag all.
+    grid = make_grid(1.0, 128)
+    cex = closed_form_counterexample(grid, sample_brownian(grid, 500, seed=1))
+    Kv = np.broadcast_to(np.eye(2), (5, 3, 2, 2)).copy()
+    matrix = _matrix_problem(make_grid(1.0, 4), Kv, np.ones((5, 3, 2, 2)))
+    for sol, model in ((cex, scenario_counterexample(1.0)), matrix):
+        for tol in (np.nan, np.inf, -1.0):
+            with pytest.raises(InvalidArgumentError, match="tol"):
+                synthesize(sol, model, tol=tol)
+    Kv[2, 1] = [[1.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(InvalidArgumentError, match="symmetric"):
+        synthesize(*_matrix_problem(make_grid(1.0, 4), Kv, np.ones((5, 3, 2, 2))))
+    grid, batch, sol, model = _example1_setup(N=8, n_paths=4)
+    with pytest.raises(InvalidArgumentError, match="theta_free"):
+        synthesize(sol, model, theta_free=np.zeros((3, 3)))
+    with pytest.raises(InvalidArgumentError, match="theta_free"):
+        synthesize(*matrix, theta_free=np.zeros((2, 3)))
 
 
 def test_synthesize_dimension_guard():
@@ -152,8 +216,7 @@ def test_synthesize_dimension_guard():
 def test_regularity_left_point_norm_formula():
     grid = make_grid(1.0, 4)
     theta = PathArray(np.arange(10.0).reshape(5, 2, 1, 1))
-    law = FeedbackLaw(theta=theta, theta_free=PathArray(np.zeros((5, 2, 1, 1))),
-                      source=None)
+    law = FeedbackLaw(theta=theta, source=None)
     report = regularity_diagnostics(law, grid, bound_threshold=100.0)
     # Left-point rule over running indices 0..N-1.
     v = theta.values[:, :, 0, 0]
@@ -190,7 +253,7 @@ def test_regularity_explicit_threshold_can_fail():
 def test_regularity_step_count_guard():
     grid = make_grid(1.0, 4)
     theta = PathArray(np.zeros((3, 2, 1, 1)))
-    law = FeedbackLaw(theta=theta, theta_free=theta, source=None)
+    law = FeedbackLaw(theta=theta, source=None)
     with pytest.raises(InvalidArgumentError):
         regularity_diagnostics(law, grid)
 
