@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, SlqError
 from .evaluate import (
-    completion_of_squares_check,
+    _completion_of_squares,
+    cost,
     counterexample_divergence_probe,
     make_perturbations,
     optimality_sweep,
@@ -288,6 +289,11 @@ def _jsonable(obj):
     return obj
 
 
+def _echo(config: ExperimentConfig) -> dict:
+    """The config as given, plus the checks it resolves to."""
+    return {**dataclasses.asdict(config), "enabled_checks": config.enabled_checks()}
+
+
 def run(config: ExperimentConfig) -> RunReport:
     """Execute one experiment; write artifacts; return the report.
 
@@ -349,34 +355,29 @@ def run(config: ExperimentConfig) -> RunReport:
                 "passed": res.passed, "residual": res.residual,
                 "tolerance": res.tolerance, "details": res.details,
             }
+        perts = None  # the perturbation library, shared by CoS and the sweep
         if "completion_of_squares" in enabled:
             eps = config.tolerance("cos_epsilon")
-            _, u_fb = simulate_closed_loop(model, law, init, batch)
-            worst = None
-            all_ok = True
+            x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
+            J_fb = cost(model, x_fb, u_fb, init, grid, batch)
+            perts = make_perturbations(grid, batch, model.m)
             arms = {}
-            for pid, v in make_perturbations(grid, batch, model.m):
-                u = PathArray(u_fb.values + eps * v)
-                res = completion_of_squares_check(sol, law, model, u, init, batch,
-                                                  n_se=n_se, disc_coeff=disc)
+            for pid, v in perts:
+                res = _completion_of_squares(sol, law, model, PathArray(u_fb.values + eps * v),
+                                             init, batch, J_fb, n_se, disc)
                 arms[pid] = {"residual": res.residual, "tolerance": res.tolerance,
                              "passed": res.passed}
-                all_ok &= res.passed
-                if worst is None or res.residual > worst:
-                    worst = res.residual
-            replay = completion_of_squares_check(sol, law, model, u_fb, init, batch,
-                                                 n_se=n_se, disc_coeff=disc)
-            arms["closed_loop_replay"] = {"residual": replay.residual,
-                                          "tolerance": 0.0,
+            worst = max(arm["residual"] for arm in arms.values())
+            replay = _completion_of_squares(sol, law, model, u_fb, init, batch, J_fb, n_se, disc)
+            arms["closed_loop_replay"] = {"residual": replay.residual, "tolerance": 0.0,
                                           "passed": replay.residual == 0.0}
-            all_ok &= replay.residual == 0.0
             verification["cos_identity_residual"] = worst
             pass_flags["completion_of_squares"] = {
-                "passed": bool(all_ok), "residual": worst,
+                "passed": all(arm["passed"] for arm in arms.values()), "residual": worst,
                 "tolerance": None, "arms": arms,
             }
         if "optimality" in enabled:
-            sweep = optimality_sweep(sol, law, model, init, batch,
+            sweep = optimality_sweep(sol, law, model, init, batch, perturbations=perts,
                                      n_se=n_se, disc_coeff=disc)
             verification["optimality_sweep"] = [
                 {"perturbation_id": r.perturbation_id, "epsilon": r.epsilon,
@@ -387,6 +388,8 @@ def run(config: ExperimentConfig) -> RunReport:
                 "passed": sweep.passed, "min_gap": sweep.min_gap,
                 "first_order_ok": sweep.first_order_ok,
                 "quad_ratios": sweep.quad_ratios, "quad_ok": sweep.quad_ok,
+                "superposition_error": sweep.superposition_error,
+                "superposition_ok": sweep.superposition_ok,
             }
             sweep_rows = [
                 [r.perturbation_id, _fmt(r.epsilon), _fmt(r.J),
@@ -420,17 +423,10 @@ def run(config: ExperimentConfig) -> RunReport:
 
         t0 = time.perf_counter()
         n_export = min(RICCATI_CSV_MAX_PATHS, sol.P.n_paths)
+        entry = (lambda a: a[0, 0]) if model.n == 1 and model.m == 1 else np.linalg.norm
         riccati_rows = (
-            [_fmt(grid.points[i]), str(p),
-             _fmt(sol.P.values[i, p, 0, 0]), _fmt(sol.Lambda.values[i, p, 0, 0]),
-             _fmt(sol.K.values[i, p, 0, 0]), _fmt(sol.L.values[i, p, 0, 0])]
-            for p in range(n_export) for i in range(grid.N + 1)
-        ) if model.n == 1 and model.m == 1 else (
-            [_fmt(grid.points[i]), str(p),
-             _fmt(np.linalg.norm(sol.P.values[i, p])),
-             _fmt(np.linalg.norm(sol.Lambda.values[i, p])),
-             _fmt(np.linalg.norm(sol.K.values[i, p])),
-             _fmt(np.linalg.norm(sol.L.values[i, p]))]
+            [_fmt(grid.points[i]), str(p)]
+            + [_fmt(entry(f.values[i, p])) for f in (sol.P, sol.Lambda, sol.K, sol.L)]
             for p in range(n_export) for i in range(grid.N + 1)
         )
         _write_csv(out_dir / "riccati.csv",
@@ -449,7 +445,7 @@ def run(config: ExperimentConfig) -> RunReport:
         p_start = sol.P.values[s, :, 0, 0] if model.n == 1 else \
             np.linalg.norm(sol.P.values[s], axis=(1, 2))
         report = RunReport(
-            config=dataclasses.asdict(config),
+            config=_echo(config),
             riccati_summary={
                 "solver_tag": sol.solver_tag,
                 "P_at_start_mean": float(p_start.mean()),
@@ -471,7 +467,7 @@ def run(config: ExperimentConfig) -> RunReport:
         return report
     except SlqError as exc:
         report = RunReport(
-            config=dataclasses.asdict(config),
+            config=_echo(config),
             riccati_summary={}, regularity={}, verification={},
             timings=timings, manifest=manifest + ["report.json"],
             all_passed=False, failed=f"{type(exc).__name__}: {exc}",
@@ -481,20 +477,9 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 def _apply_flag_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    if args.scenario is not None:
-        raw["scenario"] = args.scenario
-    if args.T is not None:
-        raw["T"] = args.T
-    if args.steps is not None:
-        raw["steps"] = args.steps
-    if args.paths is not None:
-        raw["paths"] = args.paths
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    if args.solver is not None:
-        raw["solver"] = args.solver
+    for flag in ("scenario", "T", "steps", "paths", "seed", "out", "solver"):
+        if getattr(args, flag) is not None:
+            raw["output_dir" if flag == "out" else flag] = getattr(args, flag)
     if args.check:
         raw["checks"] = list(args.check)
     if args.tol:

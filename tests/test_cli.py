@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from slqkit import cli, evaluate
 from slqkit.cli import ExperimentConfig, load_config, main
 from slqkit.errors import ConfigError
 
@@ -165,6 +166,43 @@ def test_cli_example1_report_and_artifacts(tmp_path):
     assert len((out / "riccati.csv").read_text().splitlines()) == 1 + 16 * 33
     assert len((out / "regularity.csv").read_text().splitlines()) == 1 + 50
     assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 30
+
+
+def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monkeypatch):
+    # One closed loop each for the value identity, completion of squares and
+    # the sweep; open loops: 10 + 1 CoS arms, 10 zero-start responses and 10
+    # direct sweep arms.  The perturbation library is built once.
+    calls = {"closed": 0, "open": 0, "library": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, name in (("closed", "simulate_closed_loop"), ("open", "simulate_open_loop"),
+                      ("library", "make_perturbations")):
+        wrapped = counted(key, getattr(evaluate, name))
+        monkeypatch.setattr(evaluate, name, wrapped)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapped)
+    out = tmp_path / "counted"
+    assert main(["--scenario", "example1", "--steps", "16", "--paths", "20",
+                 "--out", str(out)]) == 0
+    assert calls == {"closed": 3, "open": 31, "library": 1}
+    flags = json.loads((out / "report.json").read_text())["verification"]["pass_flags"]
+    assert flags["optimality"]["superposition_ok"] is True
+    assert 0.0 <= flags["optimality"]["superposition_error"] <= evaluate.SUPERPOSITION_RTOL
+
+
+def test_report_echoes_the_checks_that_ran(tmp_path):
+    out = tmp_path / "echo"
+    assert main(["--scenario", "example1", "--steps", "8", "--paths", "10",
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["checks"] == []  # the echo of the config as given
+    assert config["enabled_checks"] == [
+        "value_identity", "completion_of_squares", "optimality", "stationarity"]
 
 
 def test_cli_rerun_is_byte_identical_and_env_redirects(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from slqkit.problem import (
     scenario_example1,
 )
 from slqkit.riccati import closed_form_example1, solve_deterministic
+from slqkit import evaluate
 from slqkit.evaluate import (
     completion_of_squares_check,
     cost,
@@ -419,6 +420,60 @@ def test_sweep_example1_feedback_is_a_minimum():
     assert sweep.min_gap >= -min(r.gap_tolerance for r in sweep.rows)
     # Rows: 2 perturbations x 3 epsilons.
     assert len(sweep.rows) == 6
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"perturbations": []}, "perturbations"),
+    ({"epsilons": ()}, "epsilons"),
+    ({"epsilons": (0.0,)}, "epsilons"),
+    ({"epsilons": (1.0, -0.0)}, "epsilons"),
+    ({"epsilons": (float("nan"),)}, "epsilons"),
+    ({"epsilons": (0.1, float("inf"))}, "epsilons"),
+])
+def test_sweep_rejects_degenerate_inputs(kwargs, name):
+    # Each of these used to pass vacuously (no arm, or odd_fd = nan).
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=200)
+    with pytest.raises(InvalidArgumentError, match=name):
+        optimality_sweep(sol, law, model, INIT, batch, **kwargs)
+
+
+def test_sweep_superposition_matches_direct_arms():
+    grid, batch, model, sol, law = _example1_setup()
+    sweep = optimality_sweep(sol, law, model, INIT, batch)
+    assert sweep.superposition_ok and sweep.passed
+    assert 0.0 < sweep.superposition_error <= evaluate.SUPERPOSITION_RTOL
+    # The sweep's rows equal direct simulations of both arms up to rounding.
+    x_fb, u_fb = simulate_closed_loop(model, law, INIT, batch)
+    J_fb = cost(model, x_fb, u_fb, INIT, grid, batch).per_path
+    perts = dict(make_perturbations(grid, batch, model.m))
+    for row in sweep.rows[::7]:
+        costs = []
+        for eps in (row.epsilon, -row.epsilon):
+            u = PathArray(u_fb.values + eps * perts[row.perturbation_id])
+            x = simulate_open_loop(model, u, INIT, batch)
+            costs.append(cost(model, x, u, INIT, grid, batch).per_path)
+        assert row.J == pytest.approx(costs[0].mean(), rel=1e-13)
+        gap = (costs[0] - J_fb).mean()
+        assert row.J_minus_Jfb == pytest.approx(gap, rel=1e-9, abs=1e-15)
+        odd = ((costs[0] - costs[1]) / (2 * row.epsilon)).mean()
+        assert row.odd_fd == pytest.approx(odd, rel=1e-6, abs=1e-12)
+
+
+def test_sweep_independent_leg_catches_a_wrong_prediction(monkeypatch):
+    grid, batch, model, sol, law = _example1_setup(N=32, n_paths=200)
+    exact = evaluate._superposition
+
+    def off_by_a_part_per_million(*args):
+        cross, J0 = exact(*args)
+        return cross, J0 * (1 + 1e-6)
+
+    monkeypatch.setattr(evaluate, "_superposition", off_by_a_part_per_million)
+    sweep = optimality_sweep(sol, law, model, INIT, batch)
+    # Gaps, odd part and eps-scaling cannot see a 1e-6 error in J0; the
+    # direct arms do.
+    assert sweep.gaps_ok and sweep.first_order_ok and sweep.quad_ok
+    assert sweep.superposition_error > 1e3 * evaluate.SUPERPOSITION_RTOL
+    assert not sweep.superposition_ok and not sweep.passed
 
 
 # ---------------------------------------------------------------------------

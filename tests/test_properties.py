@@ -1,13 +1,28 @@
 """Property tests (hypothesis) for path sampling, coefficient tables, the
-divergence probe and the batched solvability kernel."""
+divergence probe, the batched solvability kernel, the sweep's superposition
+and the CLI's config round trip."""
 
+import dataclasses
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slqkit.evaluate import counterexample_divergence_probe
+from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, load_config, main
+from slqkit.evaluate import (
+    SUPERPOSITION_RTOL,
+    _superposition,
+    cost,
+    counterexample_divergence_probe,
+    simulate_closed_loop,
+    simulate_open_loop,
+)
+from slqkit.feedback import FeedbackLaw
+from slqkit.grid import PathArray
 from slqkit.grid import _path_major_increments, make_grid, sample_brownian
 from slqkit.pinv import pinv, solvability
 from slqkit.problem import (
@@ -15,6 +30,7 @@ from slqkit.problem import (
     Y_UPPER,
     ZETA_SCALE,
     CoefficientModel,
+    InitialCondition,
     coefficient_table,
     counterexample_paths,
     delta_grid,
@@ -228,3 +244,93 @@ def test_solvability_kernel_matches_svd_references(m, n, specs, seed, k_exp, l_e
         range_bound = tol * (1.0 + norm(Lj))
         assume(not 0.5 * range_bound <= resid <= 2.0 * range_bound)
         assert in_range[j] == (resid <= range_bound)
+
+
+def _random_model(rng, n, path_dependent):
+    """An n x n problem (m = n) with symmetric positive definite weights;
+    ``A`` and ``R`` vary with the path when ``path_dependent``."""
+    A, B, C, D = 0.5 * rng.normal(size=(4, n, n))
+    Q, R, G = (M @ M.T + 0.1 * np.eye(n) for M in rng.normal(size=(3, n, n)))
+
+    def const(M):
+        return lambda i, W: M
+
+    def varying(M):
+        return lambda i, W: M * (1.5 + np.cos(W[i]))[:, None, None]
+
+    vary = varying if path_dependent else const
+    return CoefficientModel(n=n, m=n, A=vary(A), B=const(B), C=const(C), D=const(D),
+                            Q=const(Q), R=vary(R), G=lambda W: G,
+                            kind="path_dependent" if path_dependent else "deterministic")
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([1, 2]),
+    path_dependent=st.booleans(),
+    N=st.integers(2, 16),
+    n_paths=st.integers(1, 8),
+    start=st.integers(0, 15),
+    eps=st.floats(1e-3, 1e2) | st.floats(-1e2, -1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n_paths,
+                                                         start, eps, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, n, path_dependent)
+    grid = make_grid(1.0, N)
+    batch = sample_brownian(grid, n_paths, seed)
+    init = InitialCondition(start % N, rng.normal(size=n))
+    theta = rng.uniform(-1.0, 1.0, (N + 1, n_paths, n, n))
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+    v = rng.normal(size=(N + 1, n_paths, n, 1))
+    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
+    J_fb = cost(model, x_fb, u_fb, init, grid, batch).per_path
+    cross, J0 = _superposition(model, x_fb.values, u_fb.values, v, init, batch)
+    u = PathArray(u_fb.values + eps * v)
+    J = cost(model, simulate_open_loop(model, u, init, batch), u, init, grid, batch).per_path
+    predicted = J_fb + eps * cross + eps * eps * J0
+    assert np.abs(J - predicted).max() <= SUPERPOSITION_RTOL * np.abs(J).max()
+
+
+@SETTINGS
+@given(
+    scenario=st.sampled_from(["example1", "deterministic", "counterexample"]),
+    T=st.floats(0.25, 2.0),
+    steps=st.integers(2, 8),
+    paths=st.integers(2, 6),
+    seed=st.integers(0, 2**64 - 1),
+    solver=st.sampled_from((None,) + SOLVERS),
+    checks=st.lists(st.sampled_from(CHECKS), unique=True),
+    tolerances=st.dictionaries(st.sampled_from(sorted(TOLERANCE_DEFAULTS)),
+                               st.floats(0.0, 10.0)),
+)
+def test_cli_flags_round_trip_through_the_report_echo(scenario, T, steps, paths, seed,
+                                                      solver, checks, tolerances):
+    assume("divergence" not in checks or scenario == "counterexample")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["--scenario", scenario, "--T", repr(T), "--steps", str(steps),
+                "--paths", str(paths), "--seed", str(seed), "--out", str(out)]
+        argv += ["--solver", solver] if solver else []
+        for name in checks:
+            argv += ["--check", name]
+        for name, value in tolerances.items():
+            argv += ["--tol", f"{name}={value!r}"]
+        # Failed checks (2), unsupported solvers (3) and numerical failures
+        # (4) still write the report with its config echo.
+        assert main(argv) in (0, 2, 3, 4)
+        echo = json.loads((out / "report.json").read_text())["config"]
+        enabled = echo.pop("enabled_checks")
+        assert {k: echo[k] for k in ("scenario", "T", "steps", "paths", "seed", "solver",
+                                     "checks", "tolerances", "output_dir")} == {
+            "scenario": scenario, "T": T, "steps": steps, "paths": paths, "seed": seed,
+            "solver": solver or "closed_form", "checks": checks,
+            "tolerances": tolerances, "output_dir": str(out)}
+        config_file = Path(tmp) / "echo.json"
+        config_file.write_text(json.dumps(echo))
+        config = load_config(str(config_file))
+        assert dataclasses.asdict(config) == echo
+        defaults = ["value_identity", "completion_of_squares", "optimality", "stationarity"]
+        defaults += ["divergence"] if scenario == "counterexample" else []
+        assert enabled == config.enabled_checks() == (checks or defaults)
