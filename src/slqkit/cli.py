@@ -35,6 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, SlqError
 from .evaluate import (
+    DISC_ALLOWANCE,
+    N_SE,
     _completion_of_squares,
     cost,
     counterexample_divergence_probe,
@@ -66,12 +68,12 @@ SOLVERS = ("closed_form", "regression", "deterministic_ode")
 CHECKS = ("value_identity", "completion_of_squares", "optimality",
           "stationarity", "divergence")
 TOLERANCE_DEFAULTS = {
-    "n_se": 3.0,            # standard-error multiplier of all MC checks
-    "disc_coeff": 0.5,      # coefficient of the sqrt(h) allowance
+    "n_se": N_SE,           # standard-error multiplier of all MC checks
+    "disc_coeff": DISC_ALLOWANCE,  # coefficient of the sqrt(h) allowance
     "stationarity": 1e-8,   # max ||L + K Theta|| line
     "synthesis": 1e-8,      # pointwise PSD/range tolerance
     "regularity_bound": 0.0,  # 0 = auto (10x median of this run)
-    "basis_degree": 3.0,    # total degree of the regression basis
+    "basis_degree": float(RegressionBasis.degree),  # total degree of the regression basis
     "cos_epsilon": 0.1,     # perturbation size of the CLI's cos check
 }
 RICCATI_CSV_MAX_PATHS = 16

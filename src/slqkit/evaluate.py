@@ -9,15 +9,20 @@ Open- and closed-loop simulation share one Euler driver; replaying the
 recorded closed-loop control through the open-loop simulator reproduces the
 closed-loop states bit for bit.  The driver and the cost quadrature read the
 model's coefficient table (:func:`slqkit.problem.coefficient_table`), built
-once per (model, batch) and shared by every check on that batch.  A 1x1
-problem steps and sums elementwise on ``(P,)`` slices, in the operation order
+once per (model, batch) and shared by every check on that batch.  One
+quadrature kernel (:func:`_running`, left-point, in time order) takes every
+running quadratic form: the cost, the sweep's cross terms and the
+completion-of-squares penalty.  Path-constant data (coefficient rows, a
+one-path solution, time-only perturbations) stay ``(1, r, c)`` rows that
+broadcast.  A 1x1 problem steps and sums elementwise, in the operation order
 of the matrix kernel, so both give the same bits.  The Euler step is linear
 in ``(x, u)`` and the cost is one bilinear quadrature ``B`` taken on ``(x, u),
 (x, u)``, so ``J(u_fb + eps v) = J_fb + eps B((x_fb, u_fb), (x_v, v)) + eps^2
 B((x_v, v), (x_v, v)) / 2`` per path up to rounding, with ``x_v`` the response
 to ``v`` from a zero state (Q, R and G are symmetric).  The optimality sweep
 uses this superposition in place of one simulation per arm, and checks it
-against a direct simulation of one arm per perturbation.
+against a direct simulation of one arm per perturbation.  :func:`_tolerance`
+is the pass line of every Monte Carlo check.
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ from .grid import BrownianBatch, PathArray, TimeGrid, _path_major_increments, ma
 from .problem import (
     CoefficientModel,
     InitialCondition,
+    SYMMETRY_TOL,
     Y_SHIFT,
     Y_UPPER,
     ZETA_SCALE,
+    _asymmetry,
     _stopped_processes,
     coefficient_table,
     delta_grid,
@@ -58,6 +65,9 @@ __all__ = [
     "make_perturbations",
     "counterexample_divergence_probe",
 ]
+
+# Default standard-error multiplier of every Monte Carlo check.
+N_SE = 3.0
 
 # Frozen coefficient of the h^(1/2) discretization allowance used by all
 # identity checks (calibrated once on the deterministic instance, where the
@@ -98,15 +108,12 @@ class CheckResult:
     details: dict
 
 
-def _per_path_matrices(arr: np.ndarray, n_paths: int) -> np.ndarray:
-    """Broadcast a single-path (1, r, c) slice across a batch if needed."""
-    if arr.shape[0] == n_paths:
-        return arr
-    if arr.shape[0] == 1:
-        return np.broadcast_to(arr, (n_paths,) + arr.shape[1:])
-    raise InvalidArgumentError(
-        f"path dimension mismatch: have {arr.shape[0]}, batch has {n_paths}"
-    )
+def _require_paths(n_paths: int, *arrays: np.ndarray) -> None:
+    """Each ``(N+1, k, r, c)`` array must have ``k`` 1 or ``n_paths``."""
+    for arr in arrays:
+        if arr.shape[1] not in (1, n_paths):
+            raise InvalidArgumentError(
+                f"path dimension mismatch: have {arr.shape[1]}, batch has {n_paths}")
 
 
 def _euler_step(x, u, A, B, C, D, h, dw):
@@ -149,10 +156,7 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     if s >= N:
         raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
     given = theta if theta is not None else control
-    if given.shape[1] not in (1, P):
-        raise InvalidArgumentError(
-            f"path dimension mismatch: have {given.shape[1]}, batch has {P}"
-        )
+    _require_paths(P, given)
     n, m = model.n, model.m
     tab = coefficient_table(model, batch.W)
     coeffs = (tab.A, tab.B, tab.C, tab.D)
@@ -236,26 +240,29 @@ def simulate_open_loop(
     return PathArray(x)
 
 
+def _form(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-path ``<M x, y>`` of ``(k, r, c)`` matrices on ``(k, r, 1)`` and ``(k, c, 1)``
+    columns, ``k`` 1 or the path count; 1x1 forms elementwise, as ``x * M * y``."""
+    if M.shape[-2:] == (1, 1):
+        return x[:, 0, 0] * M[:, 0, 0] * y[:, 0, 0]
+    return np.einsum("...n,...nm,...m->...", x[..., 0], M, y[..., 0])
+
+
+def _running(M: np.ndarray, s: int, h: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Left-point quadrature ``sum_{i=s}^{N-1} h <M_i x_i, y_i>`` per path,
+    summed in time order, of :func:`_form` on ``(N+1, k, ., .)`` arrays."""
+    total = np.zeros(max(M.shape[1], x.shape[1], y.shape[1]))
+    for i in range(s, x.shape[0] - 1):
+        total += h * _form(M[i], x[i], y[i])
+    return total
+
+
 def _bilinear(tab, s: int, h: float, x, u, y, w) -> tuple[np.ndarray, ...]:
-    """Left-point quadrature of the cost's bilinear form on ``(N+1, P, ., 1)``
-    arrays, per path: ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q x, y> +
-    <R u, w>) + <G x_N, y_N>``, returned as its state, control and terminal
-    parts.  A 1x1 problem is summed elementwise, in the left-to-right order
-    ``x * q * y`` of the matrix form."""
-    N, P = x.shape[0] - 1, x.shape[1]
-    run_state, run_ctrl = np.zeros(P), np.zeros(P)
-    if tab.model.n == tab.model.m == 1:
-        x, u, y, w = (a[:, :, 0, 0] for a in (x, u, y, w))
-        q, r = tab.Q[:, :, 0, 0], tab.R[:, :, 0, 0]
-        for i in range(s, N):
-            run_state += h * (x[i] * q[i] * y[i])
-            run_ctrl += h * (u[i] * r[i] * w[i])
-        return run_state, run_ctrl, x[N] * tab.G[:, 0, 0] * y[N]
-    for i in range(s, N):
-        run_state += h * np.einsum("pn,pnm,pm->p", x[i, ..., 0], tab.at("Q", i, P), y[i, ..., 0])
-        run_ctrl += h * np.einsum("pn,pnm,pm->p", u[i, ..., 0], tab.at("R", i, P), w[i, ..., 0])
-    Gv = np.broadcast_to(tab.G, (P,) + tab.G.shape[1:])
-    return run_state, run_ctrl, np.einsum("pn,pnm,pm->p", x[N, ..., 0], Gv, y[N, ..., 0])
+    """The cost's bilinear form on ``(N+1, k, ., 1)`` arrays, per path:
+    ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q x, y> + <R u, w>) + <G x_N,
+    y_N>``, returned as its state, control and terminal parts."""
+    return (_running(tab.Q, s, h, x, y), _running(tab.R, s, h, u, w),
+            _form(tab.G, x[-1], y[-1]))
 
 
 def cost(
@@ -272,8 +279,7 @@ def cost(
 
     ``batch`` supplies the Brownian paths to the coefficient table; only a
     ``"deterministic"`` model may omit it, and is then tabulated on a
-    one-path zero prefix.  A 1x1 problem is summed elementwise, in the
-    left-to-right order ``x * q * x`` of the matrix form.
+    one-path zero prefix.
 
     Raises
     ------
@@ -322,13 +328,29 @@ def _combined(diff: np.ndarray) -> tuple[float, float]:
     return float(diff.mean()), se
 
 
+def _tolerance(se: float, n_se: float, disc_coeff: float, h: float) -> float:
+    """The pass line of every Monte Carlo check: ``n_se * se + disc_coeff * sqrt(h)``."""
+    return n_se * se + disc_coeff * math.sqrt(h)
+
+
+def _identity_result(name: str, diff: np.ndarray, batch: BrownianBatch, n_se: float,
+                     disc_coeff: float, terms: dict) -> CheckResult:
+    """An identity check on the per-path difference ``diff``: its absolute
+    mean against :func:`_tolerance`, with ``terms`` leading the details."""
+    mean, se = _combined(diff)
+    residual, tolerance = abs(mean), _tolerance(se, n_se, disc_coeff, batch.grid.h)
+    details = {**terms, "std_error": se, "n_paths": batch.n_paths, "seed": batch.seed}
+    return CheckResult(name=name, residual=residual, tolerance=tolerance,
+                       passed=residual <= tolerance, details=details)
+
+
 def value_identity_check(
     sol: RiccatiSolution,
     law: FeedbackLaw,
     model: CoefficientModel,
     init: InitialCondition,
     batch: BrownianBatch,
-    n_se: float = 3.0,
+    n_se: float = N_SE,
     disc_coeff: float = DISC_ALLOWANCE,
 ) -> CheckResult:
     """Check that the closed-loop cost matches ``1/2 E <P(s) eta, eta>``.
@@ -338,29 +360,14 @@ def value_identity_check(
     is ``n_se`` standard errors of that difference plus the frozen
     ``disc_coeff * sqrt(h)`` discretization allowance.
     """
+    _require_paths(batch.n_paths, sol.P.values)
     x, u = simulate_closed_loop(model, law, init, batch)
-    grid = batch.grid
-    est = cost(model, x, u, init, grid, batch)
-    P = batch.n_paths
-    eta = init.eta_column(model.n, P)
-    Ps = _per_path_matrices(sol.P.values[init.start_index], P)
-    quad = 0.5 * np.einsum("pno,pnm,pmo->p", eta, Ps, eta)
-    mean_diff, se = _combined(est.per_path - quad)
-    residual = abs(mean_diff)
-    tolerance = n_se * se + disc_coeff * math.sqrt(grid.h)
-    return CheckResult(
-        name="value_identity",
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
-        details={
-            "closed_loop_cost": est.mean,
-            "value_quadratic_form": float(quad.mean()),
-            "std_error": se,
-            "n_paths": P,
-            "seed": batch.seed,
-        },
-    )
+    est = cost(model, x, u, init, batch.grid, batch)
+    eta = init.eta_column(model.n, batch.n_paths)
+    quad = 0.5 * _form(sol.P.values[init.start_index], eta, eta)
+    return _identity_result("value_identity", est.per_path - quad, batch, n_se, disc_coeff,
+                            {"closed_loop_cost": est.mean,
+                             "value_quadratic_form": float(quad.mean())})
 
 
 def completion_of_squares_check(
@@ -370,7 +377,7 @@ def completion_of_squares_check(
     u: PathArray,
     init: InitialCondition,
     batch: BrownianBatch,
-    n_se: float = 3.0,
+    n_se: float = N_SE,
     disc_coeff: float = DISC_ALLOWANCE,
 ) -> CheckResult:
     """Check ``J(u) = J(Theta x) + 1/2 E sum h <K (u - Theta x), u - Theta x>``
@@ -389,38 +396,16 @@ def _completion_of_squares(sol, law, model, u, init, batch, J_fb: CostEstimate,
                            n_se: float, disc_coeff: float) -> CheckResult:
     """:func:`completion_of_squares_check` against a given closed-loop cost
     ``J_fb``, so several controls share one closed loop."""
-    grid = batch.grid
-    N, h = grid.N, grid.h
-    P = batch.n_paths
-    s = init.start_index
+    th, Kv = law.theta.values, sol.K.values
+    _require_paths(batch.n_paths, th, Kv)
     x_u = simulate_open_loop(model, u, init, batch)
-    J_u = cost(model, x_u, u, init, grid, batch)
-    th = law.theta.values
-    Kv = sol.K.values
-    penalty = np.zeros(P)
-    for i in range(s, N):
-        thi = _per_path_matrices(th[i], P)
-        Ki = _per_path_matrices(Kv[i], P)
-        diff = (u.values[i] - thi @ x_u.values[i])[:, :, 0]
-        penalty += h * np.einsum("pm,pmk,pk->p", diff, Ki, diff)
-    penalty *= 0.5
-    mean_resid, se = _combined(J_u.per_path - J_fb.per_path - penalty)
-    residual = abs(mean_resid)
-    tolerance = n_se * se + disc_coeff * math.sqrt(h)
-    return CheckResult(
-        name="completion_of_squares",
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
-        details={
-            "J_u": J_u.mean,
-            "J_feedback": J_fb.mean,
-            "penalty_mean": float(penalty.mean()),
-            "std_error": se,
-            "n_paths": P,
-            "seed": batch.seed,
-        },
-    )
+    J_u = cost(model, x_u, u, init, batch.grid, batch)
+    gap = u.values - th @ x_u.values
+    penalty = 0.5 * _running(Kv, init.start_index, batch.grid.h, gap, gap)
+    return _identity_result("completion_of_squares", J_u.per_path - J_fb.per_path - penalty,
+                            batch, n_se, disc_coeff,
+                            {"J_u": J_u.mean, "J_feedback": J_fb.mean,
+                             "penalty_mean": float(penalty.mean())})
 
 
 def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list:
@@ -428,21 +413,22 @@ def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list
 
     Ten processes: constants, sinusoids and steps in t, a ramp, and
     sign/clip functions of the Brownian level (adapted by construction).
-    Each entry is ``(perturbation_id, values)`` with values shaped
-    ``(N+1, n_paths, m, 1)``.
+    Each entry is ``(perturbation_id, values)``.  The seven that depend on
+    ``t`` only (``const_one`` to ``ramp_t``) are ``(N+1, 1, m, 1)`` rows that
+    broadcast over the paths; ``sign_w``, ``sign_w_sin_t`` and ``clip_w``
+    are ``(N+1, n_paths, m, 1)``.
     """
     t = grid.points[:, None]
     T = grid.T
     W = batch.W
-    ones = np.ones((grid.N + 1, batch.n_paths))
     fields = [
-        ("const_one", ones),
-        ("const_neg_half", -0.5 * ones),
-        ("sin_2pi_t", np.sin(2.0 * math.pi * t / T) * ones),
-        ("cos_pi_t", np.cos(math.pi * t / T) * ones),
-        ("step_after_half", (t >= 0.5 * T) * ones),
-        ("step_first_quarter", (t < 0.25 * T) * ones),
-        ("ramp_t", (t / T) * ones),
+        ("const_one", np.ones_like(t)),
+        ("const_neg_half", np.full_like(t, -0.5)),
+        ("sin_2pi_t", np.sin(2.0 * math.pi * t / T)),
+        ("cos_pi_t", np.cos(math.pi * t / T)),
+        ("step_after_half", 1.0 * (t >= 0.5 * T)),
+        ("step_first_quarter", 1.0 * (t < 0.25 * T)),
+        ("ramp_t", t / T),
         ("sign_w", np.sign(W)),
         ("sign_w_sin_t", np.sign(W) * np.sin(math.pi * t / T)),
         ("clip_w", np.clip(W, -1.0, 1.0)),
@@ -475,8 +461,9 @@ class SweepResult:
     difference ``[J(+eps v) - J(-eps v)] / (2 eps)`` is statistically zero
     (the cost is exactly quadratic in epsilon along feedback perturbations,
     so the odd part carries no signal, only noise and O(sqrt(h)) bias).
-    ``quad_ratios`` maps perturbation id to the even-gap ratio between
-    epsilon = 0.1 and 0.01, which the quadratic structure pins at 100.
+    ``quad_ratios`` maps perturbation id to the even-gap ratio between the
+    two smallest distinct ``|eps|`` (``eps_a > eps_b``), which the quadratic
+    structure pins at ``(eps_a / eps_b)^2`` (100 for the default epsilons).
     ``superposition_error`` is the worst max-norm relative deviation of a
     direct arm from its prediction; ``superposition_ok`` bounds it.
     """
@@ -512,7 +499,7 @@ def optimality_sweep(
     batch: BrownianBatch,
     perturbations: list | None = None,
     epsilons: tuple = (1.0, 0.1, 0.01),
-    n_se: float = 3.0,
+    n_se: float = N_SE,
     disc_coeff: float = DISC_ALLOWANCE,
 ) -> SweepResult:
     """Probe optimality of the feedback law along perturbation directions.
@@ -521,29 +508,40 @@ def optimality_sweep(
     ``J(u_fb + eps v)`` and ``J(u_fb - eps v)`` on the common batch and
     checks (a) the one-sided gap ``J(+) - J(fb) >= -(n_se*SE + c*sqrt(h))``,
     (b) the epsilon-odd finite difference is statistically zero, and (c) the
-    epsilon-even gap scales quadratically (ratio 100 within 10% between
-    eps = 0.1 and eps = 0.01).
+    epsilon-even gap scales quadratically: its ratio between the two
+    smallest distinct ``|eps|`` lies within 10% of ``(eps_a / eps_b)^2``.
 
     Each arm's per-path cost is ``J_fb +- eps cross + eps^2 J0`` (one
     zero-start response per ``v``, see the module notes), so (c) holds by
     construction and stays asserted.  The independent leg simulates the
     ``+eps`` arm of the largest ``|eps|`` directly for each ``v``; it must
     match its prediction within ``SUPERPOSITION_RTOL`` relative, max norm.
-    An empty ``perturbations`` or ``epsilons``, or a zero or non-finite
-    epsilon, raises ``InvalidArgumentError``.
+    An empty ``perturbations``, a zero or non-finite epsilon, fewer than two
+    distinct ``|eps|``, or a ``Q``, ``R`` or ``G`` that breaks the symmetry
+    rule of :func:`slqkit.problem.validate` (the superposition needs
+    symmetric weights) raises ``InvalidArgumentError`` before any simulation.
     """
     grid = batch.grid
     if perturbations is None:
         perturbations = make_perturbations(grid, batch, model.m)
-    for name, seq in (("perturbations", perturbations), ("epsilons", epsilons)):
-        if len(seq) == 0:
-            raise InvalidArgumentError(f"{name} must be non-empty")
+    if len(perturbations) == 0:
+        raise InvalidArgumentError("perturbations must be non-empty")
     if not all(math.isfinite(eps) and eps != 0.0 for eps in epsilons):
         raise InvalidArgumentError(f"epsilons must be finite and non-zero, got {epsilons!r}")
+    mags = sorted({abs(eps) for eps in epsilons})
+    if len(mags) < 2:
+        raise InvalidArgumentError(
+            "epsilons need at least two distinct |eps| for the quadratic-scaling leg, "
+            f"got {epsilons!r}")
+    tab = coefficient_table(model, batch.W)
+    for name in ("Q", "R", "G"):
+        asym, broken = _asymmetry(getattr(tab, name), SYMMETRY_TOL)
+        if broken:
+            raise InvalidArgumentError(f"{name} is not symmetric (max asymmetry {asym:.3e}); "
+                                       "the sweep's superposition needs symmetric weights")
     x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
     J_fb = cost(model, x_fb, u_fb, init, grid, batch)
     eps_direct = max(epsilons, key=abs)
-    sqrt_h = math.sqrt(grid.h)
     rows: list[SweepRow] = []
     even_by_arm: dict[tuple[str, float], float] = {}
     direct_errors = []
@@ -560,12 +558,12 @@ def optimality_sweep(
             gap, gap_se = _combined(J_p - J_fb.per_path)
             odd, odd_se = _combined((J_p - J_m) / (2.0 * eps))
             even, _ = _combined(0.5 * (J_p + J_m) - J_fb.per_path)
-            gap_tol = n_se * gap_se + disc_coeff * sqrt_h
+            gap_tol = _tolerance(gap_se, n_se, disc_coeff, grid.h)
             ok = gap >= -gap_tol
             gaps_ok &= ok
-            if abs(odd) > n_se * odd_se + disc_coeff * sqrt_h:
+            if abs(odd) > _tolerance(odd_se, n_se, disc_coeff, grid.h):
                 first_order_ok = False
-            even_by_arm[(pid, eps)] = even
+            even_by_arm[(pid, abs(eps))] = even
             rows.append(SweepRow(
                 perturbation_id=pid, epsilon=eps, J=float(J_p.mean()),
                 J_minus_Jfb=gap, std_err=gap_se, even_gap=even,
@@ -577,17 +575,11 @@ def optimality_sweep(
         J_dir = cost(model, x_dir, u_dir, init, grid, batch).per_path
         scale = max(np.abs(J_dir).max(), np.finfo(np.float64).tiny)
         direct_errors.append(np.abs(J_dir - arm(eps_direct)).max() / scale)
-    quad_ratios: dict[str, float] = {}
-    quad_ok = True
-    for pid, _ in perturbations:
-        num = even_by_arm.get((pid, 0.1))
-        den = even_by_arm.get((pid, 0.01))
-        if num is None or den is None or den == 0.0:
-            continue
-        ratio = num / den
-        quad_ratios[pid] = ratio
-        if not (90.0 <= ratio <= 110.0):
-            quad_ok = False
+    eps_b, eps_a = mags[:2]
+    target = (eps_a / eps_b) ** 2
+    quad_ratios = {pid: even_by_arm[(pid, eps_a)] / even_by_arm[(pid, eps_b)]
+                   for pid, _ in perturbations if even_by_arm[(pid, eps_b)] != 0.0}
+    quad_ok = all(0.9 * target <= ratio <= 1.1 * target for ratio in quad_ratios.values())
     superposition_error = float(np.max(direct_errors))  # NaN propagates
     superposition_ok = superposition_error <= SUPERPOSITION_RTOL
     return SweepResult(

@@ -207,16 +207,15 @@ def stationarity_residual(
     max_resid = float(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max())
     pi_resid = None
     if model is not None:
-        n_paths = th.shape[1]
         worst = 0.0
         Pv = sol.P.values
         Lam = sol.Lambda.values
         tab = coefficient_table(model, np.zeros((sol.grid.N + 1, 1)) if W is None else W)
         for i in range(sol.grid.N + 1):
-            B, C, D, R = (tab.at(name, i, n_paths) for name in ("B", "C", "D", "R"))
+            B, C, D, R = (getattr(tab, name)[i] for name in ("B", "C", "D", "R"))
             Pi = Lam[i] + Pv[i] @ (C + D @ th[i])
-            r = (np.einsum("pnm,pnk->pmk", B, Pv[i])
-                 + np.einsum("pnm,pnk->pmk", D, Pi)
+            r = (np.einsum("...nm,...nk->...mk", B, Pv[i])
+                 + np.einsum("...nm,...nk->...mk", D, Pi)
                  + R @ th[i])
             worst = max(worst, float(np.sqrt(np.sum(r * r, axis=(1, 2))).max()))
         pi_resid = worst

@@ -227,11 +227,6 @@ class CoefficientTable:
             raise InvalidArgumentError("the path array of this coefficient table was freed")
         return _drop_broadcast(self.model.terminal(W, self.n_paths))
 
-    def at(self, name: str, i: int, n_paths: int) -> np.ndarray:
-        """Row ``i`` of coefficient ``name`` broadcast to ``(n_paths, r, c)``."""
-        row = getattr(self, name)[i]
-        return np.broadcast_to(row, (n_paths,) + row.shape[1:])
-
 
 # Tables of read-only path arrays, keyed by id(W) then id(model).  An entry
 # is dropped when its array is freed, so the memo lives exactly as long as
@@ -303,6 +298,16 @@ class InitialCondition:
         return eta[:, :, None].copy()
 
 
+SYMMETRY_TOL = 1e-8  # relative tolerance of the symmetry rule for Q, R and G
+
+
+def _asymmetry(vals: np.ndarray, tol: float) -> tuple[float, bool]:
+    """The largest asymmetry of the square matrices ``vals`` (last two axes)
+    and whether it breaks the symmetry rule ``asym > tol (1 + max|vals|)``."""
+    asym = float(np.abs(vals - vals.swapaxes(-1, -2)).max(initial=0.0))
+    return asym, asym > tol * (1.0 + float(np.abs(vals).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Sampled diagnostics of a model on a batch (finiteness, symmetry,
@@ -317,7 +322,8 @@ class ValidationReport:
     failures: list
 
 
-def validate(model: CoefficientModel, batch: BrownianBatch, tol: float = 1e-8) -> ValidationReport:
+def validate(model: CoefficientModel, batch: BrownianBatch,
+             tol: float = SYMMETRY_TOL) -> ValidationReport:
     """Sample every coefficient on every grid index of ``batch`` and report
     symmetry/finiteness/magnitude diagnostics.
 
@@ -351,16 +357,15 @@ def validate(model: CoefficientModel, batch: BrownianBatch, tol: float = 1e-8) -
             running = vals[:N]
             sqint[name] = h * np.sum(running * running, axis=(2, 3)).sum(axis=0)
         if name in ("Q", "R"):
-            worst_asym = float(np.abs(vals - vals.swapaxes(2, 3)).max(initial=0.0))
-            max_asym[name] = worst_asym
-            if worst_asym > tol * (1.0 + worst_abs):
-                failures.append(f"{name} asymmetry {worst_asym:.6g} exceeds tolerance")
+            max_asym[name], broken = _asymmetry(vals, tol)
+            if broken:
+                failures.append(f"{name} asymmetry {max_asym[name]:.6g} exceeds tolerance")
     gvals = tab.G
     if not np.isfinite(gvals).all():
         failures.append("G non-finite")
     max_abs["G"] = float(np.abs(gvals).max())
-    max_asym["G"] = float(np.abs(gvals - gvals.transpose(0, 2, 1)).max())
-    if max_asym["G"] > tol * (1.0 + max_abs["G"]):
+    max_asym["G"], broken = _asymmetry(gvals, tol)
+    if broken:
         failures.append(f"G asymmetry {max_asym['G']:.6g} exceeds tolerance")
     return ValidationReport(
         max_asymmetry=max_asym,

@@ -120,11 +120,11 @@ def _derive_KL(tab: CoefficientTable, Pv: np.ndarray,
     K = np.empty((steps, n_paths, m, m))
     L = np.empty((steps, n_paths, m, n))
     for i in range(steps):
-        B, C, D, R = (tab.at(name, i, n_paths) for name in ("B", "C", "D", "R"))
+        _, B, C, D, _, R = _node(tab, i)
         Pi = Pv[i]
-        K[i] = R + np.einsum("pnm,pnk,pkl->pml", D, Pi, D)
-        L[i] = (np.einsum("pnm,pnk->pmk", B, Pi)
-                + np.einsum("pnm,pnk->pmk", D, Pi @ C + Lv[i]))
+        K[i] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pi, D)
+        L[i] = (np.einsum("...nm,...nk->...mk", B, Pi)
+                + np.einsum("...nm,...nk->...mk", D, Pi @ C + Lv[i]))
     return K, L
 
 

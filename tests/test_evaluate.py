@@ -15,7 +15,7 @@ from slqkit.problem import (
     scenario_deterministic,
     scenario_example1,
 )
-from slqkit.riccati import closed_form_example1, solve_deterministic
+from slqkit.riccati import RiccatiSolution, closed_form_example1, solve_deterministic
 from slqkit import evaluate
 from slqkit.evaluate import (
     completion_of_squares_check,
@@ -273,6 +273,25 @@ def test_table_kernels_match_reference_loop_bit_for_bit(make_model):
     np.testing.assert_array_equal(cost(model, x_u, u, init, grid, batch).per_path,
                                   _reference_cost(model, batch, x_ref, u.values))
 
+    # The value form reads a per-path P, the penalty a path-constant K row.
+    P_path = rng.uniform(0.5, 1.5, (grid.N + 1, 50, n, n))
+    P_path = P_path + P_path.swapaxes(-1, -2)
+    K_row = np.eye(m)[None, None] * np.linspace(1.0, 2.0, grid.N + 1)[:, None, None, None]
+    sol = RiccatiSolution(grid=grid, P=PathArray(P_path), Lambda=PathArray(np.zeros_like(P_path)),
+                          K=PathArray(K_row), L=PathArray(np.zeros((grid.N + 1, 1, m, n))))
+    eta_col = np.broadcast_to(eta.reshape(1, n, 1), (50, n, 1))
+    value_ref = 0.5 * np.einsum("pno,pnm,pmo->p", eta_col, P_path[0], eta_col)
+    res = value_identity_check(sol, law, model, init, batch)
+    assert res.details["value_quadratic_form"] == float(value_ref.mean())
+    penalty_ref = np.zeros(50)
+    for i in range(grid.N):
+        diff = (u.values[i] - theta[i] @ x_ref[i])[:, :, 0]
+        K_i = np.broadcast_to(K_row[i], (50, m, m))
+        penalty_ref += grid.h * np.einsum("pm,pmk,pk->p", diff, K_i, diff)
+    penalty_ref *= 0.5
+    res = completion_of_squares_check(sol, law, model, u, init, batch)
+    assert res.details["penalty_mean"] == float(penalty_ref.mean())
+
 
 def test_terminal_weight_is_evaluated_once_per_batch():
     base = scenario_example1(1.0)
@@ -321,6 +340,17 @@ def test_value_identity_example1_passes_at_unit_scale():
     assert res.details["n_paths"] == 500
     assert res.details["seed"] == 1
     assert res.details["value_quadratic_form"] == pytest.approx(0.1375, abs=1e-12)
+
+
+def test_checks_reject_a_solution_of_another_path_count():
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=50)
+    three = dataclasses.replace(sol, P=PathArray(sol.P.values[:, :3]),
+                                K=PathArray(sol.K.values[:, :3]))
+    with pytest.raises(InvalidArgumentError, match="path dimension mismatch"):
+        value_identity_check(three, law, model, INIT, batch)
+    _, u_fb = simulate_closed_loop(model, law, INIT, batch)
+    with pytest.raises(InvalidArgumentError, match="path dimension mismatch"):
+        completion_of_squares_check(three, law, model, u_fb, INIT, batch)
 
 
 def test_completion_of_squares_replay_is_exactly_zero():
@@ -373,8 +403,10 @@ def test_make_perturbations_library_shape():
     assert perts[0][0] == "const_one"
     ids = [pid for pid, _ in perts]
     assert len(set(ids)) == 10
+    w_dependent = {"sign_w", "sign_w_sin_t", "clip_w"}
     for pid, v in perts:
-        assert v.shape == (9, 5, 2, 1)
+        # Time-only entries are rows that broadcast over the paths.
+        assert v.shape == ((9, 5, 2, 1) if pid in w_dependent else (9, 1, 2, 1))
         assert np.abs(v).max() <= 1.0 + 1e-12
         assert np.isfinite(v).all()
 
@@ -429,12 +461,50 @@ def test_sweep_example1_feedback_is_a_minimum():
     ({"epsilons": (1.0, -0.0)}, "epsilons"),
     ({"epsilons": (float("nan"),)}, "epsilons"),
     ({"epsilons": (0.1, float("inf"))}, "epsilons"),
+    ({"epsilons": (1.0,)}, "epsilons"),
+    ({"epsilons": (0.5, -0.5)}, "epsilons"),
 ])
 def test_sweep_rejects_degenerate_inputs(kwargs, name):
     # Each of these used to pass vacuously (no arm, or odd_fd = nan).
     grid, batch, model, sol, law = _example1_setup(N=16, n_paths=200)
     with pytest.raises(InvalidArgumentError, match=name):
         optimality_sweep(sol, law, model, INIT, batch, **kwargs)
+
+
+@pytest.mark.parametrize("epsilons,target", [((0.5, 0.05), 100.0), ((-1.0, 0.5, 2.0), 4.0)])
+def test_sweep_quadratic_leg_takes_the_two_smallest_epsilons(epsilons, target):
+    # The leg compares the two smallest distinct |eps|, whatever they are.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=200)
+    sweep = optimality_sweep(sol, law, model, INIT, batch, epsilons=epsilons)
+    assert len(sweep.quad_ratios) == 10 and sweep.quad_ok
+    for ratio in sweep.quad_ratios.values():
+        assert ratio == pytest.approx(target, rel=1e-6)
+
+
+def _weighted_2x2(Q=np.eye(2), R=np.eye(2), G=np.eye(2)):
+    A = np.array([[0.1, 0.2], [0.0, -0.3]])
+    return CoefficientModel(
+        n=2, m=2, A=lambda j, W: A, B=lambda j, W: np.eye(2),
+        C=lambda j, W: 0.2 * np.eye(2), D=lambda j, W: 0.3 * np.eye(2),
+        Q=lambda j, W: Q, R=lambda j, W: R, G=lambda W: G, kind="deterministic",
+    )
+
+
+@pytest.mark.parametrize("name", ["Q", "R", "G"])
+def test_sweep_rejects_asymmetric_weights_before_simulating(name, monkeypatch):
+    grid = make_grid(1.0, 16)
+    batch = sample_brownian(grid, 200, seed=1)
+    sol = solve_deterministic(_weighted_2x2(), grid)
+    law = synthesize(sol, _weighted_2x2())
+    model = _weighted_2x2(**{name: np.array([[1.0, 0.6], [-0.2, 0.5]])})
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the symmetry guard")
+
+    monkeypatch.setattr(evaluate, "_simulate", no_simulation)
+    init = InitialCondition(0, np.array([1.0, -0.5]))
+    with pytest.raises(InvalidArgumentError, match=f"^{name} is not symmetric"):
+        optimality_sweep(sol, law, model, init, batch)
 
 
 def test_sweep_superposition_matches_direct_arms():

@@ -18,6 +18,8 @@ from slqkit.evaluate import (
     _superposition,
     cost,
     counterexample_divergence_probe,
+    make_perturbations,
+    optimality_sweep,
     simulate_closed_loop,
     simulate_open_loop,
 )
@@ -167,7 +169,8 @@ def test_every_table_row_equals_the_evaluator(n, m, N, n_paths, forms):
     tab = coefficient_table(model, W)
     for name in shapes:
         for i in range(N + 1):
-            np.testing.assert_array_equal(tab.at(name, i, n_paths),
+            row = getattr(tab, name)[i]
+            np.testing.assert_array_equal(np.broadcast_to(row, (n_paths,) + row.shape[1:]),
                                           model.coeff(name, i, W[: i + 1], n_paths))
 
 
@@ -291,6 +294,39 @@ def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n
     J = cost(model, simulate_open_loop(model, u, init, batch), u, init, grid, batch).per_path
     predicted = J_fb + eps * cross + eps * eps * J0
     assert np.abs(J - predicted).max() <= SUPERPOSITION_RTOL * np.abs(J).max()
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([1, 2]),
+    path_dependent=st.booleans(),
+    N=st.integers(2, 16),
+    n_paths=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_on_broadcast_rows_equals_the_dense_library(n, path_dependent, N, n_paths,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, n, path_dependent)
+    grid = make_grid(1.0, N)
+    batch = sample_brownian(grid, n_paths, seed)
+    init = InitialCondition(0, rng.normal(size=n))
+    theta = rng.uniform(-1.0, 1.0, (N + 1, n_paths, n, n))
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+    library = make_perturbations(grid, batch, n)
+    dense = [(pid, np.broadcast_to(v, (N + 1, n_paths, n, 1)).copy()) for pid, v in library]
+    rows, dense_rows = (optimality_sweep(None, law, model, init, batch, perturbations=p).rows
+                        for p in (library, dense))
+    if n == 1:
+        assert rows == dense_rows
+        return
+    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
+    J_fb = cost(model, x_fb, u_fb, init, grid, batch).mean
+    eps = np.finfo(np.float64).eps
+    for row, ref in zip(rows, dense_rows):
+        bound = 64 * eps * max(abs(ref.J), abs(J_fb))
+        assert abs(row.J - ref.J) <= bound
+        assert abs(row.J_minus_Jfb - ref.J_minus_Jfb) <= bound
 
 
 @SETTINGS
