@@ -28,6 +28,7 @@ is the pass line of every Monte Carlo check.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,10 @@ DISC_ALLOWANCE = 0.5
 # Bound on max_p |J_direct - J_pred| / max_p |J_direct| in the sweep's
 # independent leg; the rounding measured up to N = 4096 stays below 3e-14.
 SUPERPOSITION_RTOL = 1e-10
+
+# Worker threads of the divergence probe: the CPUs this process may run on.
+_PROBE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,9 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     ``control`` (``(N+1, k, m, 1)``), with ``k`` 1 or the batch's path count.
 
     Coefficients come from the model's table on ``batch``; a 1x1 problem
-    steps elementwise on ``(P,)`` slices.  Returns ``(x, u)`` as
-    ``(N+1, P, n, 1)`` and ``(N+1, P, m, 1)`` arrays.
+    steps elementwise on ``(P,)`` slices.  Returns ``(x, u)``: the states
+    ``(N+1, P, n, 1)`` and the closed loop's recorded ``(N+1, P, m, 1)``
+    control, or the open loop's given one, which it steps on as it is.
     """
     grid = batch.grid
     N, h = grid.N, grid.h
@@ -155,7 +161,8 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     s = init.start_index
     if s >= N:
         raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
-    given = theta if theta is not None else control
+    closed = theta is not None
+    given = theta if closed else control
     _require_paths(P, given)
     n, m = model.n, model.m
     tab = coefficient_table(model, batch.W)
@@ -166,29 +173,28 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
         coeffs = tuple(v[:, :, 0, 0] for v in coeffs)
         given = given[:, :, 0, 0]
         x = np.empty((N + 1, P))
-        u = np.zeros((N + 1, P))
+        u = np.zeros((N + 1, P)) if closed else given
         x[: s + 1] = init.eta_column(1, P)[:, 0, 0]
     else:
         step = _euler_step
         x = np.empty((N + 1, P, n, 1))
-        u = np.zeros((N + 1, P, m, 1))
+        u = np.zeros((N + 1, P, m, 1)) if closed else given
         x[: s + 1] = init.eta_column(n, P)
     A, B, C, D = coeffs
     dW = batch.increments
 
-    def control_at(i):
-        if theta is None:
-            return given[i]
-        return given[i] * x[i] if scalar else given[i] @ x[i]
+    def record(i):
+        if closed:
+            u[i] = given[i] * x[i] if scalar else given[i] @ x[i]
 
     # Overflow inside a step is expected on escaping instances; it is
     # detected and re-raised as FiniteEscapeError, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(s, N):
-            u[i] = control_at(i)
+            record(i)
             x[i + 1] = step(x[i], u[i], A[i], B[i], C[i], D[i], h, dW[i])
             _check_finite(x[i + 1], i)
-        u[N] = control_at(N)
+        record(N)
     if scalar:
         return x[:, :, None, None], u[:, :, None, None]
     return x, u
@@ -634,15 +640,20 @@ class ProbeResult:
     bounds_ok: bool
 
 
-def _probe_chunk(grid: TimeGrid, n_paths: int, seed: int,
-                 path_offset: int) -> tuple[np.ndarray, ...]:
+def _probe_block(grid: TimeGrid, n_paths: int, seed: int, path_offset: int,
+                 buffers: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Per-path ``integral zeta^2 dt``, ``integral Theta^2 dt``, min Y and
-    max Y of paths ``[path_offset, path_offset + n_paths)``."""
-    _, _, zeta, Y = _stopped_processes(
-        grid, _path_major_increments(grid, n_paths, seed, path_offset))
+    max Y of paths ``[path_offset, path_offset + n_paths)``, computed in
+    ``buffers``: three float64 and one boolean flat array, each of at least
+    ``n_paths * N`` elements."""
+    shape = (n_paths, grid.N)
+    a, dW, zeta, mask = (buf[:n_paths * grid.N].reshape(shape) for buf in buffers)
+    _path_major_increments(grid, n_paths, seed, path_offset, work=a, out=dW)
+    # M takes the normals' buffer and Y overwrites dW: neither is read again.
+    _, _, zeta, Y = _stopped_processes(grid, dW, out=(a, zeta, dW, mask))
     # Time integrals add in time order (an in-place cumsum), as np.sum(axis=0)
     # does on counterexample_paths' time-major arrays.
-    sq = zeta * zeta
+    sq = np.multiply(zeta, zeta, out=a)
     zsq = grid.h * np.cumsum(sq, axis=1, out=sq)[:, -1]
     theta = sq  # Theta_i = zeta_i / Y_i, with Y_0 = Y_SHIFT
     np.divide(zeta[:, 0], Y_SHIFT, out=theta[:, 0])
@@ -651,6 +662,21 @@ def _probe_chunk(grid: TimeGrid, n_paths: int, seed: int,
     theta_sq = grid.h * np.cumsum(theta, axis=1, out=theta)[:, -1]
     return (zsq, theta_sq, np.minimum(Y.min(axis=1), Y_SHIFT),
             np.maximum(Y.max(axis=1), Y_SHIFT))
+
+
+def _probe_paths(pool, buffers: list, grid: TimeGrid, n_paths: int, seed: int,
+                 chunk_size: int) -> tuple[np.ndarray, ...]:
+    """:func:`_probe_block`'s per-path arrays for paths ``[0, n_paths)``: each
+    chunk of ``chunk_size`` paths is split into one block per buffer set,
+    reduced on ``pool``'s threads, and the blocks are joined in path order."""
+    parts = []
+    for lo in range(0, n_paths, chunk_size):
+        hi = min(lo + chunk_size, n_paths)
+        block = -(-(hi - lo) // len(buffers))
+        futures = [pool.submit(_probe_block, grid, min(block, hi - start), seed, start, buf)
+                   for start, buf in zip(range(lo, hi, block), buffers)]
+        parts += [f.result() for f in futures]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def counterexample_divergence_probe(
@@ -662,16 +688,23 @@ def counterexample_divergence_probe(
 ) -> ProbeResult:
     """Measure the counterexample's blow-up across (steps, paths) ladders.
 
-    Paths are sampled path-major in chunks of ``chunk_size`` (per-path
-    streams make the result independent of it) and each chunk is reduced
-    straight to per-path scalars by :func:`counterexample_paths`' stopping
-    rule, time integrals summed in time order: the max/median pathwise gain
-    norm ``integral of |Theta|^2 dt`` with ``Theta = zeta / Y`` (signs drop
-    out of the square), the max stopped-integrand norm ``integral of zeta^2
-    dt``, the mean of its exponential (saturated at float-max and flagged on
-    overflow — that *is* the divergence finding at large step counts), the
-    extremes of Y and of the Ito sums, and envelope-violation counts beyond
-    the two-sided ``3 h^0.4`` grid allowance.
+    Paths are sampled path-major in chunks of ``chunk_size``, and each chunk
+    is reduced straight to per-path scalars by :func:`counterexample_paths`'
+    stopping rule, time integrals summed in time order: the max/median
+    pathwise gain norm ``integral of |Theta|^2 dt`` with ``Theta = zeta / Y``
+    (signs drop out of the square), the max stopped-integrand norm
+    ``integral of zeta^2 dt``, the mean of its exponential (saturated at
+    float-max and flagged on overflow — that *is* the divergence finding at
+    large step counts), the extremes of Y and of the Ito sums, and
+    envelope-violation counts beyond the two-sided ``3 h^0.4`` grid
+    allowance.
+
+    Each chunk is split into one block of paths per worker thread (as many
+    as the CPUs this process may run on), and at most ``chunk_size`` paths'
+    arrays are live at once across them.  Each worker computes in its own
+    buffers, allocated once per call and reused across chunks and rungs.
+    Streams are per path and blocks are joined in path order, so the rows do
+    not depend on the worker count or on ``chunk_size``.
     """
     steps_seq = [int(v) for v in steps_seq]
     paths_seq = [int(v) for v in paths_seq]
@@ -688,13 +721,21 @@ def counterexample_divergence_probe(
         raise InvalidArgumentError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     if not isinstance(seed, (int, np.integer)):
         raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
+    grids = [make_grid(T, N) for N in steps_seq]
+    workers = min(_PROBE_WORKERS, chunk_size)
+    size = max(-(-min(chunk_size, P) // workers) * N for N, P in zip(steps_seq, paths_seq))
+    buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+               for _ in range(workers)]
+    # Imported here, not at module level, to keep it off the package's import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        per_path = [_probe_paths(pool, buffers, grid, n_paths, seed, chunk_size)
+                    for grid, n_paths in zip(grids, paths_seq)]
     rows: list[ProbeRow] = []
-    for N, n_paths in zip(steps_seq, paths_seq):
-        grid = make_grid(T, N)
+    for N, n_paths, grid, (zsq, theta_sq, y_lo, y_hi) in zip(steps_seq, paths_seq, grids,
+                                                             per_path):
         delta = delta_grid(grid.h)
-        chunks = [_probe_chunk(grid, min(chunk_size, n_paths - lo), seed, lo)
-                  for lo in range(0, n_paths, chunk_size)]
-        zsq, theta_sq, y_lo, y_hi = (np.concatenate(parts) for parts in zip(*chunks))
         # max_i |Y_i - Y_SHIFT| exactly: rounded subtraction is monotone and
         # Y_0 = Y_SHIFT lies between the extremes.
         ito = np.maximum(y_hi - Y_SHIFT, Y_SHIFT - y_lo)

@@ -153,12 +153,13 @@ class BrownianBatch:
 
 
 def _scaled_normals(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 0,
-                    antithetic: bool = False) -> np.ndarray:
+                    antithetic: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """``sqrt(h)`` times the standard normals of paths ``[path_offset,
     path_offset + n_paths)``, path-major ``(n_paths, N)`` (with
-    ``antithetic``, odd paths negate their even partner).  One Philox is
-    re-keyed per path, far cheaper than building one, which reads OS entropy."""
-    rows = np.empty((n_paths, grid.N), dtype=np.float64)
+    ``antithetic``, odd paths negate their even partner), written to ``out``
+    when given (C-contiguous, that shape).  One Philox is re-keyed per path,
+    far cheaper than building one, which reads OS entropy."""
+    rows = np.empty((n_paths, grid.N), dtype=np.float64) if out is None else out
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     key = np.array([int(seed) & 2**64 - 1, 0], dtype=np.uint64)
@@ -177,13 +178,16 @@ def _scaled_normals(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 
     return rows
 
 
-def _path_major_increments(grid: TimeGrid, n_paths: int, seed: int,
-                           path_offset: int = 0) -> np.ndarray:
+def _path_major_increments(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 0,
+                           work: np.ndarray | None = None,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """``sample_brownian(grid, n_paths, seed, path_offset=path_offset)
-    .increments.T`` bit for bit, built path-major; arguments are not checked."""
-    W = _scaled_normals(grid, n_paths, seed, path_offset)
+    .increments.T`` bit for bit, built path-major; arguments are not checked.
+    ``work`` (left holding ``W_1 .. W_N``) and ``out`` are optional
+    C-contiguous ``(n_paths, N)`` buffers."""
+    W = _scaled_normals(grid, n_paths, seed, path_offset, out=work)
     np.cumsum(W, axis=1, out=W)  # W_1 .. W_N
-    dW = np.empty_like(W)
+    dW = np.empty_like(W) if out is None else out
     dW[:, 0] = W[:, 0]
     np.subtract(W[:, 1:], W[:, :-1], out=dW[:, 1:])
     return dW

@@ -472,21 +472,32 @@ class CounterexamplePaths:
     Y: np.ndarray
 
 
-def _stopped_processes(grid: TimeGrid, dW: np.ndarray) -> tuple[np.ndarray, ...]:
+def _stopped_processes(grid: TimeGrid, dW: np.ndarray,
+                       out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """The counterexample's stopping rule, stated once: from path-major
     increments ``dW`` ``(n_paths, N)``, ``(M_1..M_N, tau_index,
     zeta_0..zeta_{N-1}, Y_1..Y_N)`` of :class:`CounterexamplePaths`, each
-    process path-major ``(n_paths, N)``.  Sums run in time order."""
+    process path-major ``(n_paths, N)``.  Sums run in time order.
+
+    ``out`` optionally gives the buffers ``(M, zeta, Y, mask)``: C-contiguous
+    ``(n_paths, N)`` arrays, float64 but for the boolean ``mask`` scratch.
+    ``Y`` may be ``dW`` itself, which is then overwritten: it is written
+    after the last read of ``dW``."""
     N = grid.N
+    if out is None:
+        out = (np.empty(dW.shape), np.empty(dW.shape), np.empty(dW.shape),
+               np.empty(dW.shape, dtype=bool))
+    M, zeta, Y, mask = out
     inv_sqrt = 1.0 / np.sqrt(grid.T - grid.points[:N])  # (N,), finite: t_i < T
-    M = inv_sqrt * dW
+    np.multiply(inv_sqrt, dW, out=M)
     np.cumsum(M, axis=1, out=M)
-    crossed = (M > 1.0) | (M < -1.0)
+    crossed = np.greater(np.abs(M, out=zeta), 1.0, out=mask)  # zeta as scratch
     # M_0 = 0 never crosses: tau is 1 + the first crossing among M_1..M_N.
     tau_index = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, N)
     # zeta is still on at the crossing index itself.
-    zeta = (ZETA_SCALE * inv_sqrt) * (np.arange(N) <= tau_index[:, None])
-    Y = zeta * dW
+    np.multiply(ZETA_SCALE * inv_sqrt,
+                np.less_equal(np.arange(N), tau_index[:, None], out=mask), out=zeta)
+    np.multiply(zeta, dW, out=Y)
     np.cumsum(Y, axis=1, out=Y)
     Y += Y_SHIFT
     return M, tau_index, zeta, Y

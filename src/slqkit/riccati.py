@@ -176,7 +176,15 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
         A, B, C, D, Q, R = coeffs
         K = R + D.T @ P @ D
         L = B.T @ P + D.T @ (P @ C)
-        Kd, psd, in_range = solvability(K, L, SOLVE_TOL)
+        try:
+            Kd, psd, in_range = solvability(K, L, SOLVE_TOL)
+        except InvalidArgumentError as exc:
+            # K or L can overflow while P is still finite: the same escape.
+            if np.isfinite(K).all() and np.isfinite(L).all():
+                raise
+            raise FiniteEscapeError(
+                f"Riccati solution blew up near t={t:.6g}", time=t
+            ) from exc
         if not psd:
             raise RiccatiSingularError(
                 f"control weight lost positive semidefiniteness at t={t:.6g}", time=t

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -584,6 +586,42 @@ def test_probe_chunking_is_bit_identical():
     assert a.ito_violations == b.ito_violations
     assert a.y_violations == b.y_violations
     assert a.mean_exp_zeta_sqint == pytest.approx(b.mean_exp_zeta_sqint, rel=1e-12)
+
+
+def test_probe_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(evaluate, "_PROBE_WORKERS", 3)
+    before = set(threading.enumerate())
+    counterexample_divergence_probe(1.0, [64, 128], [100, 200], seed=1, chunk_size=30)
+    assert set(threading.enumerate()) == before
+
+    # A block that raises: its exception reaches the caller as it was
+    # raised, and no worker is left running.
+    boom = RuntimeError("block failed")
+    block = evaluate._probe_block
+
+    def failing_block(grid, n_paths, seed, path_offset, buffers):
+        if grid.N == 128 and path_offset >= 60:
+            raise boom
+        return block(grid, n_paths, seed, path_offset, buffers)
+
+    monkeypatch.setattr(evaluate, "_probe_block", failing_block)
+    with pytest.raises(RuntimeError) as exc:
+        counterexample_divergence_probe(1.0, [64, 128], [100, 200], seed=1, chunk_size=30)
+    assert exc.value is boom
+    assert set(threading.enumerate()) == before
+
+
+def test_probe_rows_hold_with_more_workers_than_cores(monkeypatch):
+    args = (1.0, [32, 64, 96], [40, 90, 150], 5)
+    want = counterexample_divergence_probe(*args, chunk_size=10**9).rows
+    monkeypatch.setattr(evaluate, "_PROBE_WORKERS", 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = counterexample_divergence_probe(*args, chunk_size=23).rows
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_probe_guards():

@@ -7,11 +7,13 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slqkit import evaluate
 from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, load_config, main
 from slqkit.evaluate import (
     SUPERPOSITION_RTOL,
@@ -33,6 +35,7 @@ from slqkit.problem import (
     ZETA_SCALE,
     CoefficientModel,
     InitialCondition,
+    _stopped_processes,
     coefficient_table,
     counterexample_paths,
     delta_grid,
@@ -133,6 +136,84 @@ def test_probe_rows_equal_reductions_of_counterexample_paths(N, n_paths, chunk_s
     # The probe adds the exponentials chunk by chunk, so only their grouping
     # differs from one mean over the batch.
     assert math.isclose(row.mean_exp_zeta_sqint, np.exp(zeta_sq).mean(), rel_tol=1e-12)
+
+
+def _serial_probe_row(grid, n_paths, seed):
+    """The probe's row from :func:`counterexample_paths` on the whole batch,
+    time integrals accumulated node by node in time order."""
+    N, h = grid.N, grid.h
+    aux = counterexample_paths(grid, sample_brownian(grid, n_paths, seed))
+    zeta_sq, theta_sq = np.zeros(n_paths), np.zeros(n_paths)
+    for i in range(N):
+        zeta_sq += aux.zeta[i] ** 2
+        theta_sq += (aux.zeta[i] / aux.Y[i]) ** 2
+    zeta_sq, theta_sq = h * zeta_sq, h * theta_sq
+    ito = np.abs(aux.Y - Y_SHIFT).max(axis=0)
+    y_lo, y_hi = aux.Y.min(axis=0), aux.Y.max(axis=0)
+    delta = delta_grid(h)
+    with np.errstate(over="ignore"):
+        ez = np.exp(zeta_sq)
+    return {
+        "steps": N, "n_paths": n_paths, "h": h, "delta_grid": delta,
+        "max_zeta_sqint": zeta_sq.max(),
+        "mean_exp_zeta_sqint": np.minimum(ez, np.finfo(np.float64).max).mean(),
+        "exp_overflow": bool(np.isinf(ez).any()),
+        "max_theta_sqint": theta_sq.max(),
+        "median_theta_sqint": np.median(theta_sq),
+        "max_abs_ito": ito.max(),
+        "min_Y": y_lo.min(), "max_Y": y_hi.max(),
+        "ito_violations": int((ito > ZETA_SCALE + delta).sum()),
+        "y_violations": int(((y_lo < 1.0 - delta) | (y_hi > Y_UPPER + delta)).sum()),
+    }
+
+
+@SETTINGS
+@given(
+    N=st.integers(2, 48),
+    n_paths=st.integers(1, 30),
+    more=st.tuples(st.integers(1, 48), st.integers(1, 30)),
+    chunk_size=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_probe_rows_do_not_depend_on_the_worker_count(N, n_paths, more, chunk_size, seed):
+    # Two rungs, so the second reuses the buffers the first wrote.
+    steps, paths = [N, N + more[0]], [n_paths, n_paths + more[1]]
+    rows = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(evaluate, "_PROBE_WORKERS", workers):
+            probe = counterexample_divergence_probe(1.0, steps, paths, seed,
+                                                    chunk_size=chunk_size)
+        rows.append([dataclasses.asdict(r) for r in probe.rows])
+    assert rows[0] == rows[1] == rows[2]
+    for row, N_k, P_k in zip(rows[0], steps, paths):
+        assert row == _serial_probe_row(make_grid(1.0, N_k), P_k, seed)
+
+
+@SETTINGS
+@given(
+    N=st.integers(2, 40),
+    n_paths=st.integers(1, 20),
+    seed=st.integers(0, 2**64 - 1),
+    offset=st.integers(0, 2**40),
+)
+def test_output_buffers_change_no_bit(N, n_paths, seed, offset):
+    grid = make_grid(1.0, N)
+    shape = (n_paths, N)
+    # Buffers start as NaN and True, so a stale read would show.
+    work, out = np.full(shape, np.nan), np.full(shape, np.nan)
+    dW = _path_major_increments(grid, n_paths, seed, offset)
+    got = _path_major_increments(grid, n_paths, seed, offset, work=work, out=out)
+    assert got is out
+    np.testing.assert_array_equal(got, dW)
+    want = _stopped_processes(grid, dW)
+    bufs = (np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan),
+            np.ones(shape, dtype=bool))
+    for Y_buf in (bufs[2], out):  # Y in its own buffer, or written over dW
+        got = _stopped_processes(grid, out, out=(bufs[0], bufs[1], Y_buf, bufs[3]))
+        assert got[0] is bufs[0] and got[2] is bufs[1] and got[3] is Y_buf
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        out[...] = dW
 
 
 # How an evaluator may depend on the path: a constant matrix, per-path
@@ -294,6 +375,36 @@ def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n
     J = cost(model, simulate_open_loop(model, u, init, batch), u, init, grid, batch).per_path
     predicted = J_fb + eps * cross + eps * eps * J0
     assert np.abs(J - predicted).max() <= SUPERPOSITION_RTOL * np.abs(J).max()
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([1, 2]),
+    path_dependent=st.booleans(),
+    N=st.integers(2, 16),
+    n_paths=st.integers(1, 8),
+    start=st.integers(0, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_open_loop_on_a_broadcast_row_equals_its_dense_copy(n, path_dependent, N, n_paths,
+                                                            start, seed):
+    # The open loop steps on the given control as it is; a time-only row
+    # must give the states of its materialized per-path copy, bit for bit.
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, n, path_dependent)
+    if path_dependent:  # B and D per path as well, so B u broadcasts both ways
+        B, D = rng.normal(size=(2, n, n))
+        model = dataclasses.replace(
+            model, B=lambda i, W: B * np.sin(W[i])[:, None, None],
+            D=lambda i, W: D * np.cos(W[i])[:, None, None])
+    grid = make_grid(1.0, N)
+    batch = sample_brownian(grid, n_paths, seed)
+    init = InitialCondition(min(start, N - 1), rng.normal(size=n))
+    row = rng.normal(size=(N + 1, 1, n, 1))
+    dense = np.broadcast_to(row, (N + 1, n_paths, n, 1)).copy()
+    x_row, x_dense = (simulate_open_loop(model, PathArray(u), init, batch).values
+                      for u in (row, dense))
+    np.testing.assert_array_equal(x_row, x_dense)
 
 
 @SETTINGS

@@ -136,6 +136,19 @@ def test_ode_finite_escape():
     assert exc.value.time is not None
 
 
+@pytest.mark.parametrize("coeffs", [
+    (500, 0, 0, 1e3, 1, 1, 1),  # K = R + d^2 P overflows while P is finite
+    (0, 1e200, 0, 0, 1, 1, 1e200),  # L = b P overflows at the first stage
+], ids=["K", "L"])
+def test_ode_finite_escape_through_K_or_L(coeffs):
+    # An overflow that shows first in K or L is the same escape, not an
+    # input error from the solvability kernel.
+    model = scenario_deterministic(*coeffs, T=1.0)
+    with pytest.raises(FiniteEscapeError, match="blew up near t=") as exc:
+        solve_deterministic(model, make_grid(1.0, 64))
+    assert exc.value.time is not None
+
+
 # ---------------------------------------------------------------------------
 # Discrete dynamic-programming oracle
 # ---------------------------------------------------------------------------
