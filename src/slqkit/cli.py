@@ -182,6 +182,8 @@ def _validate_config(raw: dict) -> ExperimentConfig:
                 f"unknown tolerance {name!r}; known: {sorted(TOLERANCE_DEFAULTS)}")
         _expect(_is_finite_real(value) and value >= 0, "tolerances",
                 f"{name} must be a finite real >= 0, got {value!r}")
+        _expect(name != "basis_degree" or float(value).is_integer(), "tolerances",
+                f"basis_degree must be an integer, got {value!r}")
     cfg.tolerances = {k: float(v) for k, v in cfg.tolerances.items()}
     _expect(isinstance(cfg.output_dir, str) and cfg.output_dir, "output_dir",
             "must be a non-empty path string")

@@ -142,10 +142,28 @@ def solvability(K, L, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.nda
         raise InvalidArgumentError(f"K must be square, got shape {K.shape}")
     if L.shape[:-1] != K.shape[:-1]:
         raise InvalidArgumentError(f"L of shape {L.shape} does not match K of shape {K.shape}")
+    Kd, lam_min = _pseudo_inverse(K)
+    return (Kd, *_verdicts(K, Kd, lam_min, L, tol))
+
+
+def _pseudo_inverse(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(K^+, lambda_min)`` of the symmetrized stack of finite ``K``, from one
+    decomposition: the cutoff and closed form of :func:`solvability`."""
+    m = K.shape[-1]
     if m == 1:
-        lam_min = K[..., 0, 0]
+        return np.divide(1.0, K, out=np.zeros_like(K), where=K != 0.0), K[..., 0, 0]
+    lam, V = np.linalg.eigh(0.5 * (K + K.swapaxes(-1, -2)))
+    lam_abs = np.abs(lam)
+    keep = lam_abs > m * np.finfo(np.float64).eps * lam_abs.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return (V * inv[..., None, :]) @ V.swapaxes(-1, -2), lam[..., 0]
+
+
+def _verdicts(K, Kd, lam_min, L, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(psd, in_range)`` of :func:`solvability` for finite ``K`` with its ``K^+``
+    and ``lambda_min`` given; decomposes nothing, and raises on asymmetry."""
+    if K.shape[-1] == 1:
         k_max = np.abs(lam_min)
-        Kd = np.divide(1.0, K, out=np.zeros_like(K), where=K != 0.0)
         product = np.multiply  # equals matmul on 1x1 matrices, and is faster
     else:
         asym = np.abs(K - K.swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -154,18 +172,12 @@ def solvability(K, L, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.nda
                 f"K is not symmetric within tolerance (max asymmetry {asym.max():.3e})"
             )
         K = 0.5 * (K + K.swapaxes(-1, -2))
-        lam, V = np.linalg.eigh(K)
-        lam_min = lam[..., 0]
         k_max = np.abs(K).max(axis=(-2, -1))
-        lam_abs = np.abs(lam)
-        keep = lam_abs > m * np.finfo(np.float64).eps * lam_abs.max(axis=-1, keepdims=True)
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-        Kd = (V * inv[..., None, :]) @ V.swapaxes(-1, -2)
         product = np.matmul
     psd = lam_min >= -tol * (1.0 + k_max)
     del k_max  # as large as L, which is a whole batch in synthesis
     in_range = _frobenius(product(K, product(Kd, L)) - L) <= tol * (1.0 + _frobenius(L))
-    return Kd, psd, in_range
+    return psd, in_range
 
 
 def _frobenius(M: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ is handled by four routes:
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
     RiccatiSingularError,
 )
 from .grid import BrownianBatch, PathArray, TimeGrid
-from .pinv import solvability
+from .pinv import _pseudo_inverse, _verdicts, solvability
 from .problem import (
     CoefficientModel,
     CoefficientTable,
@@ -108,6 +109,8 @@ class RegressionBasis:
     degree: int = 3
 
     def __post_init__(self):
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
+            raise InvalidArgumentError(f"basis degree must be an integer, got {self.degree!r}")
         if self.degree < 0:
             raise InvalidArgumentError(f"basis degree must be >= 0, got {self.degree}")
 
@@ -141,20 +144,66 @@ def _sym(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
+class _Stages:
+    """The ``(K, L)`` pairs one deterministic solve checks, judged in one batch
+    when :meth:`judging` ends.  If one fails, or the block raised, they are
+    re-checked one at a time in order, so the first failing stage raises the
+    escape, PSD or range error of ``messages`` (or the asymmetry error); the
+    block's own error propagates only if none fails."""
+
+    def __init__(self, size: int, m: int, n: int, messages: tuple[str, str, str]):
+        self.K, self.Kd = np.empty((2, size, m, m))
+        self.L = np.empty((size, m, n))
+        self.lam_min, self.t = np.empty((2, size))
+        self.size = 0
+        self.escape, self.not_psd, self.off_range = messages
+
+    def record(self, K: np.ndarray, L: np.ndarray, t: float) -> np.ndarray:
+        j = self.size
+        self.K[j], self.L[j], self.t[j] = K, L, t
+        self.size = j + 1  # before the decomposition, which can raise
+        self.Kd[j], self.lam_min[j] = _pseudo_inverse(K)
+        return self.Kd[j]
+
+    @contextmanager
+    def judging(self):
+        try:
+            yield
+        except (FiniteEscapeError, np.linalg.LinAlgError):
+            self._replay()
+            raise
+        K, L = self.K, self.L  # a completed sweep has recorded every stage
+        if np.isfinite(K).all() and np.isfinite(L).all():
+            with suppress(InvalidArgumentError):  # asymmetry: the replay names the stage
+                if all(v.all() for v in _verdicts(K, self.Kd, self.lam_min, L, SOLVE_TOL)):
+                    return
+        self._replay()
+
+    def _replay(self) -> None:
+        for K, L, t in zip(self.K[:self.size], self.L[:self.size], self.t[:self.size]):
+            if not (np.isfinite(K).all() and np.isfinite(L).all()):
+                raise FiniteEscapeError(self.escape.format(t=t), time=t)
+            _, psd, in_range = solvability(K, L, SOLVE_TOL)
+            if not psd:
+                raise RiccatiSingularError(self.not_psd.format(t=t), time=t)
+            if not in_range:
+                raise RiccatiSingularError(self.off_range.format(t=t), time=t)
+
+
 def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolution:
     """Integrate the deterministic backward Riccati ODE on ``grid``.
 
     Fourth-order Runge-Kutta with four internal substeps per grid cell
-    (coefficients held at the cell's left node).  At every stage the
-    solvability conditions are enforced: ``K = R + D^T P D`` must be PSD and
-    the range of ``L`` must lie in the range of ``K``.
+    (coefficients held at the cell's left node).  Every stage is judged on
+    the solvability conditions (``K = R + D^T P D`` PSD, the range of ``L``
+    in that of ``K``) in one batched call per solve; the first failing stage raises.
 
     Raises
     ------
     RiccatiSingularError
         If a solvability condition fails; carries the failure time.
     FiniteEscapeError
-        If the solution blows up before reaching ``t = 0``.
+        If the solution, ``K`` or ``L`` blows up before reaching ``t = 0``.
     InvalidArgumentError
         If ``model.kind != "deterministic"``.
     """
@@ -167,37 +216,23 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
     n = model.n
     Pv = np.empty((N + 1, 1, n, n))
     Pv[N] = _sym(tab.G)
+    escape = "Riccati solution blew up near t={t:.6g}"
+    stages = _Stages(16 * N, model.m, n, (
+        escape, "control weight lost positive semidefiniteness at t={t:.6g}",
+        "range condition failed at t={t:.6g}"))
 
     def rhs(P: np.ndarray, coeffs, t: float) -> np.ndarray:
         if not np.isfinite(P).all():
-            raise FiniteEscapeError(
-                f"Riccati solution blew up near t={t:.6g}", time=t
-            )
+            raise FiniteEscapeError(escape.format(t=t), time=t)
         A, B, C, D, Q, R = coeffs
         K = R + D.T @ P @ D
         L = B.T @ P + D.T @ (P @ C)
-        try:
-            Kd, psd, in_range = solvability(K, L, SOLVE_TOL)
-        except InvalidArgumentError as exc:
-            # K or L can overflow while P is still finite: the same escape.
-            if np.isfinite(K).all() and np.isfinite(L).all():
-                raise
-            raise FiniteEscapeError(
-                f"Riccati solution blew up near t={t:.6g}", time=t
-            ) from exc
-        if not psd:
-            raise RiccatiSingularError(
-                f"control weight lost positive semidefiniteness at t={t:.6g}", time=t
-            )
-        if not in_range:
-            raise RiccatiSingularError(
-                f"range condition failed at t={t:.6g}", time=t
-            )
+        Kd = stages.record(K, L, t)
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ (Kd @ L))
 
     # Overflow inside a stage is expected on escaping instances; it is
     # detected and re-raised as FiniteEscapeError, so silence the warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), stages.judging():
         for i in range(N - 1, -1, -1):
             coeffs = tuple(v[0] for v in _node(tab, i))
             P = Pv[i + 1][0]
@@ -211,9 +246,7 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
                 P = _sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
                 t += dt
                 if not np.isfinite(P).all():
-                    raise FiniteEscapeError(
-                        f"Riccati solution blew up near t={t:.6g}", time=t
-                    )
+                    raise FiniteEscapeError(escape.format(t=t), time=t)
             Pv[i] = P
     Lv = np.zeros_like(Pv)
     K, L = _derive_KL(tab, Pv, Lv)
@@ -232,12 +265,14 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
         P   = Phi^T P' Phi + h C^T P' C + h Q - M^T H^+ M,
 
     backward from ``P_N = G``.  Independent of the ODE route; the two agree
-    at ``t = 0`` to first order in ``h``.
+    at ``t = 0`` to first order in ``h``; its steps are judged as the ODE's stages.
 
     Raises
     ------
     RiccatiSingularError
         If ``H`` is not PSD or ``M``'s rows leave its range.
+    FiniteEscapeError
+        If ``H``, ``M`` or ``P`` blows up before reaching ``t = 0``.
     """
     if model.kind != "deterministic":
         raise InvalidArgumentError(
@@ -249,9 +284,12 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
     Pv = np.empty((N + 1, 1, n, n))
     Pv[N] = _sym(tab.G)
     eye = np.eye(n)
+    escape = "discrete recursion blew up at t={t:.6g}"
+    stages = _Stages(N, model.m, n, (escape, "discrete control weight not PSD at t={t:.6g}",
+                                     "discrete range condition failed at t={t:.6g}"))
     # As in the ODE route: overflow on escaping instances surfaces as
     # FiniteEscapeError, so the intermediate warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), stages.judging():
         for i in range(N - 1, -1, -1):
             A, B, C, D, Q, R = (v[0] for v in _node(tab, i))
             Pn = Pv[i + 1][0]
@@ -259,22 +297,10 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
             H = h * R + h * h * (B.T @ Pn @ B) + h * (D.T @ Pn @ D)
             M = h * (B.T @ Pn @ Phi + D.T @ Pn @ C)
             t = grid.points[i]
-            if not (np.isfinite(H).all() and np.isfinite(M).all()):
-                raise FiniteEscapeError(
-                    f"discrete recursion blew up at t={t:.6g}", time=t
-                )
-            Hd, psd, in_range = solvability(H, M, SOLVE_TOL)
-            if not psd:
-                raise RiccatiSingularError(
-                    f"discrete control weight not PSD at t={t:.6g}", time=t
-                )
-            if not in_range:
-                raise RiccatiSingularError(
-                    f"discrete range condition failed at t={t:.6g}", time=t
-                )
+            Hd = stages.record(H, M, t)
             Pv[i] = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
             if not np.isfinite(Pv[i]).all():
-                raise FiniteEscapeError(f"discrete recursion blew up at t={t:.6g}", time=t)
+                raise FiniteEscapeError(escape.format(t=t), time=t)
     Lv = np.zeros_like(Pv)
     K, L = _derive_KL(tab, Pv, Lv)
     return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),

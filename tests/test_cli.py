@@ -82,6 +82,7 @@ def test_load_config_rejects_malformed_json(tmp_path):
     ({"scenario": "example1", "tolerances": {"synthesis": -1e-8}}, "tolerances"),
     ({"scenario": "deterministic",
       "deterministic": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, float("nan")]}, "deterministic"),
+    ({"scenario": "example1", "tolerances": {"basis_degree": 2.5}}, "tolerances"),
 ])
 def test_config_schema_violations_name_the_field(tmp_path, fields, bad_field):
     with pytest.raises(ConfigError) as err:
@@ -269,6 +270,8 @@ def test_cli_config_and_input_errors_exit_3(tmp_path, capsys):
     assert main(["--scenario", "example1", "--T", "inf"]) == 3
     assert main(["--scenario", "example1", "--tol", "n_se=nan"]) == 3
     assert main(["--scenario", "example1", "--tol", "disc_coeff=-1"]) == 3
+    assert main(["--scenario", "example1", "--solver", "regression",
+                 "--tol", "basis_degree=2.5"]) == 3
     err = capsys.readouterr().err
     assert "config-error" in err
     # eta's length is checked against the model before any path is sampled.

@@ -1,6 +1,7 @@
 """Property tests (hypothesis) for path sampling, coefficient tables, the
-divergence probe, the batched solvability kernel, the sweep's superposition
-and the CLI's config round trip."""
+divergence probe, the batched solvability kernel, the deterministic Riccati
+solvers against a per-stage reference loop, the sweep's superposition and
+the CLI's config round trip."""
 
 import dataclasses
 import json
@@ -10,11 +11,13 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slqkit import evaluate
 from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, load_config, main
+from slqkit.errors import FiniteEscapeError, InvalidArgumentError, RiccatiSingularError, SlqError
 from slqkit.evaluate import (
     SUPERPOSITION_RTOL,
     _superposition,
@@ -28,7 +31,7 @@ from slqkit.evaluate import (
 from slqkit.feedback import FeedbackLaw
 from slqkit.grid import PathArray
 from slqkit.grid import _path_major_increments, make_grid, sample_brownian
-from slqkit.pinv import pinv, solvability
+from slqkit.pinv import _verdicts, pinv, solvability
 from slqkit.problem import (
     Y_SHIFT,
     Y_UPPER,
@@ -39,7 +42,9 @@ from slqkit.problem import (
     coefficient_table,
     counterexample_paths,
     delta_grid,
+    scenario_deterministic,
 )
+from slqkit.riccati import SOLVE_TOL, discrete_recursion_oracle, solve_deterministic
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -330,6 +335,212 @@ def test_solvability_kernel_matches_svd_references(m, n, specs, seed, k_exp, l_e
         assert in_range[j] == (resid <= range_bound)
 
 
+# ---------------------------------------------------------------------------
+# Deterministic solvers against a per-stage reference loop
+# ---------------------------------------------------------------------------
+
+def _checked(K, L, t, escape, not_psd, off_range, judge=True):
+    """``K^+`` of one stage, judged on the spot by the public kernel."""
+    try:
+        Kd, psd, in_range = solvability(K, L, SOLVE_TOL)
+    except InvalidArgumentError as exc:
+        if np.isfinite(K).all() and np.isfinite(L).all():
+            raise
+        raise FiniteEscapeError(escape.format(t=t), time=t) from exc
+    if judge and not psd:
+        raise RiccatiSingularError(not_psd.format(t=t), time=t)
+    if judge and not in_range:
+        raise RiccatiSingularError(off_range.format(t=t), time=t)
+    return Kd
+
+
+def _reference_ode(model, grid, judge=True):
+    """RK4 with four substeps per cell, every stage checked as it is reached;
+    ``judge=False`` drops the PSD and range verdicts, keeping the escapes."""
+    tab = coefficient_table(model, np.zeros((grid.N + 1, 1)))
+    msgs = ("Riccati solution blew up near t={t:.6g}",
+            "control weight lost positive semidefiniteness at t={t:.6g}",
+            "range condition failed at t={t:.6g}")
+
+    def rhs(P, A, B, C, D, Q, R, t):
+        if not np.isfinite(P).all():
+            raise FiniteEscapeError(msgs[0].format(t=t), time=t)
+        K = R + D.T @ P @ D
+        L = B.T @ P + D.T @ (P @ C)
+        Kd = _checked(K, L, t, *msgs, judge=judge)
+        return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ (Kd @ L))
+
+    def sym(M):
+        return 0.5 * (M + M.T)
+
+    P = sym(tab.G[0])
+    Ps = [P]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.N - 1, -1, -1):
+            c = [getattr(tab, name)[i][0] for name in "ABCDQR"]
+            dt = -grid.h / 4.0
+            t = grid.points[i + 1]
+            for _ in range(4):
+                k1 = rhs(P, *c, t)
+                k2 = rhs(sym(P + 0.5 * dt * k1), *c, t + 0.5 * dt)
+                k3 = rhs(sym(P + 0.5 * dt * k2), *c, t + 0.5 * dt)
+                k4 = rhs(sym(P + dt * k3), *c, t + dt)
+                P = sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                t += dt
+                if not np.isfinite(P).all():
+                    raise FiniteEscapeError(msgs[0].format(t=t), time=t)
+            Ps.append(P)
+    return np.stack(Ps[::-1])
+
+
+def _reference_recursion(model, grid):
+    """The discrete dynamic-programming recursion, every step checked as it
+    is reached."""
+    tab = coefficient_table(model, np.zeros((grid.N + 1, 1)))
+    h = grid.h
+    msgs = ("discrete recursion blew up at t={t:.6g}",
+            "discrete control weight not PSD at t={t:.6g}",
+            "discrete range condition failed at t={t:.6g}")
+    Pn = 0.5 * (tab.G[0] + tab.G[0].T)
+    Ps = [Pn]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.N - 1, -1, -1):
+            A, B, C, D, Q, R = (getattr(tab, name)[i][0] for name in "ABCDQR")
+            Phi = np.eye(model.n) + h * A
+            H = h * R + h * h * (B.T @ Pn @ B) + h * (D.T @ Pn @ D)
+            M = h * (B.T @ Pn @ Phi + D.T @ Pn @ C)
+            t = grid.points[i]
+            Hd = _checked(H, M, t, *msgs)
+            P = Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M)
+            Pn = 0.5 * (P + P.T)
+            if not np.isfinite(Pn).all():
+                raise FiniteEscapeError(msgs[0].format(t=t), time=t)
+            Ps.append(Pn)
+    return np.stack(Ps[::-1])
+
+
+def _outcome(solve, model, grid):
+    """``P`` as bytes, or the raised error's class, message and time."""
+    try:
+        P = solve(model, grid)
+    except SlqError as exc:
+        return type(exc), str(exc), getattr(exc, "time", None)
+    return (P.P.values[:, 0] if hasattr(P, "P") else P).tobytes()
+
+
+def _singular_constant_model(rng, n, m, dead, dead_B, rank_R, shift):
+    """A constant instance whose ``K`` can be singular: ``D``'s columns in
+    ``dead`` are zero and ``R`` vanishes on them, so ``K`` has exact zero
+    rows there, and ``L`` lies in its range only if ``dead_B`` zeroes the
+    same columns of ``B``.  The rest of ``R`` has rank ``rank_R`` and is
+    shifted by ``shift * I``; a negative shift can make ``K`` indefinite."""
+    s = float(max(n, m))
+    A, C = rng.uniform(-1.0, 1.0, (2, n, n)) / s
+    B, D = rng.uniform(-1.0, 1.0, (2, n, m)) / s
+    S = rng.uniform(-1.0, 1.0, (m, rank_R))
+    R = 0.45 * S @ S.T + shift * np.eye(m)
+    live = np.ones(m, dtype=bool)
+    live[list(dead)] = False
+    R[~live, :] = R[:, ~live] = 0.0
+    D[:, ~live] = 0.0
+    if dead_B:
+        B[:, ~live] = 0.0
+    Q, G = (M @ M.T / n for M in rng.uniform(-1.0, 1.0, (2, n, n)))
+
+    def const(M):
+        return lambda i, W, M=M: M
+
+    return CoefficientModel(n=n, m=m, A=const(A), B=const(B), C=const(C), D=const(D),
+                            Q=const(Q), R=const(R), G=lambda W, G=G: G, kind="deterministic")
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    N=st.integers(2, 10),
+    dead=st.sets(st.integers(0, 2), max_size=3),
+    dead_B=st.booleans(),
+    rank_R=st.integers(0, 3),
+    shift=st.sampled_from([0.0, 0.0, 0.1, -0.05, -0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_deterministic_solvers_equal_the_per_stage_reference(n, m, N, dead, dead_B, rank_R,
+                                                             shift, seed):
+    rng = np.random.default_rng(seed)
+    model = _singular_constant_model(rng, n, m, {j for j in dead if j < m}, dead_B,
+                                     min(rank_R, m), shift)
+    grid = make_grid(1.0, N)
+    assert _outcome(solve_deterministic, model, grid) == _outcome(_reference_ode, model, grid)
+    assert (_outcome(discrete_recursion_oracle, model, grid)
+            == _outcome(_reference_recursion, model, grid))
+
+
+@pytest.mark.parametrize("coeffs,message,escapes", [
+    # L = 0, and a negative running weight drives P below -1 fast enough
+    # that K = 1 + P turns indefinite mid-horizon and P overflows later.
+    ((700, 0, 0, 1, -1e-60, 1, 0),
+     "control weight lost positive semidefiniteness at t=0.871094", True),
+    # K = 0 while L = P: L leaves K's range at the first stage.
+    ((0, 1, 0, 0, 0, 0, 1), "range condition failed at t=1", False),
+], ids=["indefinite", "range"])
+def test_first_failing_stage_raises_what_the_reference_raises(coeffs, message, escapes):
+    model = scenario_deterministic(*coeffs, T=1.0)
+    grid = make_grid(1.0, 64)
+    got = _outcome(solve_deterministic, model, grid)
+    assert got == _outcome(_reference_ode, model, grid)
+    assert got[:2] == (RiccatiSingularError, message)
+    assert (_outcome(discrete_recursion_oracle, model, grid)
+            == _outcome(_reference_recursion, model, grid))
+    if escapes:
+        # Past the failing stage the sweep overflows, so the stages are
+        # judged on the sweep's escape, not on a completed sweep.
+        with pytest.raises(FiniteEscapeError):
+            _reference_ode(model, grid, judge=False)
+
+
+def test_asymmetric_weight_raises_what_the_reference_raises():
+    R = np.array([[1.0, 0.5], [0.0, 1.0]])
+    eye = np.eye(2)
+    model = CoefficientModel(n=2, m=2, A=lambda i, W: 0.1 * eye, B=lambda i, W: eye,
+                             C=lambda i, W: 0.0 * eye, D=lambda i, W: eye,
+                             Q=lambda i, W: eye, R=lambda i, W: R, G=lambda W: eye,
+                             kind="deterministic")
+    grid = make_grid(1.0, 8)
+    for solve, reference in ((solve_deterministic, _reference_ode),
+                             (discrete_recursion_oracle, _reference_recursion)):
+        got = _outcome(solve, model, grid)
+        assert got == _outcome(reference, model, grid)
+        assert got[0] is InvalidArgumentError and "not symmetric" in got[1]
+
+
+def test_verdicts_decompose_nothing_and_solves_decompose_once_per_stage(monkeypatch):
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(K):
+        decomposed.append(K.size // (K.shape[-1] * K.shape[-2]))
+        return eigh(K)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(3)
+    K = np.stack([S @ S.T for S in rng.normal(size=(5, 2, 2))])
+    L = rng.normal(size=(5, 2, 3))
+    Kd, psd, in_range = solvability(K, L)
+    assert decomposed == [5]
+    assert [v.tolist() for v in _verdicts(K, Kd, np.linalg.eigvalsh(K)[:, 0], L, 1e-8)] \
+        == [psd.tolist(), in_range.tolist()]
+    assert decomposed == [5]
+    model = _singular_constant_model(rng, 2, 2, set(), False, 2, 0.1)
+    grid = make_grid(1.0, 8)
+    decomposed.clear()
+    solve_deterministic(model, grid)
+    assert decomposed == [1] * 16 * grid.N
+    decomposed.clear()
+    discrete_recursion_oracle(model, grid)
+    assert decomposed == [1] * grid.N
+
+
 def _random_model(rng, n, path_dependent):
     """An n x n problem (m = n) with symmetric positive definite weights;
     ``A`` and ``R`` vary with the path when ``path_dependent``."""
@@ -449,8 +660,11 @@ def test_sweep_on_broadcast_rows_equals_the_dense_library(n, path_dependent, N, 
     seed=st.integers(0, 2**64 - 1),
     solver=st.sampled_from((None,) + SOLVERS),
     checks=st.lists(st.sampled_from(CHECKS), unique=True),
+    # basis_degree must be integral; a fractional one is a config error.
     tolerances=st.dictionaries(st.sampled_from(sorted(TOLERANCE_DEFAULTS)),
-                               st.floats(0.0, 10.0)),
+                               st.floats(0.0, 10.0)).map(
+        lambda tols: {k: float(round(v)) if k == "basis_degree" else v
+                      for k, v in tols.items()}),
 )
 def test_cli_flags_round_trip_through_the_report_echo(scenario, T, steps, paths, seed,
                                                       solver, checks, tolerances):

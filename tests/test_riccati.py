@@ -298,9 +298,13 @@ def test_closed_form_grid_mismatch_guard():
 # ---------------------------------------------------------------------------
 
 def test_regression_basis_guard():
-    with pytest.raises(InvalidArgumentError):
-        RegressionBasis(degree=-1)
+    # A bool or non-integer degree is refused here, not by a bare TypeError
+    # inside the solve or a silent int() truncation.
+    for degree in (-1, 2.5, "3", True, 3.0, None):
+        with pytest.raises(InvalidArgumentError):
+            RegressionBasis(degree=degree)
     assert RegressionBasis().degree == 3
+    assert RegressionBasis(np.int64(2)).degree == 2
 
 
 def test_regression_example1_recovers_initial_value():
