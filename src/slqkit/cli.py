@@ -157,7 +157,8 @@ def _validate_config(raw: dict) -> ExperimentConfig:
             and cfg.paths >= 1, "paths", f"must be a positive integer, got {cfg.paths!r}")
     _expect(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool),
             "seed", f"must be an integer, got {cfg.seed!r}")
-    _expect(isinstance(cfg.start_index, int) and 0 <= cfg.start_index < cfg.steps,
+    _expect(isinstance(cfg.start_index, int) and not isinstance(cfg.start_index, bool)
+            and 0 <= cfg.start_index < cfg.steps,
             "start_index", f"must be an integer in [0, steps), got {cfg.start_index!r}")
     _expect(isinstance(cfg.eta, list) and cfg.eta
             and all(_is_finite_real(v) for v in cfg.eta),

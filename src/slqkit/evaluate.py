@@ -45,6 +45,7 @@ from .problem import (
     ZETA_SCALE,
     _asymmetry,
     _stopped_processes,
+    _zero_prefix,
     coefficient_table,
     delta_grid,
 )
@@ -305,7 +306,7 @@ def cost(
             raise InvalidArgumentError("batch does not match the state arrays")
         W = batch.W
     elif model.kind == "deterministic":
-        W = np.zeros((N + 1, 1))
+        W = _zero_prefix(grid)
     else:
         raise InvalidArgumentError(
             f"cost of a {model.kind!r} model needs the batch its weights depend on"
@@ -526,6 +527,8 @@ def optimality_sweep(
     distinct ``|eps|``, or a ``Q``, ``R`` or ``G`` that breaks the symmetry
     rule of :func:`slqkit.problem.validate` (the superposition needs
     symmetric weights) raises ``InvalidArgumentError`` before any simulation.
+    ``sol`` is not read (``law`` carries the gain); it stays in the
+    signature, which the acceptance criteria call.
     """
     grid = batch.grid
     if perturbations is None:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError, SynthesisInfeasibleError
 from .grid import PathArray, TimeGrid
 from .pinv import solvability
-from .problem import CoefficientModel, coefficient_table
+from .problem import CoefficientModel, _zero_prefix, coefficient_table
 from .riccati import RiccatiSolution
 
 __all__ = [
@@ -210,7 +210,7 @@ def stationarity_residual(
         worst = 0.0
         Pv = sol.P.values
         Lam = sol.Lambda.values
-        tab = coefficient_table(model, np.zeros((sol.grid.N + 1, 1)) if W is None else W)
+        tab = coefficient_table(model, _zero_prefix(sol.grid) if W is None else W)
         for i in range(sol.grid.N + 1):
             B, C, D, R = (getattr(tab, name)[i] for name in ("B", "C", "D", "R"))
             Pi = Lam[i] + Pv[i] @ (C + D @ th[i])

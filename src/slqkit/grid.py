@@ -226,15 +226,16 @@ def sample_brownian(
     Raises
     ------
     InvalidArgumentError
-        On non-positive ``n_paths``, odd ``n_paths`` with ``antithetic``, or
-        a misaligned antithetic ``path_offset``.
+        On non-positive ``n_paths``, odd ``n_paths`` with ``antithetic``, a
+        negative or non-integer ``path_offset``, or a misaligned antithetic one.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InvalidArgumentError(f"n_paths must be a positive integer, got {n_paths!r}")
     if not isinstance(seed, (int, np.integer)):
         raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
-    if path_offset < 0:
-        raise InvalidArgumentError(f"path_offset must be >= 0, got {path_offset}")
+    if (isinstance(path_offset, bool) or not isinstance(path_offset, (int, np.integer))
+            or path_offset < 0):
+        raise InvalidArgumentError(f"path_offset must be an integer >= 0, got {path_offset!r}")
     if antithetic:
         if n_paths % 2 or path_offset % 2:
             raise InvalidArgumentError(

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,19 +141,25 @@ class CoefficientModel:
         return dims[r], dims[c]
 
     def coeff(self, name: str, i: int, W_prefix: np.ndarray, n_paths: int) -> np.ndarray:
-        """Evaluate coefficient ``name`` at index ``i``, normalized to
-        shape ``(n_paths, rows, cols)``."""
+        """Evaluate coefficient ``name`` at index ``i`` as rows
+        ``(1 or n_paths, rows, cols)``: one row when the value is the same
+        on every path (see :func:`_normalize_eval`)."""
         rows, cols = self._shape_of(name)
         raw = np.asarray(getattr(self, name)(i, W_prefix), dtype=np.float64)
         return _normalize_eval(raw, name, n_paths, rows, cols)
 
     def terminal(self, W_full: np.ndarray, n_paths: int) -> np.ndarray:
-        """Evaluate G on the full path, normalized to ``(n_paths, n, n)``."""
+        """Evaluate G on the full path as rows ``(1 or n_paths, n, n)``,
+        normalized as :meth:`coeff`."""
         raw = np.asarray(self.G(W_full), dtype=np.float64)
         return _normalize_eval(raw, "G", n_paths, self.n, self.n)
 
 
 def _normalize_eval(raw: np.ndarray, name: str, n_paths: int, rows: int, cols: int) -> np.ndarray:
+    """One evaluation as rows ``(1 or n_paths, rows, cols)``.  A scalar or a
+    ``(rows, cols)`` matrix is one row; so is a path-constant (stride-0)
+    ``(n_paths, rows, cols)`` stack, which keeps its first row.  Per-path
+    values, including ``(n_paths,)`` scalars of a 1x1 slot, keep their rows."""
     if raw.ndim == 0:
         if (rows, cols) != (1, 1):
             raise InvalidArgumentError(
@@ -169,21 +174,15 @@ def _normalize_eval(raw: np.ndarray, name: str, n_paths: int, rows: int, cols: i
             raise InvalidArgumentError(
                 f"{name} evaluator returned shape {raw.shape}, expected ({rows},{cols})"
             )
-        return np.broadcast_to(raw, (n_paths, rows, cols))
+        return raw.reshape(1, rows, cols)
     if raw.ndim == 3:
         if raw.shape != (n_paths, rows, cols):
             raise InvalidArgumentError(
                 f"{name} evaluator returned shape {raw.shape}, expected "
                 f"({n_paths},{rows},{cols})"
             )
-        return raw
+        return raw[:1] if raw.strides[0] == 0 else raw
     raise InvalidArgumentError(f"{name} evaluator returned ndim={raw.ndim} output")
-
-
-def _drop_broadcast(v: np.ndarray) -> np.ndarray:
-    """The 1-row base of a path-constant (stride-0) ``(n_paths, r, c)``
-    evaluation; any other evaluation unchanged."""
-    return v[:1] if v.shape[0] == 1 or v.strides[0] == 0 else v
 
 
 _TABLE_NAMES = ("A", "B", "C", "D", "Q", "R")
@@ -194,25 +193,26 @@ class CoefficientTable:
 
     ``A, B, C, D, Q, R`` are read-only ``(N+1, k, rows, cols)`` arrays whose
     row ``i`` is the model's ``coeff(name, i, W[:i+1], n_paths)``, with ``k = 1``
-    when the evaluator returned a path-constant (broadcast) value at every
-    index and ``k = n_paths`` otherwise.  ``G`` is the terminal weight,
-    ``(1 or n_paths, n, n)``, evaluated on first use.  All evaluation goes
+    when that evaluation was one row at every index and ``k = n_paths``
+    otherwise.  ``G`` is the terminal weight ``terminal(W, n_paths)``,
+    ``(1 or n_paths, n, n)``, evaluated with the rest.  All evaluation goes
     through :meth:`CoefficientModel.coeff` and
-    :meth:`CoefficientModel.terminal`, so shapes are validated there.
+    :meth:`CoefficientModel.terminal`, so shapes are validated there.  The
+    table holds no reference to ``W``.
     """
 
     def __init__(self, model: CoefficientModel, W: np.ndarray):
         self.model = model
         self.n_paths = W.shape[1]
-        self._paths = lambda: W  # for G; memoized tables hold W weakly
         for name in _TABLE_NAMES:
             setattr(self, name, self._tabulate(name, W))
+        self.G = model.terminal(W, self.n_paths)
 
     def _tabulate(self, name: str, W: np.ndarray) -> np.ndarray:
         N, P = W.shape[0] - 1, self.n_paths
         out = np.empty((N + 1, 1) + self.model._shape_of(name))
         for i in range(N + 1):
-            v = _drop_broadcast(self.model.coeff(name, i, W[: i + 1], P))
+            v = self.model.coeff(name, i, W[: i + 1], P)
             if v.shape[0] > out.shape[1]:
                 # First path-dependent value: widen, keeping the rows so far.
                 out = np.repeat(out, P, axis=1)
@@ -220,12 +220,11 @@ class CoefficientTable:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def G(self) -> np.ndarray:
-        W = self._paths()
-        if W is None:
-            raise InvalidArgumentError("the path array of this coefficient table was freed")
-        return _drop_broadcast(self.model.terminal(W, self.n_paths))
+
+def _zero_prefix(grid: TimeGrid) -> np.ndarray:
+    """One all-zero path ``(N+1, 1)`` on ``grid``: the paths on which a model
+    whose coefficients are constants is tabulated."""
+    return np.zeros((grid.N + 1, 1))
 
 
 # Tables of read-only path arrays, keyed by id(W) then id(model).  An entry
@@ -242,7 +241,8 @@ def coefficient_table(model: CoefficientModel, W: np.ndarray) -> CoefficientTabl
     Read-only arrays that own their data, such as the ``W`` of every
     :class:`~slqkit.grid.BrownianBatch` built by :mod:`slqkit.grid`, get
     one table per model, built on first request and shared until the array
-    is freed.  Any other array gets a fresh table on every call.
+    is freed; the memo holds no reference to the array.  Any other array
+    gets a fresh table on every call.
     """
     if W.flags.writeable or W.base is not None:
         return CoefficientTable(model, W)
@@ -253,11 +253,8 @@ def coefficient_table(model: CoefficientModel, W: np.ndarray) -> CoefficientTabl
         weakref.finalize(W, _TABLES.pop, key, None)
     entry = per_model.get(id(model))
     if entry is None:
-        table = CoefficientTable(model, W)
-        # A memo that held W strongly would keep it alive for ever.
-        table._paths = weakref.ref(W)
         # The model is held with its table, so its id cannot be reused.
-        entry = per_model[id(model)] = (model, table)
+        entry = per_model[id(model)] = (model, CoefficientTable(model, W))
     return entry[1]
 
 
@@ -280,8 +277,9 @@ class InitialCondition:
             raise InvalidArgumentError(f"eta must be a vector or (n_paths, n) array, got shape {eta.shape}")
         if not np.isfinite(eta).all():
             raise InvalidArgumentError("eta contains non-finite entries")
-        if self.start_index < 0:
-            raise InvalidArgumentError(f"start_index must be >= 0, got {self.start_index}")
+        s = self.start_index
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise InvalidArgumentError(f"start_index must be an integer >= 0, got {s!r}")
         object.__setattr__(self, "eta", eta)
 
     def eta_column(self, n: int, n_paths: int) -> np.ndarray:

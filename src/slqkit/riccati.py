@@ -42,6 +42,7 @@ from .pinv import _pseudo_inverse, _verdicts, solvability
 from .problem import (
     CoefficientModel,
     CoefficientTable,
+    _zero_prefix,
     coefficient_table,
     counterexample_paths,
     example1_y,
@@ -115,9 +116,10 @@ class RegressionBasis:
             raise InvalidArgumentError(f"basis degree must be >= 0, got {self.degree}")
 
 
-def _derive_KL(tab: CoefficientTable, Pv: np.ndarray,
-               Lv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_i = R + D^T P D and L_i = B^T P + D^T (P C + Lambda) at every node."""
+def _solution(tab: CoefficientTable, grid: TimeGrid, Pv: np.ndarray, Lv: np.ndarray,
+              tag: str) -> RiccatiSolution:
+    """The pair ``(P, Lambda) = (Pv, Lv)`` with K_i = R + D^T P D and
+    L_i = B^T P + D^T (P C + Lambda) at every node, read from ``tab``."""
     steps, n_paths, n, _ = Pv.shape
     m = tab.model.m
     K = np.empty((steps, n_paths, m, m))
@@ -128,11 +130,8 @@ def _derive_KL(tab: CoefficientTable, Pv: np.ndarray,
         K[i] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pi, D)
         L[i] = (np.einsum("...nm,...nk->...mk", B, Pi)
                 + np.einsum("...nm,...nk->...mk", D, Pi @ C + Lv[i]))
-    return K, L
-
-
-def _zero_prefix(grid: TimeGrid) -> np.ndarray:
-    return np.zeros((grid.N + 1, 1))
+    return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
+                           K=PathArray(K), L=PathArray(L), solver_tag=tag)
 
 
 def _node(tab: CoefficientTable, i: int) -> tuple:
@@ -248,10 +247,7 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
                 if not np.isfinite(P).all():
                     raise FiniteEscapeError(escape.format(t=t), time=t)
             Pv[i] = P
-    Lv = np.zeros_like(Pv)
-    K, L = _derive_KL(tab, Pv, Lv)
-    return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
-                           K=PathArray(K), L=PathArray(L), solver_tag="deterministic_ode")
+    return _solution(tab, grid, Pv, np.zeros_like(Pv), "deterministic_ode")
 
 
 def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolution:
@@ -301,10 +297,7 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
             Pv[i] = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
             if not np.isfinite(Pv[i]).all():
                 raise FiniteEscapeError(escape.format(t=t), time=t)
-    Lv = np.zeros_like(Pv)
-    K, L = _derive_KL(tab, Pv, Lv)
-    return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
-                           K=PathArray(K), L=PathArray(L), solver_tag="deterministic_ode")
+    return _solution(tab, grid, Pv, np.zeros_like(Pv), "deterministic_ode")
 
 
 def _regression_features(model: CoefficientModel, W: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -482,40 +475,32 @@ def solve_bsre_regression(
         Pv[i] = fit(p_next + h * drift)
         Lv[i] = lam
     del feats  # before K and L are allocated
-    Pm = Pv[:, :, None, None]
-    Lm = Lv[:, :, None, None]
-    K, L = _derive_KL(tab, Pm, Lm)
-    return RiccatiSolution(grid=grid, P=PathArray(Pm), Lambda=PathArray(Lm),
-                           K=PathArray(K), L=PathArray(L), solver_tag="regression_mc")
+    return _solution(tab, grid, Pv[:, :, None, None], Lv[:, :, None, None], "regression_mc")
 
 
 def closed_form_example1(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolution:
     """Exact solution pair of the solvable scenario on sampled paths:
     ``P = 1/y - R`` and ``Lambda = -cos(W)/y^2`` with ``y`` from
-    :func:`slqkit.problem.example1_y`."""
+    :func:`slqkit.problem.example1_y`.  The coefficients are constants, so
+    they are read from the one-path zero prefix."""
     if batch.grid.N != grid.N or batch.grid.T != grid.T:
         raise InvalidArgumentError("batch grid does not match the supplied grid")
-    tab = coefficient_table(scenario_example1(grid.T), batch.W)
-    R = tab.R[0, 0, 0, 0]
+    tab = coefficient_table(scenario_example1(grid.T), _zero_prefix(grid))
     y = example1_y(grid, batch.W)
-    Pv = (1.0 / y - R)[:, :, None, None]
+    Pv = (1.0 / y - tab.R[0, 0, 0, 0])[:, :, None, None]
     Lv = (-np.cos(batch.W) / (y * y))[:, :, None, None]
-    K, L = _derive_KL(tab, Pv, Lv)
-    return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
-                           K=PathArray(K), L=PathArray(L),
-                           solver_tag="closed_form_example1")
+    return _solution(tab, grid, Pv, Lv, "closed_form_example1")
 
 
 def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolution:
     """Exact solution pair of the counterexample scenario:
     ``P = 1/Y - 1/4`` and ``Lambda = -zeta/Y^2`` from the stopped singular
-    integrand (:func:`slqkit.problem.counterexample_paths`)."""
+    integrand (:func:`slqkit.problem.counterexample_paths`).  The
+    coefficients are read as in :func:`closed_form_example1`."""
     if batch.grid.N != grid.N or batch.grid.T != grid.T:
         raise InvalidArgumentError("batch grid does not match the supplied grid")
     aux = counterexample_paths(grid, batch)
     Pv = (1.0 / aux.Y - 0.25)[:, :, None, None]
     Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]
-    K, L = _derive_KL(coefficient_table(scenario_counterexample(grid.T), batch.W), Pv, Lv)
-    return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
-                           K=PathArray(K), L=PathArray(L),
-                           solver_tag="closed_form_counterexample")
+    tab = coefficient_table(scenario_counterexample(grid.T), _zero_prefix(grid))
+    return _solution(tab, grid, Pv, Lv, "closed_form_counterexample")

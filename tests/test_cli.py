@@ -83,6 +83,7 @@ def test_load_config_rejects_malformed_json(tmp_path):
     ({"scenario": "deterministic",
       "deterministic": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, float("nan")]}, "deterministic"),
     ({"scenario": "example1", "tolerances": {"basis_degree": 2.5}}, "tolerances"),
+    ({"scenario": "example1", "start_index": True}, "start_index"),
 ])
 def test_config_schema_violations_name_the_field(tmp_path, fields, bad_field):
     with pytest.raises(ConfigError) as err:

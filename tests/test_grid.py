@@ -127,6 +127,12 @@ def test_sample_brownian_argument_guards():
         sample_brownian(grid, 4, seed=1, path_offset=-1)
     with pytest.raises(InvalidArgumentError):
         sample_brownian(grid, 4, seed=1.5)
+    # A non-integer offset is refused, not truncated to another stream.
+    for offset in (2.7, 2.0, True, "2"):
+        with pytest.raises(InvalidArgumentError, match="path_offset"):
+            sample_brownian(grid, 4, seed=1, path_offset=offset)
+    np.testing.assert_array_equal(sample_brownian(grid, 4, seed=1, path_offset=np.int64(2)).W,
+                                  sample_brownian(grid, 4, seed=1, path_offset=2).W)
 
 
 def test_sample_brownian_moment_sanity():

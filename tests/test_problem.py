@@ -48,7 +48,7 @@ def test_coeff_normalizes_shapes():
     model = scenario_deterministic(0.5, 1, 0, 0, 0, 1, 1, T=1.0)
     W = np.zeros((3, 4))
     out = model.coeff("A", 2, W, 4)
-    assert out.shape == (4, 1, 1)
+    assert out.shape == (1, 1, 1)  # a path-constant value is one row
     np.testing.assert_array_equal(out, 0.5)
     # Per-path 3-d and per-path-scalar 1-d returns are accepted for 1x1.
     per_path = CoefficientModel(
@@ -97,6 +97,10 @@ def test_initial_condition_shapes_and_guards():
 
     with pytest.raises(InvalidArgumentError):
         InitialCondition(start_index=-1, eta=np.array([1.0]))
+    for bad in (True, 1.5, 1.0, "1"):
+        with pytest.raises(InvalidArgumentError, match="start_index"):
+            InitialCondition(start_index=bad, eta=np.array([1.0]))
+    assert InitialCondition(start_index=np.int64(1), eta=np.array([1.0])).start_index == 1
     with pytest.raises(InvalidArgumentError):
         InitialCondition(start_index=0, eta=np.array([np.nan]))
     with pytest.raises(InvalidArgumentError):
@@ -149,6 +153,21 @@ def test_table_memo_does_not_outlive_its_batch():
     del batch
     gc.collect()
     assert ref() is None
+
+
+def test_table_stays_usable_after_its_batch_is_freed():
+    # A table is a plain value: it holds no reference to the paths it was
+    # built on, and its G was evaluated with the rest of it.
+    model = scenario_example1(1.0)
+    batch = sample_brownian(make_grid(1.0, 8), 4, seed=1)
+    W = batch.W
+    paths = W.copy()
+    tab = coefficient_table(model, W)
+    ref = weakref.ref(W)
+    del batch, W
+    gc.collect()
+    assert ref() is None
+    np.testing.assert_array_equal(tab.G, model.terminal(paths, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -221,15 +221,18 @@ def test_output_buffers_change_no_bit(N, n_paths, seed, offset):
         out[...] = dW
 
 
-# How an evaluator may depend on the path: a constant matrix, per-path
-# scalars, per-path matrices, or constant early and per-path later.
-FORMS = ("const", "scalars", "matrices", "switch")
+# How an evaluator may depend on the path: a constant matrix, a constant
+# matrix broadcast to every path, per-path scalars, per-path matrices, or
+# constant early and per-path later.
+FORMS = ("const", "broadcast", "scalars", "matrices", "switch")
 
 
 def _evaluator(form, rows, cols, k):
     M = np.arange(1.0, rows * cols + 1).reshape(rows, cols) / (k + 1)
     if form == "const":
         return lambda i, W: M
+    if form == "broadcast":
+        return lambda i, W: np.broadcast_to(M, (W.shape[1], rows, cols))
     if form == "scalars" and rows == cols == 1:
         return lambda i, W: np.sin(W[i] + k)
     if form == "switch":
@@ -253,11 +256,13 @@ def test_every_table_row_equals_the_evaluator(n, m, N, n_paths, forms):
                              **evaluators)
     W = sample_brownian(make_grid(1.0, N), n_paths, seed=N).W
     tab = coefficient_table(model, W)
-    for name in shapes:
+    for name, form in zip(shapes, forms):
+        if form in ("const", "broadcast"):
+            assert getattr(tab, name).shape[1] == 1  # path-constant: one row
         for i in range(N + 1):
             row = getattr(tab, name)[i]
-            np.testing.assert_array_equal(np.broadcast_to(row, (n_paths,) + row.shape[1:]),
-                                          model.coeff(name, i, W[: i + 1], n_paths))
+            np.testing.assert_array_equal(
+                row, np.broadcast_to(model.coeff(name, i, W[: i + 1], n_paths), row.shape))
 
 
 def _solvability_pair(rng, m, n, rank, negatives, in_range):

@@ -285,6 +285,25 @@ def test_closed_form_counterexample_terminal_matches_G_bitwise():
     np.testing.assert_array_equal(sol.P.values[-1], g)
 
 
+def test_closed_forms_evaluate_G_only_on_one_path_prefixes(monkeypatch):
+    # Their coefficients are constants: they are read from the one-path
+    # zero prefix, never tabulated (with G) on the batch.
+    shapes = []
+    terminal = CoefficientModel.terminal
+
+    def recording(self, W_full, n_paths):
+        shapes.append(W_full.shape)
+        return terminal(self, W_full, n_paths)
+
+    monkeypatch.setattr(CoefficientModel, "terminal", recording)
+    grid = make_grid(1.0, 16)
+    batch = sample_brownian(grid, 50, seed=3)
+    for solve in (closed_form_example1, closed_form_counterexample):
+        shapes.clear()
+        solve(grid, batch)
+        assert shapes == [(17, 1)]
+
+
 def test_closed_form_grid_mismatch_guard():
     batch = sample_brownian(make_grid(1.0, 16), 4, seed=1)
     with pytest.raises(InvalidArgumentError):
