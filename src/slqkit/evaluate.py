@@ -14,12 +14,13 @@ quadrature kernel (:func:`_running`, left-point, in time order) takes every
 running quadratic form: the cost, the sweep's cross terms and the
 completion-of-squares penalty.  Path-constant data (coefficient rows, a
 one-path solution, time-only perturbations) stay ``(1, r, c)`` rows that
-broadcast.  A 1x1 problem steps and sums elementwise, in the operation order
-of the matrix kernel, so both give the same bits.  The Euler step is linear
-in ``(x, u)`` and the cost is one bilinear quadrature ``B`` taken on ``(x, u),
-(x, u)``, so ``J(u_fb + eps v) = J_fb + eps B((x_fb, u_fb), (x_v, v)) + eps^2
-B((x_v, v), (x_v, v)) / 2`` per path up to rounding, with ``x_v`` the response
-to ``v`` from a zero state (Q, R and G are symmetric).  The optimality sweep
+broadcast.  One Euler step and one quadratic form serve every dimension, on
+per-entry views (:func:`_entries`), with each sum in index order, so results
+do not depend on the BLAS build.  The Euler step is linear in ``(x, u)`` and
+the cost is one bilinear quadrature ``B`` taken on ``(x, u), (x, u)``, so
+``J(u_fb + eps v) = J_fb + eps B((x_fb, u_fb), (x_v, v)) + eps^2 B((x_v, v),
+(x_v, v)) / 2`` per path up to rounding, with ``x_v`` the response to ``v``
+from a zero state (Q, R and G are symmetric).  The optimality sweep
 uses this superposition in place of one simulation per arm, and checks it
 against a direct simulation of one arm per perturbation.  :func:`_tolerance`
 is the pass line of every Monte Carlo check.
@@ -122,27 +123,24 @@ def _require_paths(n_paths: int, *arrays: np.ndarray) -> None:
                 f"path dimension mismatch: have {arr.shape[1]}, batch has {n_paths}")
 
 
-def _euler_step(x, u, A, B, C, D, h, dw):
-    """One Euler–Maruyama step on ``(P, n, 1)`` states (the matrix kernel)."""
-    drift = A @ x + B @ u
-    diffusion = C @ x + D @ u
-    return x + h * drift + diffusion * dw[:, None, None]
+def _entries(a: np.ndarray) -> list:
+    """Views ``E[j][l][i] = a[i, ..., j, l]`` of an ``(I, ..., r, c)`` array,
+    listed once so that loops over ``i`` only look them up."""
+    return [[list(a[..., j, l]) for l in range(a.shape[-1])] for j in range(a.shape[-2])]
 
 
-def _euler_step_scalar(x, u, a, b, c, d, h, dw):
-    """The same step on the ``(P,)`` states of a 1x1 problem.  It keeps the
-    matrix kernel's operation order, so both kernels give the same bits."""
-    return x + h * (a * x + b * u) + (c * x + d * u) * dw
+def _column(a: np.ndarray) -> list:
+    """The views ``E[j][i] = a[i, ..., j, 0]`` of an ``(I, ..., r, 1)`` column array."""
+    return [row[0] for row in _entries(a)]
 
 
-def _check_finite(x: np.ndarray, i: int) -> None:
-    if np.isfinite(x).all():
-        return
-    bad = np.nonzero(~np.isfinite(x.reshape(x.shape[0], -1)).all(axis=1))[0]
-    raise FiniteEscapeError(
-        f"state became non-finite at step {i + 1}, first path {int(bad[0])}",
-        time=None,
-    )
+def _dot(row: list, v: list, i: int) -> np.ndarray:
+    """``sum_l row_l v_l`` at index ``i`` of entry lists, in index order from
+    its first term."""
+    total = row[0][i] * v[0][i]
+    for l in range(1, len(v)):
+        total = total + row[l][i] * v[l][i]
+    return total
 
 
 def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBatch,
@@ -151,10 +149,11 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     ``theta`` (``(N+1, k, m, n)``) is given, else the open loop under
     ``control`` (``(N+1, k, m, 1)``), with ``k`` 1 or the batch's path count.
 
-    Coefficients come from the model's table on ``batch``; a 1x1 problem
-    steps elementwise on ``(P,)`` slices.  Returns ``(x, u)``: the states
-    ``(N+1, P, n, 1)`` and the closed loop's recorded ``(N+1, P, m, 1)``
-    control, or the open loop's given one, which it steps on as it is.
+    Coefficients come from the model's table on ``batch``.  A step takes
+    ``x_j + h (sum_l A_jl x_l + sum_l B_jl u_l) + (sum_l C_jl x_l + sum_l
+    D_jl u_l) dW`` on entry lists (:func:`_dot`).  Returns ``(x, u)``: the
+    states ``(N+1, P, n, 1)`` and the closed loop's recorded ``(N+1, P, m,
+    1)`` control, or the open loop's given one, which it steps on as it is.
     """
     grid = batch.grid
     N, h = grid.N, grid.h
@@ -165,39 +164,34 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     closed = theta is not None
     given = theta if closed else control
     _require_paths(P, given)
-    n, m = model.n, model.m
     tab = coefficient_table(model, batch.W)
-    coeffs = (tab.A, tab.B, tab.C, tab.D)
-    scalar = n == m == 1
-    if scalar:
-        step = _euler_step_scalar
-        coeffs = tuple(v[:, :, 0, 0] for v in coeffs)
-        given = given[:, :, 0, 0]
-        x = np.empty((N + 1, P))
-        u = np.zeros((N + 1, P)) if closed else given
-        x[: s + 1] = init.eta_column(1, P)[:, 0, 0]
-    else:
-        step = _euler_step
-        x = np.empty((N + 1, P, n, 1))
-        u = np.zeros((N + 1, P, m, 1)) if closed else given
-        x[: s + 1] = init.eta_column(n, P)
-    A, B, C, D = coeffs
+    x = np.empty((N + 1, P, model.n, 1))
+    u = np.zeros((N + 1, P, model.m, 1)) if closed else given
+    x[: s + 1] = init.eta_column(model.n, P)
+    xs, us = _column(x), _column(u)
+    A, B, C, D = (_entries(v) for v in (tab.A, tab.B, tab.C, tab.D))
+    gain = _entries(theta) if closed else None
     dW = batch.increments
-
-    def record(i):
-        if closed:
-            u[i] = given[i] * x[i] if scalar else given[i] @ x[i]
-
-    # Overflow inside a step is expected on escaping instances; it is
-    # detected and re-raised as FiniteEscapeError, so silence the warnings.
+    # Overflow inside a step is expected on escaping instances; it is raised
+    # as FiniteEscapeError after the loop, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(s, N):
-            record(i)
-            x[i + 1] = step(x[i], u[i], A[i], B[i], C[i], D[i], h, dW[i])
-            _check_finite(x[i + 1], i)
-        record(N)
-    if scalar:
-        return x[:, :, None, None], u[:, :, None, None]
+        for i in range(s, N + 1):
+            if closed:
+                for u_j, row in zip(us, gain):
+                    u_j[i][...] = _dot(row, xs, i)
+            if i < N:
+                dw = dW[i]
+                for j, x_j in enumerate(xs):
+                    drift = _dot(A[j], xs, i) + _dot(B[j], us, i)
+                    diffusion = _dot(C[j], xs, i) + _dot(D[j], us, i)
+                    np.add(x_j[i] + h * drift, diffusion * dw, out=x_j[i + 1])
+    # A step keeps a non-finite entry non-finite, so the first non-finite
+    # state is the one a check after every step would stop at.
+    finite = np.isfinite(x[s + 1:])
+    if not finite.all():
+        i, p = np.argwhere(~finite)[0, :2]
+        raise FiniteEscapeError(f"state became non-finite at step {s + 1 + i}, first path {p}",
+                                time=None)
     return x, u
 
 
@@ -238,38 +232,41 @@ def simulate_open_loop(
     uv = u.values
     if uv.shape[0] != batch.grid.N + 1:
         raise InvalidArgumentError("control and batch have inconsistent step counts")
-    if uv.shape[2] != model.m or uv.shape[3] != 1:
+    if uv.shape[2:] != (model.m, 1):
         raise InvalidArgumentError(
-            f"control entries must be ({model.m}, 1) columns, got "
-            f"({uv.shape[2]}, {uv.shape[3]})"
-        )
+            f"control entries must be ({model.m}, 1) columns, got {uv.shape[2:]}")
     x, _ = _simulate(model, init, batch, control=uv)
     return PathArray(x)
 
 
-def _form(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-path ``<M x, y>`` of ``(k, r, c)`` matrices on ``(k, r, 1)`` and ``(k, c, 1)``
-    columns, ``k`` 1 or the path count; 1x1 forms elementwise, as ``x * M * y``."""
-    if M.shape[-2:] == (1, 1):
-        return x[:, 0, 0] * M[:, 0, 0] * y[:, 0, 0]
-    return np.einsum("...n,...nm,...m->...", x[..., 0], M, y[..., 0])
+def _form(M: list, x: list, y: list, i: int) -> np.ndarray:
+    """Per-path ``<M x, y> = sum_j sum_l (x_j M_jl) y_l`` at index ``i`` of
+    entry lists, summed over ``(j, l)`` in index order from the first term."""
+    total = None
+    for x_j, row in zip(x, M):
+        for M_jl, y_l in zip(row, y):
+            term = x_j[i] * M_jl[i] * y_l[i]
+            total = term if total is None else total + term
+    return total
 
 
-def _running(M: np.ndarray, s: int, h: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _running(M: list, s: int, h: float, x: list, y: list) -> np.ndarray:
     """Left-point quadrature ``sum_{i=s}^{N-1} h <M_i x_i, y_i>`` per path,
-    summed in time order, of :func:`_form` on ``(N+1, k, ., .)`` arrays."""
-    total = np.zeros(max(M.shape[1], x.shape[1], y.shape[1]))
-    for i in range(s, x.shape[0] - 1):
-        total += h * _form(M[i], x[i], y[i])
+    summed in time order, of :func:`_form` on entry lists."""
+    total = np.zeros(max(len(v[0]) for v in (M[0][0], x[0], y[0])))
+    for i in range(s, len(x[0]) - 1):
+        total += h * _form(M, x, y, i)
     return total
 
 
 def _bilinear(tab, s: int, h: float, x, u, y, w) -> tuple[np.ndarray, ...]:
     """The cost's bilinear form on ``(N+1, k, ., 1)`` arrays, per path:
     ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q x, y> + <R u, w>) + <G x_N,
-    y_N>``, returned as its state, control and terminal parts."""
-    return (_running(tab.Q, s, h, x, y), _running(tab.R, s, h, u, w),
-            _form(tab.G, x[-1], y[-1]))
+    y_N>``, returned as its state, control and terminal parts.  ``G`` gets a
+    one-long leading axis, so index -1 reads it with ``x_N`` and ``y_N``."""
+    x, u, y, w = (_column(v) for v in (x, u, y, w))
+    return (_running(_entries(tab.Q), s, h, x, y), _running(_entries(tab.R), s, h, u, w),
+            _form(_entries(tab.G[None]), x, y, -1))
 
 
 def cost(
@@ -370,8 +367,8 @@ def value_identity_check(
     _require_paths(batch.n_paths, sol.P.values)
     x, u = simulate_closed_loop(model, law, init, batch)
     est = cost(model, x, u, init, batch.grid, batch)
-    eta = init.eta_column(model.n, batch.n_paths)
-    quad = 0.5 * _form(sol.P.values[init.start_index], eta, eta)
+    eta = _column(init.eta_column(model.n, batch.n_paths)[None])
+    quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
     return _identity_result("value_identity", est.per_path - quad, batch, n_se, disc_coeff,
                             {"closed_loop_cost": est.mean,
                              "value_quadratic_form": float(quad.mean())})
@@ -407,8 +404,10 @@ def _completion_of_squares(sol, law, model, u, init, batch, J_fb: CostEstimate,
     _require_paths(batch.n_paths, th, Kv)
     x_u = simulate_open_loop(model, u, init, batch)
     J_u = cost(model, x_u, u, init, batch.grid, batch)
-    gap = u.values - th @ x_u.values
-    penalty = 0.5 * _running(Kv, init.start_index, batch.grid.h, gap, gap)
+    xs = _column(x_u.values)
+    gap = [[u_j[i] - _dot(row, xs, i) for i in range(len(u_j))]
+           for u_j, row in zip(_column(u.values), _entries(th))]
+    penalty = 0.5 * _running(_entries(Kv), init.start_index, batch.grid.h, gap, gap)
     return _identity_result("completion_of_squares", J_u.per_path - J_fb.per_path - penalty,
                             batch, n_se, disc_coeff,
                             {"J_u": J_u.mean, "J_feedback": J_fb.mean,
@@ -722,7 +721,7 @@ def counterexample_divergence_probe(
     if isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer)) \
             or chunk_size < 1:
         raise InvalidArgumentError(f"chunk_size must be a positive integer, got {chunk_size!r}")
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     grids = [make_grid(T, N) for N in steps_seq]
     workers = min(_PROBE_WORKERS, chunk_size)

@@ -226,12 +226,12 @@ def sample_brownian(
     Raises
     ------
     InvalidArgumentError
-        On non-positive ``n_paths``, odd ``n_paths`` with ``antithetic``, a
-        negative or non-integer ``path_offset``, or a misaligned antithetic one.
+        On non-positive or odd (with ``antithetic``) ``n_paths``, a bool or
+        non-integer ``seed``, or a negative, non-integer or misaligned ``path_offset``.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InvalidArgumentError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     if (isinstance(path_offset, bool) or not isinstance(path_offset, (int, np.integer))
             or path_offset < 0):

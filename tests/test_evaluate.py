@@ -117,12 +117,26 @@ def test_simulation_guards():
         simulate_open_loop(model, PathArray(np.zeros((9, 3, 2, 1))), INIT, batch)
 
 
-def test_simulation_raises_on_state_overflow():
-    model = scenario_deterministic(1e155, 0, 0, 0, 0, 1, 1, T=1.0)
+def _overflowing_2x2():
+    """Constant 2x2 model whose drift overflows a nonzero state at step 2."""
+    A, Z = 1e155 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.zeros((2, 2))
+    return CoefficientModel(
+        n=2, m=2, A=lambda i, W: A, B=lambda i, W: Z, C=lambda i, W: Z, D=lambda i, W: Z,
+        Q=lambda i, W: Z, R=lambda i, W: np.eye(2), G=lambda W: np.eye(2),
+        kind="deterministic",
+    )
+
+
+@pytest.mark.parametrize("model, init, first_path", [
+    (scenario_deterministic(1e155, 0, 0, 0, 0, 1, 1, T=1.0), INIT, 0),
+    # Path 0 starts at the origin and never leaves it; path 1 escapes.
+    (_overflowing_2x2(), InitialCondition(0, np.array([[0.0, 0.0], [1.0, -0.5]])), 1),
+], ids=["1x1", "2x2"])
+def test_simulation_raises_on_state_overflow(model, init, first_path):
     grid = make_grid(1.0, 8)
     batch = sample_brownian(grid, 2, seed=1)
-    with pytest.raises(FiniteEscapeError):
-        simulate_open_loop(model, _zero_control(grid, 2), INIT, batch)
+    with pytest.raises(FiniteEscapeError, match=f"at step 2, first path {first_path}$"):
+        simulate_open_loop(model, _zero_control(grid, 2, model.m), init, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +231,41 @@ def _path_dependent_2x2():
     )
 
 
+def _index_sum(terms):
+    """Sum of a list of arrays in list order, starting from the first term."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _reference_matvec(M, v):
+    """``M @ v`` on ``(k, r, c)`` and ``(P, c, 1)`` stacks, each entry summed
+    in index order.  (A BLAS ``matmul`` may fuse or reorder these sums, so
+    its bits depend on the build.)"""
+    return np.stack([_index_sum([M[:, j, l] * v[:, l, 0] for l in range(M.shape[2])])
+                     for j in range(M.shape[1])], axis=1)[:, :, None]
+
+
+def _reference_form(M, x, y):
+    """Per-path ``<M x, y>``: ``(x_j M_jl) y_l`` summed over ``(j, l)`` in index order."""
+    return _index_sum([x[:, j, 0] * M[:, j, l] * y[:, l, 0]
+                       for j in range(M.shape[1]) for l in range(M.shape[2])])
+
+
 def _reference_simulate(model, batch, eta, theta=None, u=None):
-    """Per-step loop: every coefficient from model.coeff, batched matmuls."""
+    """Per-step loop: every coefficient from model.coeff, index-order products."""
     N, h, P = batch.grid.N, batch.grid.h, batch.n_paths
     x = np.empty((N + 1, P, model.n, 1))
     uu = np.zeros((N + 1, P, model.m, 1))
     x[0] = eta.reshape(1, -1, 1)
     for i in range(N + 1):
-        uu[i] = theta[i] @ x[i] if theta is not None else u[i]
+        uu[i] = _reference_matvec(theta[i], x[i]) if theta is not None else u[i]
         if i == N:
             break
         A, B, C, D = (model.coeff(k, i, batch.W[: i + 1], P) for k in "ABCD")
-        drift = A @ x[i] + B @ uu[i]
-        diffusion = C @ x[i] + D @ uu[i]
+        drift = _reference_matvec(A, x[i]) + _reference_matvec(B, uu[i])
+        diffusion = _reference_matvec(C, x[i]) + _reference_matvec(D, uu[i])
         x[i + 1] = x[i] + h * drift + diffusion * batch.increments[i][:, None, None]
     return x, uu
 
@@ -240,17 +276,17 @@ def _reference_cost(model, batch, x, u):
     ctrl = np.zeros(P)
     for i in range(N):
         Q, R = (model.coeff(k, i, batch.W[: i + 1], P) for k in "QR")
-        run += h * np.einsum("pn,pnm,pm->p", x[i, :, :, 0], Q, x[i, :, :, 0])
-        ctrl += h * np.einsum("pn,pnm,pm->p", u[i, :, :, 0], R, u[i, :, :, 0])
+        run += h * _reference_form(Q, x[i], x[i])
+        ctrl += h * _reference_form(R, u[i], u[i])
     G = model.terminal(batch.W, P)
-    term = np.einsum("pn,pnm,pm->p", x[N, :, :, 0], G, x[N, :, :, 0])
+    term = _reference_form(G, x[N], x[N])
     return 0.5 * (run + ctrl + term)
 
 
 @pytest.mark.parametrize("make_model", [_path_dependent_1x1, _path_dependent_2x2])
 def test_table_kernels_match_reference_loop_bit_for_bit(make_model):
-    # The 1x1 model runs the elementwise kernel, the 2x2 model the matrix
-    # kernel; both must reproduce the per-step loop exactly.
+    # Both models must reproduce the per-step loop exactly: every product
+    # sums its entries in index order at every dimension.
     model = make_model()
     n, m = model.n, model.m
     grid = make_grid(1.0, 32)
@@ -282,17 +318,32 @@ def test_table_kernels_match_reference_loop_bit_for_bit(make_model):
     sol = RiccatiSolution(grid=grid, P=PathArray(P_path), Lambda=PathArray(np.zeros_like(P_path)),
                           K=PathArray(K_row), L=PathArray(np.zeros((grid.N + 1, 1, m, n))))
     eta_col = np.broadcast_to(eta.reshape(1, n, 1), (50, n, 1))
-    value_ref = 0.5 * np.einsum("pno,pnm,pmo->p", eta_col, P_path[0], eta_col)
+    value_ref = 0.5 * _reference_form(P_path[0], eta_col, eta_col)
     res = value_identity_check(sol, law, model, init, batch)
     assert res.details["value_quadratic_form"] == float(value_ref.mean())
     penalty_ref = np.zeros(50)
     for i in range(grid.N):
-        diff = (u.values[i] - theta[i] @ x_ref[i])[:, :, 0]
-        K_i = np.broadcast_to(K_row[i], (50, m, m))
-        penalty_ref += grid.h * np.einsum("pm,pmk,pk->p", diff, K_i, diff)
+        diff = u.values[i] - _reference_matvec(theta[i], x_ref[i])
+        penalty_ref += grid.h * _reference_form(K_row[i], diff, diff)
     penalty_ref *= 0.5
     res = completion_of_squares_check(sol, law, model, u, init, batch)
     assert res.details["penalty_mean"] == float(penalty_ref.mean())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sums_keep_the_sign_of_zero(n):
+    # Every sum starts from its first term, not from +0.0, so a negative gain
+    # on a zero state records -0.0 at every dimension.
+    Z = np.zeros((n, n))
+    model = CoefficientModel(n=n, m=n, A=lambda i, W: Z, B=lambda i, W: Z, C=lambda i, W: Z,
+                             D=lambda i, W: Z, Q=lambda i, W: Z, R=lambda i, W: np.eye(n),
+                             G=lambda W: np.eye(n), kind="deterministic")
+    grid = make_grid(1.0, 4)
+    batch = sample_brownian(grid, 3, seed=1)
+    theta = np.broadcast_to(-0.5 * np.ones((n, n)), (grid.N + 1, 1, n, n))
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+    _, u = simulate_closed_loop(model, law, InitialCondition(0, np.zeros(n)), batch)
+    assert np.signbit(u.values).all()
 
 
 def test_terminal_weight_is_evaluated_once_per_batch():
@@ -638,5 +689,6 @@ def test_probe_guards():
             counterexample_divergence_probe(1.0, [64], [100], seed=1, chunk_size=bad)
     with pytest.raises(InvalidArgumentError, match="paths_seq"):
         counterexample_divergence_probe(1.0, [64, 128], [0, 100], seed=1)
-    with pytest.raises(InvalidArgumentError, match="seed"):
-        counterexample_divergence_probe(1.0, [64], [100], seed=1.5)
+    for seed in (1.5, True):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            counterexample_divergence_probe(1.0, [64], [100], seed=seed)

@@ -125,8 +125,10 @@ def test_sample_brownian_argument_guards():
         sample_brownian(grid, 4, seed=1, antithetic=True, path_offset=3)
     with pytest.raises(InvalidArgumentError):
         sample_brownian(grid, 4, seed=1, path_offset=-1)
-    with pytest.raises(InvalidArgumentError):
-        sample_brownian(grid, 4, seed=1.5)
+    # A bool seed is refused, not read as the stream of 0 or 1.
+    for seed in (1.5, True):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            sample_brownian(grid, 4, seed=seed)
     # A non-integer offset is refused, not truncated to another stream.
     for offset in (2.7, 2.0, True, "2"):
         with pytest.raises(InvalidArgumentError, match="path_offset"):

@@ -1,7 +1,8 @@
 """Property tests (hypothesis) for path sampling, coefficient tables, the
 divergence probe, the batched solvability kernel, the deterministic Riccati
-solvers against a per-stage reference loop, the sweep's superposition and
-the CLI's config round trip."""
+solvers against a per-stage reference loop, the sweep's superposition, the
+simulator's entry kernel against batched matrix products, and the CLI's
+config round trip."""
 
 import dataclasses
 import json
@@ -654,6 +655,97 @@ def test_sweep_on_broadcast_rows_equals_the_dense_library(n, path_dependent, N, 
         bound = 64 * eps * max(abs(ref.J), abs(J_fb))
         assert abs(row.J - ref.J) <= bound
         assert abs(row.J_minus_Jfb - ref.J_minus_Jfb) <= bound
+
+
+def _matmul_simulate(tab, init, batch, theta=None, control=None):
+    """Reference Euler loop on the coefficient table: batched ``@`` products,
+    as the simulator took them before its entry kernel (BLAS order)."""
+    N, h, P, s = batch.grid.N, batch.grid.h, batch.n_paths, init.start_index
+    n, m = tab.A.shape[2], tab.B.shape[3]
+    x = np.empty((N + 1, P, n, 1))
+    x[: s + 1] = init.eta_column(n, P)
+    u = np.zeros((N + 1, P, m, 1)) if theta is not None else control
+    for i in range(s, N + 1):
+        if theta is not None:
+            u[i] = theta[i] @ x[i]
+        if i == N:
+            break
+        drift = tab.A[i] @ x[i] + tab.B[i] @ u[i]
+        diffusion = tab.C[i] @ x[i] + tab.D[i] @ u[i]
+        x[i + 1] = x[i] + h * drift + diffusion * batch.increments[i][:, None, None]
+    return x, u
+
+
+def _einsum_bilinear(tab, s, h, x, u, y, w):
+    """Reference ``B((x, u), (y, w))`` per path, as its state, control and
+    terminal parts: ``einsum`` forms, summed in time order."""
+    def form(M, a, b):
+        return np.einsum("...n,...nm,...m->...", a[..., 0], M, b[..., 0])
+
+    run, ctrl = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+    for i in range(s, x.shape[0] - 1):
+        run += h * form(tab.Q[i], x[i], y[i])
+        ctrl += h * form(tab.R[i], u[i], w[i])
+    return run, ctrl, form(tab.G, x[-1], y[-1])
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    per_path=st.sets(st.sampled_from("ABCDQRG")),
+    per_path_gain=st.booleans(),
+    N=st.integers(2, 12),
+    n_paths=st.integers(1, 8),
+    start=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entry_kernel_matches_the_matmul_kernel(n, m, per_path, per_path_gain, N, n_paths,
+                                                start, seed):
+    # Sums in index order agree with BLAS products up to rounding, and at
+    # n = m = 1, where every sum has one term, they agree bit for bit (the
+    # cross terms pin the form's order, (x M) y).
+    rng = np.random.default_rng(seed)
+    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m)}
+    coeffs = {k: 0.5 * rng.normal(size=shape) for k, shape in shapes.items()}
+    coeffs.update(Q=np.eye(n) + 0.1 * np.ones((n, n)), R=np.eye(m),
+                  G=np.eye(n) + 0.2 * np.ones((n, n)))
+
+    def evaluator(name, M):
+        if name not in per_path:
+            return lambda *args: M
+        return lambda *args: M * (1.5 + np.cos(args[-1][-1]))[:, None, None]
+
+    fns = {k: evaluator(k, M) for k, M in coeffs.items()}
+    model = CoefficientModel(n=n, m=m, **fns,
+                             kind="path_dependent" if per_path else "deterministic")
+    grid = make_grid(1.0, N)
+    batch = sample_brownian(grid, n_paths, seed)
+    init = InitialCondition(start % N, rng.normal(size=n))
+    tab = coefficient_table(model, batch.W)
+    theta = rng.uniform(-1.0, 1.0, (N + 1, n_paths if per_path_gain else 1, m, n))
+    control = rng.normal(size=(N + 1, n_paths if per_path_gain else 1, m, 1))
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+
+    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
+    x_u = simulate_open_loop(model, PathArray(control), init, batch)
+    dense = np.broadcast_to(control, (N + 1, n_paths, m, 1))  # cost needs one per path
+    got = [x_fb.values, u_fb.values, x_u.values,
+           cost(model, x_fb, u_fb, init, grid, batch).per_path,
+           cost(model, x_u, PathArray(dense), init, grid, batch).per_path]
+    s, h = init.start_index, grid.h
+    got += evaluate._bilinear(tab, s, h, x_fb.values, u_fb.values, x_u.values, dense)
+    x_ref, u_ref = _matmul_simulate(tab, init, batch, theta=theta)
+    x_uref, _ = _matmul_simulate(tab, init, batch, control=control)
+    want = [x_ref, u_ref, x_uref,
+            0.5 * sum(_einsum_bilinear(tab, s, h, x_ref, u_ref, x_ref, u_ref)),
+            0.5 * sum(_einsum_bilinear(tab, s, h, x_uref, dense, x_uref, dense))]
+    want += _einsum_bilinear(tab, s, h, x_ref, u_ref, x_uref, dense)
+    for a, b in zip(got, want):
+        if n == m == 1:
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 @SETTINGS
