@@ -35,15 +35,15 @@ import numpy as np
 
 from .errors import ConfigError, SlqError
 from .evaluate import (
+    _EPSILONS,
     DISC_ALLOWANCE,
     N_SE,
+    _closed_loop,
     _completion_of_squares,
-    cost,
+    _sweep,
+    _value_identity,
     counterexample_divergence_probe,
     make_perturbations,
-    optimality_sweep,
-    simulate_closed_loop,
-    value_identity_check,
 )
 from .feedback import regularity_diagnostics, stationarity_residual, synthesize
 from .grid import PathArray, make_grid, sample_brownian
@@ -77,6 +77,7 @@ TOLERANCE_DEFAULTS = {
     "cos_epsilon": 0.1,     # perturbation size of the CLI's cos check
 }
 RICCATI_CSV_MAX_PATHS = 16
+_SWEEP_COLUMNS = ("perturbation_id", "epsilon", "J", "J_minus_Jfb", "std_err")
 
 
 @dataclass
@@ -268,7 +269,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: tuple | list, rows) -> None:
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -349,12 +350,14 @@ def run(config: ExperimentConfig) -> RunReport:
             "stationarity_residual": None,
             "optimality_sweep": [],
         }
-        sweep_rows: list[list[str]] = []
 
         t0 = time.perf_counter()
+        # One closed loop (x, u, J) serves all three Monte Carlo checks.
+        if not {"value_identity", "completion_of_squares", "optimality"}.isdisjoint(enabled):
+            loop = _closed_loop(model, law, init, batch)
+            _, u_fb, J_fb = loop
         if "value_identity" in enabled:
-            res = value_identity_check(sol, law, model, init, batch,
-                                       n_se=n_se, disc_coeff=disc)
+            res = _value_identity(sol, model, init, batch, J_fb, n_se, disc)
             verification["value_identity_residual"] = res.residual
             pass_flags["value_identity"] = {
                 "passed": res.passed, "residual": res.residual,
@@ -363,8 +366,6 @@ def run(config: ExperimentConfig) -> RunReport:
         perts = None  # the perturbation library, shared by CoS and the sweep
         if "completion_of_squares" in enabled:
             eps = config.tolerance("cos_epsilon")
-            x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
-            J_fb = cost(model, x_fb, u_fb, init, grid, batch)
             perts = make_perturbations(grid, batch, model.m)
             arms = {}
             for pid, v in perts:
@@ -382,13 +383,9 @@ def run(config: ExperimentConfig) -> RunReport:
                 "tolerance": None, "arms": arms,
             }
         if "optimality" in enabled:
-            sweep = optimality_sweep(sol, law, model, init, batch, perturbations=perts,
-                                     n_se=n_se, disc_coeff=disc)
-            verification["optimality_sweep"] = [
-                {"perturbation_id": r.perturbation_id, "epsilon": r.epsilon,
-                 "J": r.J, "J_minus_Jfb": r.J_minus_Jfb, "std_err": r.std_err}
-                for r in sweep.rows
-            ]
+            sweep = _sweep(law, model, init, batch, loop, perts, _EPSILONS, n_se, disc)
+            verification["optimality_sweep"] = [{k: getattr(r, k) for k in _SWEEP_COLUMNS}
+                                                for r in sweep.rows]
             pass_flags["optimality"] = {
                 "passed": sweep.passed, "min_gap": sweep.min_gap,
                 "first_order_ok": sweep.first_order_ok,
@@ -396,11 +393,6 @@ def run(config: ExperimentConfig) -> RunReport:
                 "superposition_error": sweep.superposition_error,
                 "superposition_ok": sweep.superposition_ok,
             }
-            sweep_rows = [
-                [r.perturbation_id, _fmt(r.epsilon), _fmt(r.J),
-                 _fmt(r.J_minus_Jfb), _fmt(r.std_err)]
-                for r in sweep.rows
-            ]
         if "stationarity" in enabled:
             st = stationarity_residual(law, sol, model, batch.W)
             tol = config.tolerance("stationarity")
@@ -428,27 +420,27 @@ def run(config: ExperimentConfig) -> RunReport:
 
         t0 = time.perf_counter()
         n_export = min(RICCATI_CSV_MAX_PATHS, sol.P.n_paths)
-        entry = (lambda a: a[0, 0]) if model.n == 1 and model.m == 1 else np.linalg.norm
+        # A 1x1 field keeps its signed entry; a larger one reads as its Frobenius norm.
+        fields = [f.values[..., 0, 0] if f.values.shape[2:] == (1, 1)
+                  else np.linalg.norm(f.values, axis=(2, 3))
+                  for f in (sol.P, sol.Lambda, sol.K, sol.L)]
         riccati_rows = (
-            [_fmt(grid.points[i]), str(p)]
-            + [_fmt(entry(f.values[i, p])) for f in (sol.P, sol.Lambda, sol.K, sol.L)]
+            [_fmt(grid.points[i]), str(p)] + [_fmt(f[i, p]) for f in fields]
             for p in range(n_export) for i in range(grid.N + 1)
         )
         _write_csv(out_dir / "riccati.csv",
                    ["t", "path_id", "P", "Lambda", "K", "L"], riccati_rows)
         manifest.append("riccati.csv")
-        _write_csv(out_dir / "sweep.csv",
-                   ["perturbation_id", "epsilon", "J", "J_minus_Jfb", "std_err"],
-                   sweep_rows)
+        _write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS,
+                   ([row["perturbation_id"]] + [_fmt(row[k]) for k in _SWEEP_COLUMNS[1:]]
+                    for row in verification["optimality_sweep"]))
         manifest.append("sweep.csv")
         _write_csv(out_dir / "regularity.csv", ["path_id", "sqnorm_theta"],
                    ([str(p), _fmt(v)] for p, v in enumerate(reg.pathwise_sqnorm)))
         manifest.append("regularity.csv")
         timings["artifacts_s"] = time.perf_counter() - t0
 
-        s = config.start_index
-        p_start = sol.P.values[s, :, 0, 0] if model.n == 1 else \
-            np.linalg.norm(sol.P.values[s], axis=(1, 2))
+        p_start = fields[0][config.start_index]
         report = RunReport(
             config=_echo(config),
             riccati_summary={

@@ -9,7 +9,10 @@ Open- and closed-loop simulation share one Euler driver; replaying the
 recorded closed-loop control through the open-loop simulator reproduces the
 closed-loop states bit for bit.  The driver and the cost quadrature read the
 model's coefficient table (:func:`slqkit.problem.coefficient_table`), built
-once per (model, batch) and shared by every check on that batch.  One
+once per (model, batch) and shared by every check on that batch.  The three
+Monte Carlo checks read one closed loop: :func:`_closed_loop` simulates
+``u = Theta x`` and costs it, and the checks' private bodies take its
+result, so a caller running all three (the CLI) simulates it once.  One
 quadrature kernel (:func:`_running`, left-point, in time order) takes every
 running quadratic form: the cost, the sweep's cross terms and the
 completion-of-squares penalty.  Path-constant data (coefficient rows, a
@@ -80,6 +83,8 @@ DISC_ALLOWANCE = 0.5
 # Bound on max_p |J_direct - J_pred| / max_p |J_direct| in the sweep's
 # independent leg; the rounding measured up to N = 4096 stays below 3e-14.
 SUPERPOSITION_RTOL = 1e-10
+
+_EPSILONS = (1.0, 0.1, 0.01)  # the sweep's default epsilons
 
 # Worker threads of the divergence probe: the CPUs this process may run on.
 _PROBE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -299,7 +304,7 @@ def cost(
         raise InvalidArgumentError("state and control have different path counts")
     P = xv.shape[1]
     if batch is not None:
-        if batch.grid.N != N or batch.n_paths != P:
+        if batch.grid.N != N or batch.grid.T != grid.T or batch.n_paths != P:
             raise InvalidArgumentError("batch does not match the state arrays")
         W = batch.W
     elif model.kind == "deterministic":
@@ -364,13 +369,25 @@ def value_identity_check(
     is ``n_se`` standard errors of that difference plus the frozen
     ``disc_coeff * sqrt(h)`` discretization allowance.
     """
-    _require_paths(batch.n_paths, sol.P.values)
+    J = _closed_loop(model, law, init, batch)[2]
+    return _value_identity(sol, model, init, batch, J, n_se, disc_coeff)
+
+
+def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEstimate]:
+    """The closed loop ``(x, u)`` under ``law`` on ``batch`` and its cost
+    ``J``: the one triple that the three Monte Carlo checks read."""
     x, u = simulate_closed_loop(model, law, init, batch)
-    est = cost(model, x, u, init, batch.grid, batch)
+    return x, u, cost(model, x, u, init, batch.grid, batch)
+
+
+def _value_identity(sol, model, init, batch, J: CostEstimate, n_se: float,
+                    disc_coeff: float) -> CheckResult:
+    """:func:`value_identity_check` on a given closed-loop cost ``J``."""
+    _require_paths(batch.n_paths, sol.P.values)
     eta = _column(init.eta_column(model.n, batch.n_paths)[None])
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
-    return _identity_result("value_identity", est.per_path - quad, batch, n_se, disc_coeff,
-                            {"closed_loop_cost": est.mean,
+    return _identity_result("value_identity", J.per_path - quad, batch, n_se, disc_coeff,
+                            {"closed_loop_cost": J.mean,
                              "value_quadratic_form": float(quad.mean())})
 
 
@@ -391,8 +408,7 @@ def completion_of_squares_check(
     exactly zero: the open-loop replay reproduces the closed-loop states bit
     for bit and the penalty vanishes identically.
     """
-    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
-    J_fb = cost(model, x_fb, u_fb, init, batch.grid, batch)
+    J_fb = _closed_loop(model, law, init, batch)[2]
     return _completion_of_squares(sol, law, model, u, init, batch, J_fb, n_se, disc_coeff)
 
 
@@ -422,8 +438,11 @@ def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list
     Each entry is ``(perturbation_id, values)``.  The seven that depend on
     ``t`` only (``const_one`` to ``ramp_t``) are ``(N+1, 1, m, 1)`` rows that
     broadcast over the paths; ``sign_w``, ``sign_w_sin_t`` and ``clip_w``
-    are ``(N+1, n_paths, m, 1)``.
+    are ``(N+1, n_paths, m, 1)``.  ``grid`` must be the batch's grid.
     """
+    if batch.grid.N != grid.N or batch.grid.T != grid.T:
+        raise InvalidArgumentError(f"grid has {grid.N} steps to T = {grid.T}, the batch "
+                                   f"{batch.grid.N} steps to T = {batch.grid.T}")
     t = grid.points[:, None]
     T = grid.T
     W = batch.W
@@ -504,7 +523,7 @@ def optimality_sweep(
     init: InitialCondition,
     batch: BrownianBatch,
     perturbations: list | None = None,
-    epsilons: tuple = (1.0, 0.1, 0.01),
+    epsilons: tuple = _EPSILONS,
     n_se: float = N_SE,
     disc_coeff: float = DISC_ALLOWANCE,
 ) -> SweepResult:
@@ -529,6 +548,14 @@ def optimality_sweep(
     ``sol`` is not read (``law`` carries the gain); it stays in the
     signature, which the acceptance criteria call.
     """
+    return _sweep(law, model, init, batch, None, perturbations, epsilons, n_se, disc_coeff)
+
+
+def _sweep(law, model, init, batch, loop: tuple | None, perturbations: list | None,
+           epsilons: tuple, n_se: float, disc_coeff: float) -> SweepResult:
+    """:func:`optimality_sweep` on the :func:`_closed_loop` triple ``loop``.
+    The inputs are checked first, and a ``None`` loop is built only after
+    they pass, so bad inputs are refused before anything is simulated."""
     grid = batch.grid
     if perturbations is None:
         perturbations = make_perturbations(grid, batch, model.m)
@@ -547,8 +574,7 @@ def optimality_sweep(
         if broken:
             raise InvalidArgumentError(f"{name} is not symmetric (max asymmetry {asym:.3e}); "
                                        "the sweep's superposition needs symmetric weights")
-    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
-    J_fb = cost(model, x_fb, u_fb, init, grid, batch)
+    x_fb, u_fb, J_fb = _closed_loop(model, law, init, batch) if loop is None else loop
     eps_direct = max(epsilons, key=abs)
     rows: list[SweepRow] = []
     even_by_arm: dict[tuple[str, float], float] = {}

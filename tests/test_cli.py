@@ -2,12 +2,18 @@
 exit codes, reproducibility, and flag handling."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from slqkit import cli, evaluate
 from slqkit.cli import ExperimentConfig, load_config, main
 from slqkit.errors import ConfigError
+from slqkit.feedback import synthesize
+from slqkit.grid import PathArray, make_grid, sample_brownian
+from slqkit.problem import InitialCondition, scenario_example1
+from slqkit.riccati import closed_form_example1
 
 
 def _write_config(tmp_path, name="cfg.json", **fields):
@@ -171,10 +177,12 @@ def test_cli_example1_report_and_artifacts(tmp_path):
 
 
 def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monkeypatch):
-    # One closed loop each for the value identity, completion of squares and
-    # the sweep; open loops: 10 + 1 CoS arms, 10 zero-start responses and 10
-    # direct sweep arms.  The perturbation library is built once.
-    calls = {"closed": 0, "open": 0, "library": 0}
+    # One closed loop and its cost serve the value identity, completion of
+    # squares and the sweep.  Open loops: 10 + 1 CoS arms, 10 zero-start
+    # responses and 10 direct sweep arms; costs: the closed loop's, the 11
+    # CoS arms' and the 10 direct arms'.  The perturbation library is built
+    # once.
+    calls = {"closed": 0, "open": 0, "cost": 0, "library": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -183,7 +191,7 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
         return wrapper
 
     for key, name in (("closed", "simulate_closed_loop"), ("open", "simulate_open_loop"),
-                      ("library", "make_perturbations")):
+                      ("cost", "cost"), ("library", "make_perturbations")):
         wrapped = counted(key, getattr(evaluate, name))
         monkeypatch.setattr(evaluate, name, wrapped)
         if hasattr(cli, name):
@@ -191,10 +199,50 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
     out = tmp_path / "counted"
     assert main(["--scenario", "example1", "--steps", "16", "--paths", "20",
                  "--out", str(out)]) == 0
-    assert calls == {"closed": 3, "open": 31, "library": 1}
+    assert calls == {"closed": 1, "open": 31, "cost": 22, "library": 1}
     flags = json.loads((out / "report.json").read_text())["verification"]["pass_flags"]
     assert flags["optimality"]["superposition_ok"] is True
     assert 0.0 <= flags["optimality"]["superposition_error"] <= evaluate.SUPERPOSITION_RTOL
+
+
+def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path):
+    # The CLI's shared closed loop changes no number: each residual, detail
+    # and sweep row equals what the public check computes on its own.
+    out = tmp_path / "same"
+    assert main(["--scenario", "example1", "--steps", "32", "--paths", "200",
+                 "--seed", "3", "--out", str(out)]) == 0
+    verification = json.loads((out / "report.json").read_text())["verification"]
+    flags = verification["pass_flags"]
+    grid = make_grid(1.0, 32)
+    batch = sample_brownian(grid, 200, 3)
+    model = scenario_example1(1.0)
+    sol = closed_form_example1(grid, batch)
+    law = synthesize(sol, model)
+    init = InitialCondition(0, np.array([1.0]))
+
+    vi = evaluate.value_identity_check(sol, law, model, init, batch)
+    assert verification["value_identity_residual"] == vi.residual
+    assert flags["value_identity"]["residual"] == vi.residual
+    assert flags["value_identity"]["tolerance"] == vi.tolerance
+    assert flags["value_identity"]["details"] == vi.details
+
+    arms = flags["completion_of_squares"]["arms"]
+    _, u_fb = evaluate.simulate_closed_loop(model, law, init, batch)
+    perts = evaluate.make_perturbations(grid, batch, model.m)
+    for pid, v in perts:
+        u = PathArray(u_fb.values + 0.1 * v)
+        cos = evaluate.completion_of_squares_check(sol, law, model, u, init, batch)
+        assert arms[pid]["residual"] == cos.residual
+        assert arms[pid]["tolerance"] == cos.tolerance
+    replay = evaluate.completion_of_squares_check(sol, law, model, u_fb, init, batch)
+    assert arms["closed_loop_replay"]["residual"] == replay.residual == 0.0
+
+    sweep = evaluate.optimality_sweep(sol, law, model, init, batch)
+    assert verification["optimality_sweep"] == [
+        {"perturbation_id": r.perturbation_id, "epsilon": r.epsilon, "J": r.J,
+         "J_minus_Jfb": r.J_minus_Jfb, "std_err": r.std_err} for r in sweep.rows]
+    assert flags["optimality"]["min_gap"] == sweep.min_gap
+    assert flags["optimality"]["superposition_error"] == sweep.superposition_error
 
 
 def test_report_echoes_the_checks_that_ran(tmp_path):
@@ -328,6 +376,37 @@ def test_cli_custom_model_scenario(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["riccati_summary"]["solver_tag"] == "deterministic_ode"
     assert main(["--scenario", "custom-from-file", "--out", str(out)]) == 3
+
+
+def test_cli_csv_and_summary_agree_on_the_sign_of_P(tmp_path, monkeypatch):
+    # n = 1, m = 2: P is 1x1 and keeps its sign in both riccati.csv and the
+    # summary, while the 2x2 K and the 2x1 L get their Frobenius norms.
+    # dP/dt = |B|^2 P^2 = P^2 / 2 from P(1) = G = -0.5 gives P(t) = -2 / (3 + t).
+    (tmp_path / "wide_control.py").write_text(
+        "import numpy as np\n"
+        "from slqkit.problem import CoefficientModel\n\n"
+        "def make_model(T):\n"
+        "    zero, zero_row = np.zeros((1, 1)), np.zeros((1, 2))\n"
+        "    return CoefficientModel(\n"
+        "        n=1, m=2, A=lambda i, W: zero, B=lambda i, W: np.full((1, 2), 0.5),\n"
+        "        C=lambda i, W: zero, D=lambda i, W: zero_row, Q=lambda i, W: zero,\n"
+        "        R=lambda i, W: np.eye(2), G=lambda W: np.full((1, 1), -0.5))\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    out = tmp_path / "wide"
+    cfg = _write_config(tmp_path, scenario="custom-from-file",
+                        custom_model="wide_control:make_model",
+                        solver="deterministic_ode", steps=16, paths=8,
+                        output_dir=str(out))
+    assert main(["--config", cfg]) == 0
+    summary = json.loads((out / "report.json").read_text())["riccati_summary"]
+    header, first = (out / "riccati.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert (row["t"], row["path_id"]) == ("0", "0")
+    assert float(row["P"]) == summary["P_at_start_mean"]
+    assert summary["P_at_start_mean"] == pytest.approx(-2.0 / 3.0, rel=1e-6)
+    assert float(row["K"]) == pytest.approx(math.sqrt(2.0), rel=1e-12)  # ||I||_F
+    assert float(row["L"]) == pytest.approx(math.sqrt(0.5) * 2.0 / 3.0, rel=1e-6)
 
 
 def test_cli_bad_custom_model_import_exits_3(tmp_path, capsys):

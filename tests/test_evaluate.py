@@ -181,6 +181,9 @@ def test_cost_guards():
     with pytest.raises(InvalidArgumentError):
         cost(model, x, _zero_control(grid, 4), INIT, grid,
              batch=sample_brownian(make_grid(1.0, 4), 4, seed=1))
+    with pytest.raises(InvalidArgumentError, match="batch does not match"):
+        cost(model, x, _zero_control(grid, 4), INIT, grid,
+             batch=sample_brownian(make_grid(2.0, 8), 4, seed=1))
 
 
 def test_cost_without_batch_needs_a_deterministic_model():
@@ -462,6 +465,14 @@ def test_make_perturbations_library_shape():
         assert v.shape == ((9, 5, 2, 1) if pid in w_dependent else (9, 1, 2, 1))
         assert np.abs(v).max() <= 1.0 + 1e-12
         assert np.isfinite(v).all()
+
+
+def test_make_perturbations_refuses_another_grid():
+    batch = sample_brownian(make_grid(1.0, 16), 5, seed=1)
+    with pytest.raises(InvalidArgumentError, match="8 steps.*16 steps"):
+        make_perturbations(make_grid(1.0, 8), batch)
+    with pytest.raises(InvalidArgumentError, match="T = 2.0.*T = 1.0"):
+        make_perturbations(make_grid(2.0, 16), batch)
 
 
 def test_make_perturbations_adapted_in_w():
