@@ -1,8 +1,12 @@
 """Experiment runner CLI.
 
-Reads a JSON config (or equivalent flags), dispatches the requested scenario,
-solves the backward Riccati equation with the chosen solver, synthesizes the
-feedback gain, runs the enabled verification checks, and writes:
+Reads a JSON config (or equivalent flags) and runs five stages in order, each
+timed into the report's ``timings`` as ``<stage>_s``: ``setup`` (the scenario's
+model, the grid and the Brownian batch), ``riccati`` (the chosen solver),
+``feedback`` (the gain ``Theta = -K^+ L`` and its regularity), ``checks`` (the
+enabled checks, in ``CHECKS`` order) and ``artifacts``.  The checks share one
+closed loop ``(x, u, J)`` and one perturbation library, each built on first
+use.  The run writes:
 
 * ``report.json`` — config echo, Riccati summary, regularity report,
   verification residuals/flags, timings, and the artifact manifest;
@@ -22,7 +26,10 @@ variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
+import importlib
 import json
 import math
 import os
@@ -63,7 +70,29 @@ from .riccati import (
 
 __all__ = ["ExperimentConfig", "RunReport", "load_config", "run", "main"]
 
-SCENARIOS = ("example1", "counterexample", "deterministic", "custom-from-file")
+
+def _custom_model(cfg: ExperimentConfig):
+    mod_name, _, attr = cfg.custom_model.partition(":")
+    try:
+        factory = getattr(importlib.import_module(mod_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise ConfigError(f"cannot import custom model {cfg.custom_model!r}: {exc}",
+                          field="custom_model") from exc
+    return factory(cfg.T)
+
+
+# scenario -> (model factory of the config, the solver "closed_form" names for it,
+# of (model, grid, batch), or None).  Lambdas look names up at call time.
+_SCENARIOS = {
+    "example1": (lambda cfg: scenario_example1(cfg.T),
+                 lambda model, grid, batch: closed_form_example1(grid, batch)),
+    "counterexample": (lambda cfg: scenario_counterexample(cfg.T),
+                       lambda model, grid, batch: closed_form_counterexample(grid, batch)),
+    "deterministic": (lambda cfg: scenario_deterministic(*cfg.deterministic, T=cfg.T),
+                      lambda model, grid, batch: solve_deterministic(model, grid)),
+    "custom-from-file": (_custom_model, None),
+}
+SCENARIOS = tuple(_SCENARIOS)
 SOLVERS = ("closed_form", "regression", "deterministic_ode")
 CHECKS = ("value_identity", "completion_of_squares", "optimality",
           "stationarity", "divergence")
@@ -101,10 +130,7 @@ class ExperimentConfig:
     def enabled_checks(self) -> list:
         if self.checks:
             return list(self.checks)
-        base = ["value_identity", "completion_of_squares", "optimality", "stationarity"]
-        if self.scenario == "counterexample":
-            base.append("divergence")
-        return base
+        return [c for c in CHECKS if c != "divergence" or self.scenario == "counterexample"]
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, TOLERANCE_DEFAULTS[name]))
@@ -226,43 +252,24 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _resolve_model(cfg: ExperimentConfig):
-    if cfg.scenario == "example1":
-        return scenario_example1(cfg.T)
-    if cfg.scenario == "counterexample":
-        return scenario_counterexample(cfg.T)
-    if cfg.scenario == "deterministic":
-        return scenario_deterministic(*cfg.deterministic, T=cfg.T)
-    import importlib
-
-    mod_name, _, attr = cfg.custom_model.partition(":")
-    try:
-        factory = getattr(importlib.import_module(mod_name), attr)
-    except (ImportError, AttributeError) as exc:
-        raise ConfigError(f"cannot import custom model {cfg.custom_model!r}: {exc}",
-                          field="custom_model") from exc
-    return factory(cfg.T)
+    return _SCENARIOS[cfg.scenario][0](cfg)
 
 
 def _solve(cfg: ExperimentConfig, model, grid, batch):
     if cfg.solver == "regression":
         return solve_bsre_regression(model, grid, batch,
                                      RegressionBasis(int(cfg.tolerance("basis_degree"))))
-    if cfg.solver == "deterministic_ode" or (cfg.solver == "closed_form"
-                                             and cfg.scenario == "deterministic"):
-        if model.kind != "deterministic":
-            raise ConfigError(
-                "solver 'deterministic_ode' requires deterministic coefficients",
-                field="solver")
-        return solve_deterministic(model, grid)
     if cfg.solver == "closed_form":
-        if cfg.scenario == "example1":
-            return closed_form_example1(grid, batch)
-        if cfg.scenario == "counterexample":
-            return closed_form_counterexample(grid, batch)
+        closed_form = _SCENARIOS[cfg.scenario][1]
+        if closed_form is None:
+            raise ConfigError(
+                f"no closed-form solver for scenario {cfg.scenario!r}; "
+                "use 'regression' or 'deterministic_ode'", field="solver")
+        return closed_form(model, grid, batch)
+    if model.kind != "deterministic":
         raise ConfigError(
-            f"no closed-form solver for scenario {cfg.scenario!r}; "
-            "use 'regression' or 'deterministic_ode'", field="solver")
-    raise ConfigError(f"unhandled solver {cfg.solver!r}", field="solver")
+            "solver 'deterministic_ode' requires deterministic coefficients", field="solver")
+    return solve_deterministic(model, grid)
 
 
 def _fmt(x: float) -> str:
@@ -311,134 +318,116 @@ def run(config: ExperimentConfig) -> RunReport:
     out_dir = Path(os.environ.get("OUTPUT_DIR") or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    manifest: list[str] = []
-    report_path = out_dir / "report.json"
 
     def _emit_report(report: RunReport) -> None:
         payload = _jsonable(dataclasses.asdict(report))
-        report_path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        (out_dir / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+    @contextlib.contextmanager
+    def stage(name: str):  # a stage that raises records nothing
+        t0 = time.perf_counter()
+        yield
+        timings[name] = time.perf_counter() - t0
 
     try:
-        t0 = time.perf_counter()
-        model = _resolve_model(config)
-        if len(config.eta) != model.n:
-            raise ConfigError(f"eta has length {len(config.eta)}, state dimension is "
-                              f"{model.n}", field="eta")
-        grid = make_grid(config.T, config.steps)
-        batch = sample_brownian(grid, config.paths, config.seed)
-        timings["setup_s"] = time.perf_counter() - t0
+        with stage("setup_s"):
+            model = _resolve_model(config)
+            if len(config.eta) != model.n:
+                raise ConfigError(f"eta has length {len(config.eta)}, state dimension is "
+                                  f"{model.n}", field="eta")
+            grid = make_grid(config.T, config.steps)
+            batch = sample_brownian(grid, config.paths, config.seed)
 
-        t0 = time.perf_counter()
-        sol = _solve(config, model, grid, batch)
-        timings["riccati_s"] = time.perf_counter() - t0
+        with stage("riccati_s"):
+            sol = _solve(config, model, grid, batch)
 
-        t0 = time.perf_counter()
-        law = synthesize(sol, model, tol=config.tolerance("synthesis"))
-        bound = config.tolerance("regularity_bound")
-        reg = regularity_diagnostics(law, grid, None if bound == 0.0 else bound)
-        timings["feedback_s"] = time.perf_counter() - t0
+        with stage("feedback_s"):
+            law = synthesize(sol, model, tol=config.tolerance("synthesis"))
+            bound = config.tolerance("regularity_bound")
+            reg = regularity_diagnostics(law, grid, None if bound == 0.0 else bound)
 
-        init = InitialCondition(start_index=config.start_index,
-                                eta=np.asarray(config.eta))
+        init = InitialCondition(start_index=config.start_index, eta=np.asarray(config.eta))
         n_se = config.tolerance("n_se")
         disc = config.tolerance("disc_coeff")
         enabled = config.enabled_checks()
         pass_flags: dict[str, dict] = {}
-        verification: dict = {
-            "value_identity_residual": None,
-            "cos_identity_residual": None,
-            "stationarity_residual": None,
-            "optimality_sweep": [],
+        sweep_rows: list[dict] = []
+        # Built on first use, then shared by every check that reads them.
+        loop = functools.cache(lambda: _closed_loop(model, law, init, batch))
+        perts = functools.cache(lambda: make_perturbations(grid, batch, model.m))
+
+        with stage("checks_s"):
+            if "value_identity" in enabled:
+                res = _value_identity(sol, model, init, batch, loop()[2], n_se, disc)
+                pass_flags["value_identity"] = {
+                    k: getattr(res, k) for k in ("passed", "residual", "tolerance", "details")}
+            if "completion_of_squares" in enabled:
+                _, u_fb, J_fb = loop()
+                eps = config.tolerance("cos_epsilon")
+                arms = {}
+                for pid, v in perts():
+                    res = _completion_of_squares(sol, law, model, PathArray(u_fb.values + eps * v),
+                                                 init, batch, J_fb, n_se, disc)
+                    arms[pid] = {"residual": res.residual, "tolerance": res.tolerance,
+                                 "passed": res.passed}
+                worst = max(arm["residual"] for arm in arms.values())
+                replay = _completion_of_squares(sol, law, model, u_fb, init, batch, J_fb,
+                                                n_se, disc)
+                arms["closed_loop_replay"] = {"residual": replay.residual, "tolerance": 0.0,
+                                              "passed": replay.residual == 0.0}
+                pass_flags["completion_of_squares"] = {
+                    "passed": all(arm["passed"] for arm in arms.values()), "residual": worst,
+                    "tolerance": None, "arms": arms,
+                }
+            if "optimality" in enabled:
+                sweep = _sweep(law, model, init, batch, loop(), perts(), _EPSILONS, n_se, disc)
+                sweep_rows = [{k: getattr(r, k) for k in _SWEEP_COLUMNS} for r in sweep.rows]
+                pass_flags["optimality"] = {k: getattr(sweep, k) for k in (
+                    "passed", "min_gap", "first_order_ok", "quad_ratios", "quad_ok",
+                    "superposition_error", "superposition_ok")}
+            if "stationarity" in enabled:
+                st = stationarity_residual(law, sol, model, batch.W)
+                tol = config.tolerance("stationarity")
+                pass_flags["stationarity"] = {
+                    "passed": st.max_residual <= tol,
+                    "residual": st.max_residual, "tolerance": tol,
+                    "pi_form_residual": st.pi_form_residual,
+                }
+            if "divergence" in enabled:
+                rungs = [(config.steps, config.paths)]
+                if config.steps > 256 and config.paths > 1000:
+                    rungs.insert(0, (256, 1000))
+                probe = counterexample_divergence_probe(config.T, *zip(*rungs), config.seed)
+                pass_flags["divergence"] = {
+                    "passed": probe.bounds_ok and probe.growth_monotone,
+                    "bounds_ok": probe.bounds_ok,
+                    "growth_ratio": probe.growth_ratio,
+                    "rows": [dataclasses.asdict(r) for r in probe.rows],
+                }
+        verification = {
+            "value_identity_residual": pass_flags.get("value_identity", {}).get("residual"),
+            "cos_identity_residual": pass_flags.get("completion_of_squares", {}).get("residual"),
+            "stationarity_residual": pass_flags.get("stationarity", {}).get("residual"),
+            "optimality_sweep": sweep_rows, "pass_flags": pass_flags,
         }
 
-        t0 = time.perf_counter()
-        # One closed loop (x, u, J) serves all three Monte Carlo checks.
-        if not {"value_identity", "completion_of_squares", "optimality"}.isdisjoint(enabled):
-            loop = _closed_loop(model, law, init, batch)
-            _, u_fb, J_fb = loop
-        if "value_identity" in enabled:
-            res = _value_identity(sol, model, init, batch, J_fb, n_se, disc)
-            verification["value_identity_residual"] = res.residual
-            pass_flags["value_identity"] = {
-                "passed": res.passed, "residual": res.residual,
-                "tolerance": res.tolerance, "details": res.details,
-            }
-        perts = None  # the perturbation library, shared by CoS and the sweep
-        if "completion_of_squares" in enabled:
-            eps = config.tolerance("cos_epsilon")
-            perts = make_perturbations(grid, batch, model.m)
-            arms = {}
-            for pid, v in perts:
-                res = _completion_of_squares(sol, law, model, PathArray(u_fb.values + eps * v),
-                                             init, batch, J_fb, n_se, disc)
-                arms[pid] = {"residual": res.residual, "tolerance": res.tolerance,
-                             "passed": res.passed}
-            worst = max(arm["residual"] for arm in arms.values())
-            replay = _completion_of_squares(sol, law, model, u_fb, init, batch, J_fb, n_se, disc)
-            arms["closed_loop_replay"] = {"residual": replay.residual, "tolerance": 0.0,
-                                          "passed": replay.residual == 0.0}
-            verification["cos_identity_residual"] = worst
-            pass_flags["completion_of_squares"] = {
-                "passed": all(arm["passed"] for arm in arms.values()), "residual": worst,
-                "tolerance": None, "arms": arms,
-            }
-        if "optimality" in enabled:
-            sweep = _sweep(law, model, init, batch, loop, perts, _EPSILONS, n_se, disc)
-            verification["optimality_sweep"] = [{k: getattr(r, k) for k in _SWEEP_COLUMNS}
-                                                for r in sweep.rows]
-            pass_flags["optimality"] = {
-                "passed": sweep.passed, "min_gap": sweep.min_gap,
-                "first_order_ok": sweep.first_order_ok,
-                "quad_ratios": sweep.quad_ratios, "quad_ok": sweep.quad_ok,
-                "superposition_error": sweep.superposition_error,
-                "superposition_ok": sweep.superposition_ok,
-            }
-        if "stationarity" in enabled:
-            st = stationarity_residual(law, sol, model, batch.W)
-            tol = config.tolerance("stationarity")
-            verification["stationarity_residual"] = st.max_residual
-            pass_flags["stationarity"] = {
-                "passed": st.max_residual <= tol,
-                "residual": st.max_residual, "tolerance": tol,
-                "pi_form_residual": st.pi_form_residual,
-            }
-        if "divergence" in enabled:
-            ladder_steps = [config.steps]
-            ladder_paths = [config.paths]
-            if config.steps > 256 and config.paths > 1000:
-                ladder_steps.insert(0, 256)
-                ladder_paths.insert(0, 1000)
-            probe = counterexample_divergence_probe(
-                config.T, ladder_steps, ladder_paths, config.seed)
-            pass_flags["divergence"] = {
-                "passed": probe.bounds_ok and probe.growth_monotone,
-                "bounds_ok": probe.bounds_ok,
-                "growth_ratio": probe.growth_ratio,
-                "rows": [dataclasses.asdict(r) for r in probe.rows],
-            }
-        timings["checks_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        n_export = min(RICCATI_CSV_MAX_PATHS, sol.P.n_paths)
-        # A 1x1 field keeps its signed entry; a larger one reads as its Frobenius norm.
-        fields = [f.values[..., 0, 0] if f.values.shape[2:] == (1, 1)
-                  else np.linalg.norm(f.values, axis=(2, 3))
-                  for f in (sol.P, sol.Lambda, sol.K, sol.L)]
-        riccati_rows = (
-            [_fmt(grid.points[i]), str(p)] + [_fmt(f[i, p]) for f in fields]
-            for p in range(n_export) for i in range(grid.N + 1)
-        )
-        _write_csv(out_dir / "riccati.csv",
-                   ["t", "path_id", "P", "Lambda", "K", "L"], riccati_rows)
-        manifest.append("riccati.csv")
-        _write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS,
-                   ([row["perturbation_id"]] + [_fmt(row[k]) for k in _SWEEP_COLUMNS[1:]]
-                    for row in verification["optimality_sweep"]))
-        manifest.append("sweep.csv")
-        _write_csv(out_dir / "regularity.csv", ["path_id", "sqnorm_theta"],
-                   ([str(p), _fmt(v)] for p, v in enumerate(reg.pathwise_sqnorm)))
-        manifest.append("regularity.csv")
-        timings["artifacts_s"] = time.perf_counter() - t0
+        with stage("artifacts_s"):
+            n_export = min(RICCATI_CSV_MAX_PATHS, sol.P.n_paths)
+            # A 1x1 field keeps its signed entry; a larger one reads as its Frobenius norm.
+            fields = [f.values[..., 0, 0] if f.values.shape[2:] == (1, 1)
+                      else np.linalg.norm(f.values, axis=(2, 3))
+                      for f in (sol.P, sol.Lambda, sol.K, sol.L)]
+            riccati_rows = (
+                [_fmt(grid.points[i]), str(p)] + [_fmt(f[i, p]) for f in fields]
+                for p in range(n_export) for i in range(grid.N + 1)
+            )
+            _write_csv(out_dir / "riccati.csv",
+                       ["t", "path_id", "P", "Lambda", "K", "L"], riccati_rows)
+            _write_csv(out_dir / "sweep.csv", _SWEEP_COLUMNS,
+                       ([row["perturbation_id"]] + [_fmt(row[k]) for k in _SWEEP_COLUMNS[1:]]
+                        for row in sweep_rows))
+            _write_csv(out_dir / "regularity.csv", ["path_id", "sqnorm_theta"],
+                       ([str(p), _fmt(v)] for p, v in enumerate(reg.pathwise_sqnorm)))
 
         p_start = fields[0][config.start_index]
         report = RunReport(
@@ -449,15 +438,11 @@ def run(config: ExperimentConfig) -> RunReport:
                 "P_at_start_std": float(p_start.std()),
                 "paths_in_csv": n_export,
             },
-            regularity={
-                "max": reg.max, "mean": reg.mean,
-                "quantiles": reg.quantiles,
-                "bound_threshold": reg.bound_threshold,
-                "qualified": reg.qualified,
-            },
-            verification={**verification, "pass_flags": pass_flags},
+            regularity={f.name: getattr(reg, f.name) for f in dataclasses.fields(reg)
+                        if f.name != "pathwise_sqnorm"},
+            verification=verification,
             timings=timings,
-            manifest=manifest + ["report.json"],
+            manifest=["riccati.csv", "sweep.csv", "regularity.csv", "report.json"],
             all_passed=all(f["passed"] for f in pass_flags.values()),
         )
         _emit_report(report)
@@ -466,7 +451,7 @@ def run(config: ExperimentConfig) -> RunReport:
         report = RunReport(
             config=_echo(config),
             riccati_summary={}, regularity={}, verification={},
-            timings=timings, manifest=manifest + ["report.json"],
+            timings=timings, manifest=["report.json"],
             all_passed=False, failed=f"{type(exc).__name__}: {exc}",
         )
         _emit_report(report)
@@ -535,8 +520,7 @@ def main(argv: list | None = None) -> int:
         print(f"runtime-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     out_dir = os.environ.get("OUTPUT_DIR") or config.output_dir
-    flags = report.verification.get("pass_flags", {})
-    for name, info in flags.items():
+    for name, info in report.verification["pass_flags"].items():
         print(f"{name}: {'PASS' if info['passed'] else 'FAIL'}")
     print(f"artifacts written to {out_dir}")
     return 0 if report.all_passed else 2

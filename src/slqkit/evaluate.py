@@ -128,6 +128,13 @@ def _require_paths(n_paths: int, *arrays: np.ndarray) -> None:
                 f"path dimension mismatch: have {arr.shape[1]}, batch has {n_paths}")
 
 
+def _require_grid(what: str, grid: TimeGrid, batch: BrownianBatch) -> None:
+    """``grid`` must have the batch's step count and horizon."""
+    if grid.N != batch.grid.N or grid.T != batch.grid.T:
+        raise InvalidArgumentError(f"{what} has {grid.N} steps to T = {grid.T}, the batch "
+                                   f"{batch.grid.N} steps to T = {batch.grid.T}")
+
+
 def _entries(a: np.ndarray) -> list:
     """Views ``E[j][l][i] = a[i, ..., j, l]`` of an ``(I, ..., r, c)`` array,
     listed once so that loops over ``i`` only look them up."""
@@ -383,6 +390,7 @@ def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEst
 def _value_identity(sol, model, init, batch, J: CostEstimate, n_se: float,
                     disc_coeff: float) -> CheckResult:
     """:func:`value_identity_check` on a given closed-loop cost ``J``."""
+    _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, sol.P.values)
     eta = _column(init.eta_column(model.n, batch.n_paths)[None])
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
@@ -416,6 +424,7 @@ def _completion_of_squares(sol, law, model, u, init, batch, J_fb: CostEstimate,
                            n_se: float, disc_coeff: float) -> CheckResult:
     """:func:`completion_of_squares_check` against a given closed-loop cost
     ``J_fb``, so several controls share one closed loop."""
+    _require_grid("solution grid", sol.grid, batch)
     th, Kv = law.theta.values, sol.K.values
     _require_paths(batch.n_paths, th, Kv)
     x_u = simulate_open_loop(model, u, init, batch)
@@ -440,9 +449,9 @@ def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list
     broadcast over the paths; ``sign_w``, ``sign_w_sin_t`` and ``clip_w``
     are ``(N+1, n_paths, m, 1)``.  ``grid`` must be the batch's grid.
     """
-    if batch.grid.N != grid.N or batch.grid.T != grid.T:
-        raise InvalidArgumentError(f"grid has {grid.N} steps to T = {grid.T}, the batch "
-                                   f"{batch.grid.N} steps to T = {batch.grid.T}")
+    _require_grid("grid", grid, batch)
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise InvalidArgumentError(f"m must be a positive integer, got {m!r}")
     t = grid.points[:, None]
     T = grid.T
     W = batch.W
@@ -734,8 +743,11 @@ def counterexample_divergence_probe(
     Streams are per path and blocks are joined in path order, so the rows do
     not depend on the worker count or on ``chunk_size``.
     """
-    steps_seq = [int(v) for v in steps_seq]
-    paths_seq = [int(v) for v in paths_seq]
+    steps_seq, paths_seq = list(steps_seq), list(paths_seq)
+    for name, seq in (("steps_seq", steps_seq), ("paths_seq", paths_seq)):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in seq):
+            raise InvalidArgumentError(f"{name} must hold integers, got {seq!r}")
+    steps_seq, paths_seq = [int(v) for v in steps_seq], [int(v) for v in paths_seq]
     if len(steps_seq) != len(paths_seq):
         raise InvalidArgumentError("steps_seq and paths_seq must have equal length")
     if not steps_seq:

@@ -200,6 +200,8 @@ def stationarity_residual(
     (and, for path-dependent coefficients, the batch's ``W``) additionally
     evaluates the adjoint-process form of the same identity.
     """
+    if W is not None and (np.ndim(W) != 2 or np.shape(W)[0] != sol.grid.N + 1):
+        raise InvalidArgumentError(f"W must be 2-D with {sol.grid.N + 1} rows, got {np.shape(W)}")
     Kv = sol.K.values
     Lv = sol.L.values
     th = law.theta.values

@@ -3,6 +3,7 @@ exit codes, reproducibility, and flag handling."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
     flags = json.loads((out / "report.json").read_text())["verification"]["pass_flags"]
     assert flags["optimality"]["superposition_ok"] is True
     assert 0.0 <= flags["optimality"]["superposition_error"] <= evaluate.SUPERPOSITION_RTOL
+
+
+def test_cli_stages_cover_the_run(tmp_path, monkeypatch):
+    # The five stages account for the run's wall time: what lies outside
+    # them (the output directory, the config echo, report.json) is small.
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+    config = ExperimentConfig(scenario="example1", steps=128, paths=1000,
+                              output_dir=str(tmp_path / "stages"))
+    t0 = time.perf_counter()
+    report = cli.run(config)
+    wall = time.perf_counter() - t0
+    assert list(report.timings) == ["setup_s", "riccati_s", "feedback_s", "checks_s",
+                                    "artifacts_s"]
+    assert sum(report.timings.values()) >= 0.95 * wall
 
 
 def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path):

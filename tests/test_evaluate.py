@@ -407,6 +407,16 @@ def test_checks_reject_a_solution_of_another_path_count():
     _, u_fb = simulate_closed_loop(model, law, INIT, batch)
     with pytest.raises(InvalidArgumentError, match="path dimension mismatch"):
         completion_of_squares_check(three, law, model, u_fb, INIT, batch)
+    # A solution on another grid would be read at the wrong times.
+    finer = make_grid(1.0, 32)
+    other_steps = closed_form_example1(finer, sample_brownian(finer, 50, seed=1))
+    other_horizon = dataclasses.replace(sol, grid=make_grid(2.0, 16))
+    for other, match in ((other_steps, "32 steps.*16 steps"),
+                         (other_horizon, "T = 2.0.*T = 1.0")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            value_identity_check(other, law, model, INIT, batch)
+        with pytest.raises(InvalidArgumentError, match=match):
+            completion_of_squares_check(other, law, model, u_fb, INIT, batch)
 
 
 def test_completion_of_squares_replay_is_exactly_zero():
@@ -473,6 +483,15 @@ def test_make_perturbations_refuses_another_grid():
         make_perturbations(make_grid(1.0, 8), batch)
     with pytest.raises(InvalidArgumentError, match="T = 2.0.*T = 1.0"):
         make_perturbations(make_grid(2.0, 16), batch)
+
+
+def test_make_perturbations_refuses_a_non_integer_width():
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 5, seed=1)
+    for bad in (1.5, 0, -1, True, "2", None):
+        with pytest.raises(InvalidArgumentError, match="m must be a positive integer"):
+            make_perturbations(grid, batch, bad)
+    assert make_perturbations(grid, batch, np.int64(2))[0][1].shape == (9, 1, 2, 1)
 
 
 def test_make_perturbations_adapted_in_w():
@@ -703,3 +722,10 @@ def test_probe_guards():
     for seed in (1.5, True):
         with pytest.raises(InvalidArgumentError, match="seed"):
             counterexample_divergence_probe(1.0, [64], [100], seed=seed)
+    for bad in (64.7, 64.0, True, "64", None):
+        with pytest.raises(InvalidArgumentError, match="steps_seq"):
+            counterexample_divergence_probe(1.0, [bad], [100], seed=1)
+        with pytest.raises(InvalidArgumentError, match="paths_seq"):
+            counterexample_divergence_probe(1.0, [64], [bad], seed=1)
+    row = counterexample_divergence_probe(1.0, [np.int64(8)], [np.int32(5)], seed=1).rows[0]
+    assert (row.steps, row.n_paths) == (8, 5) and type(row.steps) is int

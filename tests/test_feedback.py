@@ -289,3 +289,12 @@ def test_stationarity_example1_roundoff_scale():
     res = stationarity_residual(law, sol, model, batch.W)
     assert res.max_residual <= 1e-12
     assert res.pi_form_residual <= 1e-12
+
+
+def test_stationarity_refuses_a_path_array_of_another_shape():
+    grid, batch, sol, model = _example1_setup(N=16, n_paths=20)
+    law = synthesize(sol, model)
+    finer = sample_brownian(make_grid(1.0, 32), 20, seed=1)
+    for W in (finer.W, batch.W[:9], batch.W[:, 0], batch.W[..., None]):
+        with pytest.raises(InvalidArgumentError, match="W must be 2-D with 17 rows"):
+            stationarity_residual(law, sol, model, W)
