@@ -358,20 +358,20 @@ def run(config: ExperimentConfig) -> RunReport:
 
         with stage("checks_s"):
             if "value_identity" in enabled:
-                res = _value_identity(sol, model, init, batch, loop()[2], n_se, disc)
+                res = _value_identity(sol, model, init, batch, loop, n_se, disc)
                 pass_flags["value_identity"] = {
                     k: getattr(res, k) for k in ("passed", "residual", "tolerance", "details")}
             if "completion_of_squares" in enabled:
-                _, u_fb, J_fb = loop()
+                u_fb = loop()[1]
                 eps = config.tolerance("cos_epsilon")
                 arms = {}
                 for pid, v in perts():
                     res = _completion_of_squares(sol, law, model, PathArray(u_fb.values + eps * v),
-                                                 init, batch, J_fb, n_se, disc)
+                                                 init, batch, loop, n_se, disc)
                     arms[pid] = {"residual": res.residual, "tolerance": res.tolerance,
                                  "passed": res.passed}
                 worst = max(arm["residual"] for arm in arms.values())
-                replay = _completion_of_squares(sol, law, model, u_fb, init, batch, J_fb,
+                replay = _completion_of_squares(sol, law, model, u_fb, init, batch, loop,
                                                 n_se, disc)
                 arms["closed_loop_replay"] = {"residual": replay.residual, "tolerance": 0.0,
                                               "passed": replay.residual == 0.0}

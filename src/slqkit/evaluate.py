@@ -376,8 +376,8 @@ def value_identity_check(
     is ``n_se`` standard errors of that difference plus the frozen
     ``disc_coeff * sqrt(h)`` discretization allowance.
     """
-    J = _closed_loop(model, law, init, batch)[2]
-    return _value_identity(sol, model, init, batch, J, n_se, disc_coeff)
+    return _value_identity(sol, model, init, batch, lambda: _closed_loop(model, law, init, batch),
+                           n_se, disc_coeff)
 
 
 def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEstimate]:
@@ -387,11 +387,11 @@ def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEst
     return x, u, cost(model, x, u, init, batch.grid, batch)
 
 
-def _value_identity(sol, model, init, batch, J: CostEstimate, n_se: float,
-                    disc_coeff: float) -> CheckResult:
-    """:func:`value_identity_check` on a given closed-loop cost ``J``."""
+def _value_identity(sol, model, init, batch, loop, n_se: float, disc_coeff: float) -> CheckResult:
+    """:func:`value_identity_check` on the closed loop ``loop()``, built after the guards."""
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, sol.P.values)
+    J = loop()[2]
     eta = _column(init.eta_column(model.n, batch.n_paths)[None])
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
     return _identity_result("value_identity", J.per_path - quad, batch, n_se, disc_coeff,
@@ -416,17 +416,18 @@ def completion_of_squares_check(
     exactly zero: the open-loop replay reproduces the closed-loop states bit
     for bit and the penalty vanishes identically.
     """
-    J_fb = _closed_loop(model, law, init, batch)[2]
-    return _completion_of_squares(sol, law, model, u, init, batch, J_fb, n_se, disc_coeff)
+    return _completion_of_squares(sol, law, model, u, init, batch,
+                                  lambda: _closed_loop(model, law, init, batch), n_se, disc_coeff)
 
 
-def _completion_of_squares(sol, law, model, u, init, batch, J_fb: CostEstimate,
+def _completion_of_squares(sol, law, model, u, init, batch, loop,
                            n_se: float, disc_coeff: float) -> CheckResult:
-    """:func:`completion_of_squares_check` against a given closed-loop cost
-    ``J_fb``, so several controls share one closed loop."""
+    """:func:`completion_of_squares_check` on the closed loop ``loop()``, built
+    after the guards, so several controls share one closed loop."""
     _require_grid("solution grid", sol.grid, batch)
     th, Kv = law.theta.values, sol.K.values
     _require_paths(batch.n_paths, th, Kv)
+    J_fb = loop()[2]
     x_u = simulate_open_loop(model, u, init, batch)
     J_u = cost(model, x_u, u, init, batch.grid, batch)
     xs = _column(x_u.values)

@@ -7,9 +7,9 @@ The gain is the pseudoinverse formula
 evaluated pointwise in (time, path), with ``theta_free = 0`` unless the
 caller supplies one.  It is well defined — and the resulting control
 optimal — exactly where ``K`` is PSD and the columns of ``L`` lie in the
-range of ``K``.  Both conditions and ``K^+`` come from one batched call of
-:func:`slqkit.pinv.solvability` over every sample; violations abort
-synthesis with the offending sample points.  Whether the gain is *usable*
+range of ``K``.  Both conditions and ``K^+`` come from batched calls of
+:func:`slqkit.pinv.solvability`, one per block of time rows; violations
+abort synthesis with the offending sample points.  Whether the gain is *usable*
 is a separate question answered by :func:`regularity_diagnostics`: the
 pathwise squared L2 time-norm of Theta must stay bounded across scenarios,
 and the report quantifies its sampled distribution and flags the verdict.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SynthesisInfeasibleError
-from .grid import PathArray, TimeGrid
+from .grid import PathArray, TimeGrid, _time_blocks
 from .pinv import solvability
 from .problem import CoefficientModel, _zero_prefix, coefficient_table
 from .riccati import RiccatiSolution
@@ -83,8 +83,9 @@ def synthesize(
     """Build the gain ``-K^+ L + (I - K^+ K) theta_free`` from a solution.
 
     Solvability is checked at every (time, path) sample: ``K`` PSD within
-    ``tol`` and ``L`` in the range of ``K`` within ``tol``-scale, by one
-    call of :func:`slqkit.pinv.solvability`.  ``theta_free`` must broadcast
+    ``tol`` and ``L`` in the range of ``K`` within ``tol``-scale, by
+    :func:`slqkit.pinv.solvability` on one block of time rows at a time,
+    each written straight into the gain array.  ``theta_free`` must broadcast
     to the gain's shape; without it the null-space term is zero.  When ``K``
     is invertible everywhere the result does not depend on ``theta_free``.
 
@@ -112,27 +113,33 @@ def synthesize(
         except ValueError:
             raise InvalidArgumentError(
                 f"theta_free of shape {free.shape} does not broadcast to {L.shape}") from None
-    Kd, psd, in_range = solvability(K, L, tol)
-    _raise_if_any(~psd, "psd", sol.grid.points)
-    _raise_if_any(~in_range, "range", sol.grid.points)
-    theta = Kd @ L
-    np.negative(theta, out=theta)
-    if theta_free is not None:
-        theta += (np.eye(m) - Kd @ K) @ free
+    theta = np.empty(L.shape)
+    offenders = {"psd": [], "range": []}  # (t, path) pairs in time-then-path order
+    counts = dict.fromkeys(offenders, 0)
+    try:
+        for rows in _time_blocks(K, L):
+            Kd, psd, in_range = solvability(K[rows], L[rows], tol)
+            for reason, ok in (("psd", psd), ("range", in_range)):
+                idx_t, idx_p = np.nonzero(~ok)
+                counts[reason] += idx_t.size
+                offenders[reason] += zip(sol.grid.points[rows][idx_t[:100]].tolist(),
+                                         idx_p[:100].tolist())
+            if not any(counts.values()):  # else synthesis fails: no gain is formed
+                gain = np.matmul(Kd, L[rows], out=theta[rows])
+                np.negative(gain, out=gain)
+                if theta_free is not None:
+                    gain += (np.eye(m) - Kd @ K[rows]) @ free[rows]
+    except InvalidArgumentError:
+        solvability(K, L, tol)  # raises it again, with the whole batch's shapes and maxima
+        raise
+    for reason, pts in offenders.items():
+        if counts[reason]:
+            label = ("control weight not positive semidefinite"
+                     if reason == "psd" else "range condition violated")
+            raise SynthesisInfeasibleError(
+                f"{label} at {counts[reason]} sample point(s); first offenders (t, path): "
+                f"{pts[:5]}", reason=reason, offenders=pts[:100], total_offenders=counts[reason])
     return FeedbackLaw(theta=PathArray(theta), source=sol)
-
-
-def _raise_if_any(bad: np.ndarray, reason: str, times: np.ndarray) -> None:
-    if not bad.any():
-        return
-    idx_t, idx_p = np.nonzero(bad)
-    pts = [(float(times[i]), int(p)) for i, p in zip(idx_t[:100], idx_p[:100])]
-    label = ("control weight not positive semidefinite"
-             if reason == "psd" else "range condition violated")
-    raise SynthesisInfeasibleError(
-        f"{label} at {idx_t.size} sample point(s); first offenders (t, path): {pts[:5]}",
-        reason=reason, offenders=pts, total_offenders=idx_t.size,
-    )
 
 
 def regularity_diagnostics(
@@ -205,8 +212,11 @@ def stationarity_residual(
     Kv = sol.K.values
     Lv = sol.L.values
     th = law.theta.values
-    resid = Lv + np.einsum("tpij,tpjk->tpik", Kv, th)
-    max_resid = float(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max())
+    block_max = []
+    for rows in _time_blocks(Kv, Lv, th):
+        resid = Lv[rows] + np.einsum("tpij,tpjk->tpik", Kv[rows], th[rows])
+        block_max.append(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max())
+    max_resid = float(np.max(block_max))
     pi_resid = None
     if model is not None:
         worst = 0.0

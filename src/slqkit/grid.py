@@ -152,6 +152,16 @@ class BrownianBatch:
         return BrownianBatch(grid=grid, n_paths=n_paths, seed=int(seed), increments=inc, W=W)
 
 
+_BLOCK_ENTRIES = 1 << 14  # entries per array in one block of _time_blocks (128 KB of float64)
+
+
+def _time_blocks(*arrays: np.ndarray) -> list[slice]:
+    """The arrays' leading (time) axis as slices in order, each spanning at most
+    ``_BLOCK_ENTRIES`` entries of every array and at least one row."""
+    step = max(1, _BLOCK_ENTRIES // max(1, *(math.prod(a.shape[1:]) for a in arrays)))
+    return [slice(lo, lo + step) for lo in range(0, max(1, *map(len, arrays)), step)]
+
+
 def _scaled_normals(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 0,
                     antithetic: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """``sqrt(h)`` times the standard normals of paths ``[path_offset,
@@ -245,6 +255,7 @@ def sample_brownian(
     rows = _scaled_normals(grid, n_paths, seed, path_offset, antithetic)
     W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
     np.cumsum(rows.T, axis=0, out=W[1:])
+    del rows  # before the increments are formed: two batch arrays live, not three
     return BrownianBatch._frozen(grid, n_paths, seed, W)
 
 

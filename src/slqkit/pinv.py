@@ -175,7 +175,6 @@ def _verdicts(K, Kd, lam_min, L, tol: float) -> tuple[np.ndarray, np.ndarray]:
         k_max = np.abs(K).max(axis=(-2, -1))
         product = np.matmul
     psd = lam_min >= -tol * (1.0 + k_max)
-    del k_max  # as large as L, which is a whole batch in synthesis
     in_range = _frobenius(product(K, product(Kd, L)) - L) <= tol * (1.0 + _frobenius(L))
     return psd, in_range
 

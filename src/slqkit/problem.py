@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import BrownianBatch, TimeGrid, make_grid
+from .grid import BrownianBatch, TimeGrid, _time_blocks, make_grid
 
 __all__ = [
     "CoefficientModel",
@@ -431,8 +431,14 @@ def scenario_example1(T: float) -> CoefficientModel:
     R = 1.0 / (2.0 * (3.0 + T))
 
     def G(W: np.ndarray) -> np.ndarray:
-        xi = example1_y(make_grid(T, W.shape[0] - 1), W)[-1]
-        return (1.0 / xi - R)[:, None, None]
+        # example1_y(...)[-1] bit for bit: the trapezoid runs in time order over blocks.
+        h, trap, s = make_grid(T, W.shape[0] - 1).h, np.zeros(W.shape[1]), np.sin(W[:1])
+        for rows in _time_blocks(W[1:]):
+            s = np.concatenate((s[-1:], np.sin(W[1:][rows])))  # the row before, then the block
+            steps = (s[:-1] + s[1:]) * (0.5 * h)
+            steps[0] += trap
+            trap = np.cumsum(steps, axis=0, out=steps)[-1]
+        return (1.0 / ((2.0 + 0.5 * T) + s[-1] + 0.5 * trap) - R)[:, None, None]
 
     def features(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _sin_and_integral(make_grid(T, W.shape[0] - 1), W)

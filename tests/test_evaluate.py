@@ -419,6 +419,29 @@ def test_checks_reject_a_solution_of_another_path_count():
             completion_of_squares_check(other, law, model, u_fb, INIT, batch)
 
 
+def test_checks_refuse_a_solution_of_another_grid_before_simulating(monkeypatch):
+    grid, batch, model, sol, law = _example1_setup(N=32, n_paths=2000)
+    finer = make_grid(1.0, 64)
+    other = closed_form_example1(finer, sample_brownian(finer, 2000, seed=1))
+    u = _zero_control(grid, 2000)
+    calls = []
+    simulate = evaluate._simulate
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_simulate", counting_simulate)
+    with pytest.raises(InvalidArgumentError, match="64 steps.*32 steps"):
+        value_identity_check(other, law, model, INIT, batch)
+    with pytest.raises(InvalidArgumentError, match="64 steps.*32 steps"):
+        completion_of_squares_check(other, law, model, u, INIT, batch)
+    assert calls == []
+    # The guards pass on the solution of the batch's own grid.
+    value_identity_check(sol, law, model, INIT, batch)
+    assert calls == [1]
+
+
 def test_completion_of_squares_replay_is_exactly_zero():
     grid, batch, model, sol, law = _example1_setup()
     _, u_fb = simulate_closed_loop(model, law, INIT, batch)

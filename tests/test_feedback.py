@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slqkit.errors import InvalidArgumentError, SynthesisInfeasibleError
-from slqkit.grid import PathArray, make_grid, sample_brownian
+from slqkit.grid import PathArray, _time_blocks, make_grid, sample_brownian
+from slqkit.pinv import solvability
 from slqkit.problem import scenario_counterexample, scenario_deterministic, scenario_example1
 from slqkit.feedback import (
     FeedbackLaw,
@@ -172,6 +173,73 @@ def test_synthesize_matrix_offenders_in_time_then_path_order():
     assert exc.value.total_offenders == (grid.N + 1) * 50
     assert len(exc.value.offenders) == 100
     assert exc.value.offenders[0] == (t[0], 0) and exc.value.offenders[-1] == (t[1], 49)
+
+
+def test_blocked_synthesis_equals_the_whole_batch_formulas():
+    # Rank-one 2x2 K with L = K X in its range, on a stack of several blocks.
+    rng = np.random.default_rng(8)
+    grid = make_grid(1.0, 16)
+    lead = (grid.N + 1, 4000)
+    v = rng.normal(size=lead + (2, 1))
+    Kv = rng.uniform(0.5, 2.0, lead + (1, 1)) * v * v.swapaxes(-1, -2)
+    Lv = Kv @ rng.normal(size=lead + (2, 3))
+    assert len(_time_blocks(Kv, Lv)) >= 3
+    sol, model = _matrix_problem(grid, Kv, Lv)
+    Kd, psd, in_range = solvability(Kv, Lv)
+    assert psd.all() and in_range.all()
+    free = rng.normal(size=Lv.shape)
+    for theta_free, expected in ((None, -(Kd @ Lv)),
+                                 (free, -(Kd @ Lv) + (np.eye(2) - Kd @ Kv) @ free)):
+        law = synthesize(sol, model, theta_free=theta_free)
+        assert law.theta.values.tobytes() == expected.tobytes()
+        resid = Lv + np.einsum("tpij,tpjk->tpik", Kv, expected)
+        assert (stationarity_residual(law, sol).max_residual
+                == float(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max()))
+
+
+def test_offenders_across_blocks_keep_time_then_path_order():
+    grid = make_grid(1.0, 8)
+    t = grid.points
+    sol = _manual_solution(grid, K=1.0, L=0.0, n_paths=40000)
+    Kv = sol.K.values
+    assert len(_time_blocks(Kv)) == grid.N + 1
+    Kv[5, :70] = -1.0  # a later block, at lower path indices
+    Kv[2, 100:160] = -1.0
+    with pytest.raises(SynthesisInfeasibleError) as exc:
+        synthesize(sol, scenario_deterministic(0, 0, 0, 0, 0, 0, 0, T=1.0))
+    assert exc.value.reason == "psd"
+    assert exc.value.total_offenders == 130
+    assert exc.value.offenders == ([(t[2], p) for p in range(100, 160)]
+                                   + [(t[5], p) for p in range(40)])
+
+
+def test_asymmetry_error_names_the_largest_asymmetry_of_all_blocks():
+    grid = make_grid(1.0, 8)
+    Kv = np.broadcast_to(np.eye(2), (grid.N + 1, 20000, 2, 2)).copy()
+    assert len(_time_blocks(Kv)) == grid.N + 1
+    Kv[1, 5, 0, 1] = 0.5
+    Kv[6, 7, 0, 1] = 2.0
+    with pytest.raises(InvalidArgumentError,
+                       match=r"not symmetric within tolerance \(max asymmetry 2\.000e\+00\)"):
+        synthesize(*_matrix_problem(grid, Kv, np.zeros((grid.N + 1, 20000, 2, 1))))
+
+
+def test_synthesis_and_stationarity_hold_no_batch_sized_temporary(traced_peak):
+    rng = np.random.default_rng(4)
+    grid = make_grid(1.0, 63)
+    shape = (grid.N + 1, 50_000, 1, 1)
+    z = PathArray(np.zeros(shape))
+    sol = RiccatiSolution(grid=grid, P=z, Lambda=z, K=PathArray(rng.uniform(0.5, 2.0, shape)),
+                          L=PathArray(rng.normal(size=shape)))
+    model = scenario_deterministic(0, 0, 0, 1, 0, 1, 0, T=1.0)
+
+    def synthesize_and_check():
+        law = synthesize(sol, model)
+        return law, stationarity_residual(law, sol, model)
+
+    (law, st), peak = traced_peak(synthesize_and_check)
+    assert st.max_residual <= 1e-12
+    assert peak < law.theta.values.nbytes + 0.25 * z.values.nbytes
 
 
 def test_synthesize_guards():

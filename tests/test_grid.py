@@ -179,6 +179,14 @@ def test_batches_are_read_only():
             batch.increments[0] += 1.0
 
 
+def test_sample_brownian_holds_at_most_two_batch_arrays(traced_peak):
+    # The path-major normals are released before the increments are formed.
+    grid = make_grid(1.0, 128)
+    batch, peak = traced_peak(lambda: sample_brownian(grid, 8000, seed=1))
+    assert peak < 2.1 * batch.W.nbytes
+    np.testing.assert_array_equal(batch.increments, np.diff(batch.W, axis=0))
+
+
 def test_from_increments_guards():
     grid = make_grid(1.0, 4)
     with pytest.raises(InvalidArgumentError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slqkit.errors import InvalidArgumentError
-from slqkit.grid import BrownianBatch, make_grid, sample_brownian
+from slqkit.grid import BrownianBatch, _time_blocks, make_grid, sample_brownian
 from slqkit.problem import (
     Y_SHIFT,
     Y_UPPER,
@@ -233,6 +233,25 @@ def test_validate_example1_passes_with_bounded_G():
 # ---------------------------------------------------------------------------
 # Scenario: solvable scalar instance
 # ---------------------------------------------------------------------------
+
+def test_example1_terminal_equals_y_at_the_horizon_bit_for_bit():
+    T = 1.5
+    R = 1.0 / (2.0 * (3.0 + T))
+    grid = make_grid(T, 64)
+    W = sample_brownian(grid, 5000, seed=2).W
+    assert len(_time_blocks(W[1:])) >= 3
+    for paths in (W, np.zeros((grid.N + 1, 1))):
+        expected = 1.0 / example1_y(grid, paths)[-1] - R
+        assert scenario_example1(T).G(paths)[:, 0, 0].tobytes() == expected.tobytes()
+
+
+def test_example1_terminal_holds_no_batch_sized_temporary(traced_peak):
+    batch = sample_brownian(make_grid(1.0, 256), 10000, seed=1)
+    model = scenario_example1(1.0)
+    G, peak = traced_peak(lambda: model.terminal(batch.W, batch.n_paths))
+    assert G.shape == (10000, 1, 1)
+    assert peak < 0.25 * batch.W.nbytes
+
 
 def test_example1_coefficients():
     model = scenario_example1(1.0)
