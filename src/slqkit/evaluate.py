@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import FiniteEscapeError, InvalidArgumentError
 from .feedback import FeedbackLaw
-from .grid import BrownianBatch, PathArray, TimeGrid, _path_major_increments, make_grid
+from .grid import (BrownianBatch, PathArray, TimeGrid, _path_major_increments, _require_grid,
+                   make_grid)
 from .problem import (
     CoefficientModel,
     InitialCondition,
@@ -128,13 +129,6 @@ def _require_paths(n_paths: int, *arrays: np.ndarray) -> None:
                 f"path dimension mismatch: have {arr.shape[1]}, batch has {n_paths}")
 
 
-def _require_grid(what: str, grid: TimeGrid, batch: BrownianBatch) -> None:
-    """``grid`` must have the batch's step count and horizon."""
-    if grid.N != batch.grid.N or grid.T != batch.grid.T:
-        raise InvalidArgumentError(f"{what} has {grid.N} steps to T = {grid.T}, the batch "
-                                   f"{batch.grid.N} steps to T = {batch.grid.T}")
-
-
 def _entries(a: np.ndarray) -> list:
     """Views ``E[j][l][i] = a[i, ..., j, l]`` of an ``(I, ..., r, c)`` array,
     listed once so that loops over ``i`` only look them up."""
@@ -176,14 +170,14 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     closed = theta is not None
     given = theta if closed else control
     _require_paths(P, given)
-    tab = coefficient_table(model, batch.W)
+    W = batch.W
+    tab = coefficient_table(model, W)
     x = np.empty((N + 1, P, model.n, 1))
     u = np.zeros((N + 1, P, model.m, 1)) if closed else given
     x[: s + 1] = init.eta_column(model.n, P)
     xs, us = _column(x), _column(u)
     A, B, C, D = (_entries(v) for v in (tab.A, tab.B, tab.C, tab.D))
     gain = _entries(theta) if closed else None
-    dW = batch.increments
     # Overflow inside a step is expected on escaping instances; it is raised
     # as FiniteEscapeError after the loop, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -192,7 +186,7 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
                 for u_j, row in zip(us, gain):
                     u_j[i][...] = _dot(row, xs, i)
             if i < N:
-                dw = dW[i]
+                dw = W[i + 1] - W[i]
                 for j, x_j in enumerate(xs):
                     drift = _dot(A[j], xs, i) + _dot(B[j], us, i)
                     diffusion = _dot(C[j], xs, i) + _dot(D[j], us, i)

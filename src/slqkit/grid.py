@@ -4,8 +4,9 @@ Conventions used across the package:
 
 * time is discretized on a uniform grid ``t_i = i*h``, ``h = T/N``, with the
   final point pinned to ``T`` exactly;
-* all sampled quantities are stored time-major: increments have shape
-  ``(N, n_paths)`` and cumulative paths ``(N+1, n_paths)``;
+* all sampled quantities are time-major: a batch stores only its cumulative
+  paths ``(N+1, n_paths)``, and its increments ``(N, n_paths)`` are derived
+  from them on read;
 * path batches are reproducible from ``(seed, path_index)`` alone.  Path
   ``p`` reads the counter-based Philox stream keyed by
   ``(seed mod 2**64, p mod 2**64)`` from a zero counter (Salmon et al.,
@@ -101,55 +102,65 @@ class BrownianBatch:
     Attributes
     ----------
     grid : TimeGrid
-    n_paths : int
     seed : int
         Seed the batch was drawn from (0 for hand-built batches).
-    increments : numpy.ndarray
-        Shape ``(N, n_paths)``; ``increments[i]`` is ``W_{t_{i+1}} - W_{t_i}``.
     W : numpy.ndarray
-        Shape ``(N+1, n_paths)`` cumulative paths with ``W[0] == 0``.
+        Shape ``(N+1, n_paths)`` cumulative paths with ``W[0] == 0``; the
+        batch's one stored array.
 
-    The identity ``W[i+1] - W[i] == increments[i]`` holds exactly in floating
-    point (increments are canonicalized as differences of the cumulative
-    array).  Batches built by :func:`sample_brownian` and
-    :meth:`from_increments` are immutable: both arrays are read-only, which
-    lets the coefficient tables of :mod:`slqkit.problem` be shared per batch.
+    ``n_paths`` and ``increments`` are derived from ``W`` on read.  Batches
+    built by :func:`sample_brownian` and :meth:`from_increments` are
+    immutable: ``W`` is read-only, which lets the coefficient tables of
+    :mod:`slqkit.problem` be shared per batch.
     """
 
     grid: TimeGrid
-    n_paths: int
     seed: int
-    increments: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
+
+    @property
+    def n_paths(self) -> int:
+        return self.W.shape[1]
+
+    @property
+    def increments(self) -> np.ndarray:
+        """Shape ``(N, n_paths)``; ``increments[i]`` is ``W[i+1] - W[i]``,
+        exactly.  A fresh read-only array on each read."""
+        inc = np.diff(self.W, axis=0)
+        inc.setflags(write=False)
+        return inc
 
     @staticmethod
     def from_increments(grid: TimeGrid, increments: np.ndarray, seed: int = 0) -> "BrownianBatch":
         """Wrap externally supplied increments (e.g. forced test paths).
 
-        ``increments`` must have shape ``(grid.N, n_paths)`` and be finite.
-        The cumulative array is rebuilt, and the increments are canonicalized
-        to its exact differences.
+        ``increments`` must have shape ``(grid.N, n_paths)`` with
+        ``n_paths >= 1`` and be finite, and ``seed`` an integer.  Only their
+        cumulative sums are kept, so the batch's increments are read back as
+        the exact differences of ``W``.
         """
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
         inc = np.asarray(increments, dtype=np.float64)
         if inc.ndim != 2 or inc.shape[0] != grid.N:
             raise InvalidArgumentError(
                 f"increments must have shape ({grid.N}, n_paths), got {inc.shape}"
             )
+        if inc.shape[1] < 1:
+            raise InvalidArgumentError(f"n_paths must be a positive integer, got {inc.shape[1]}")
         if not np.isfinite(inc).all():
             raise InvalidArgumentError("increments contain non-finite entries")
-        n_paths = inc.shape[1]
-        W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
+        W = np.zeros((grid.N + 1, inc.shape[1]), dtype=np.float64)
         np.cumsum(inc, axis=0, out=W[1:])
-        return BrownianBatch._frozen(grid, n_paths, seed, W)
-
-    @staticmethod
-    def _frozen(grid: TimeGrid, n_paths: int, seed: int, W: np.ndarray) -> "BrownianBatch":
-        """Batch of the cumulative paths ``W``, with canonical increments;
-        both arrays are made read-only."""
-        inc = np.diff(W, axis=0)
         W.setflags(write=False)
-        inc.setflags(write=False)
-        return BrownianBatch(grid=grid, n_paths=n_paths, seed=int(seed), increments=inc, W=W)
+        return BrownianBatch(grid=grid, seed=int(seed), W=W)
+
+
+def _require_grid(what: str, grid: TimeGrid, batch: BrownianBatch) -> None:
+    """``grid`` must have the batch's step count and horizon."""
+    if grid.N != batch.grid.N or grid.T != batch.grid.T:
+        raise InvalidArgumentError(f"{what} has {grid.N} steps to T = {grid.T}, the batch "
+                                   f"{batch.grid.N} steps to T = {batch.grid.T}")
 
 
 _BLOCK_ENTRIES = 1 << 14  # entries per array in one block of _time_blocks (128 KB of float64)
@@ -163,10 +174,9 @@ def _time_blocks(*arrays: np.ndarray) -> list[slice]:
 
 
 def _scaled_normals(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 0,
-                    antithetic: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None) -> np.ndarray:
     """``sqrt(h)`` times the standard normals of paths ``[path_offset,
-    path_offset + n_paths)``, path-major ``(n_paths, N)`` (with
-    ``antithetic``, odd paths negate their even partner), written to ``out``
+    path_offset + n_paths)``, path-major ``(n_paths, N)``, written to ``out``
     when given (C-contiguous, that shape).  One Philox is re-keyed per path,
     far cheaper than building one, which reads OS entropy."""
     rows = np.empty((n_paths, grid.N), dtype=np.float64) if out is None else out
@@ -177,11 +187,7 @@ def _scaled_normals(grid: TimeGrid, n_paths: int, seed: int, path_offset: int = 
     state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for p in range(n_paths):
-        g = int(path_offset) + p
-        if antithetic and g % 2:
-            np.negative(rows[p - 1], out=rows[p])
-            continue
-        key[1] = g & 2**64 - 1
+        key[1] = (int(path_offset) + p) & 2**64 - 1
         bitgen.state = state
         gen.standard_normal(out=rows[p])
     rows *= math.sqrt(grid.h)
@@ -207,7 +213,6 @@ def sample_brownian(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    antithetic: bool = False,
     path_offset: int = 0,
 ) -> BrownianBatch:
     """Draw ``n_paths`` independent Brownian paths on ``grid``.
@@ -216,14 +221,10 @@ def sample_brownian(
     ----------
     grid : TimeGrid
     n_paths : int
-        Number of paths, ``>= 1``.  Must be even when ``antithetic`` is set.
+        Number of paths, ``>= 1``.
     seed : int
         64-bit reproducibility seed.  Path ``p`` is a pure function of
         ``(seed, p)``.
-    antithetic : bool, optional
-        If set, odd-indexed paths are exact negations of their even-indexed
-        partners (``W[:, 2k+1] == -W[:, 2k]``), halving Monte Carlo variance
-        for odd functionals.
     path_offset : int, optional
         Global index of the first path in this batch.  Sampling
         ``[offset, offset + n_paths)`` in chunks reproduces the corresponding
@@ -236,8 +237,8 @@ def sample_brownian(
     Raises
     ------
     InvalidArgumentError
-        On non-positive or odd (with ``antithetic``) ``n_paths``, a bool or
-        non-integer ``seed``, or a negative, non-integer or misaligned ``path_offset``.
+        On a non-positive ``n_paths``, a bool or non-integer ``seed``, or a
+        negative or non-integer ``path_offset``.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InvalidArgumentError(f"n_paths must be a positive integer, got {n_paths!r}")
@@ -246,17 +247,12 @@ def sample_brownian(
     if (isinstance(path_offset, bool) or not isinstance(path_offset, (int, np.integer))
             or path_offset < 0):
         raise InvalidArgumentError(f"path_offset must be an integer >= 0, got {path_offset!r}")
-    if antithetic:
-        if n_paths % 2 or path_offset % 2:
-            raise InvalidArgumentError(
-                "antithetic sampling needs an even n_paths and even path_offset"
-            )
     n_paths = int(n_paths)
-    rows = _scaled_normals(grid, n_paths, seed, path_offset, antithetic)
+    rows = _scaled_normals(grid, n_paths, seed, path_offset)
     W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
     np.cumsum(rows.T, axis=0, out=W[1:])
-    del rows  # before the increments are formed: two batch arrays live, not three
-    return BrownianBatch._frozen(grid, n_paths, seed, W)
+    W.setflags(write=False)
+    return BrownianBatch(grid=grid, seed=int(seed), W=W)
 
 
 @dataclass(frozen=True)
@@ -275,7 +271,7 @@ class PathArray:
             raise InvalidArgumentError(
                 f"PathArray values must be 4-d (time, path, rows, cols), got shape {v.shape}"
             )
-        if not np.isfinite(v).all():
+        if not all(np.isfinite(v[b]).all() for b in _time_blocks(v)):
             raise InvalidArgumentError("PathArray values contain non-finite entries")
         object.__setattr__(self, "values", v)
 

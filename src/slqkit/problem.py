@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import BrownianBatch, TimeGrid, _time_blocks, make_grid
+from .grid import BrownianBatch, TimeGrid, _require_grid, _time_blocks, make_grid
 
 __all__ = [
     "CoefficientModel",
@@ -515,10 +515,8 @@ def counterexample_paths(grid: TimeGrid, batch: BrownianBatch) -> Counterexample
     ``[t_{N-1}, T]``'s right endpoint is never evaluated.  All quantities are
     adapted: the indicator at index ``i`` only looks at sums up to ``i - 1``.
     """
-    if batch.grid.N != grid.N or batch.grid.T != grid.T:
-        raise InvalidArgumentError("batch grid does not match the supplied grid")
-    M_t, tau_index, zeta_t, Y_t = _stopped_processes(
-        grid, np.ascontiguousarray(batch.increments.T))
+    _require_grid("grid", grid, batch)
+    M_t, tau_index, zeta_t, Y_t = _stopped_processes(grid, np.diff(batch.W, axis=0).T)
     M = np.zeros((grid.N + 1, batch.n_paths))
     M[1:] = M_t.T
     zeta = np.zeros_like(M)

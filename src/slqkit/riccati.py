@@ -37,7 +37,7 @@ from .errors import (
     RegressionSingularError,
     RiccatiSingularError,
 )
-from .grid import BrownianBatch, PathArray, TimeGrid
+from .grid import BrownianBatch, PathArray, TimeGrid, _require_grid
 from .pinv import _pseudo_inverse, _verdicts, solvability
 from .problem import (
     CoefficientModel,
@@ -443,13 +443,11 @@ def solve_bsre_regression(
         raise InvalidArgumentError(
             f"regression solver handles scalar problems only, got n={model.n}, m={model.m}"
         )
-    if batch.grid.N != grid.N or batch.grid.T != grid.T:
-        raise InvalidArgumentError("batch grid does not match the supplied grid")
+    _require_grid("grid", grid, batch)
     if basis is None:
         basis = RegressionBasis()
     N, h = grid.N, grid.h
     W = batch.W
-    dW = batch.increments
     n_paths = batch.n_paths
     feats = _regression_features(model, W)
     tab = coefficient_table(model, W)
@@ -460,7 +458,7 @@ def solve_bsre_regression(
         fit = _projector(_design_matrix(_whiten([f[i] for f in feats]), basis.degree), i)
         p_next = Pv[i + 1]
         m_hat = fit(p_next)
-        lam = fit((p_next - m_hat) * dW[i] / h)
+        lam = fit((p_next - m_hat) * (W[i + 1] - W[i]) / h)
         a, b, c, d, q, r = (v[:, 0, 0] for v in _node(tab, i))
         K = r + d * d * p_next
         if np.any(K < EPS_CLAMP):
@@ -483,8 +481,7 @@ def closed_form_example1(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolutio
     ``P = 1/y - R`` and ``Lambda = -cos(W)/y^2`` with ``y`` from
     :func:`slqkit.problem.example1_y`.  The coefficients are constants, so
     they are read from the one-path zero prefix."""
-    if batch.grid.N != grid.N or batch.grid.T != grid.T:
-        raise InvalidArgumentError("batch grid does not match the supplied grid")
+    _require_grid("grid", grid, batch)
     tab = coefficient_table(scenario_example1(grid.T), _zero_prefix(grid))
     y = example1_y(grid, batch.W)
     Pv = (1.0 / y - tab.R[0, 0, 0, 0])[:, :, None, None]
@@ -497,8 +494,7 @@ def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiS
     ``P = 1/Y - 1/4`` and ``Lambda = -zeta/Y^2`` from the stopped singular
     integrand (:func:`slqkit.problem.counterexample_paths`).  The
     coefficients are read as in :func:`closed_form_example1`."""
-    if batch.grid.N != grid.N or batch.grid.T != grid.T:
-        raise InvalidArgumentError("batch grid does not match the supplied grid")
+    _require_grid("grid", grid, batch)
     aux = counterexample_paths(grid, batch)
     Pv = (1.0 / aux.Y - 0.25)[:, :, None, None]
     Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]

@@ -1,6 +1,7 @@
 """Tests for time grids, Brownian batches, and the PathArray container."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,33 +97,10 @@ def test_sample_brownian_chunking_bit_identical():
     np.testing.assert_array_equal(whole.W, glued)
 
 
-def test_sample_brownian_antithetic_pairs_negate_exactly():
-    grid = make_grid(1.0, 8)
-    batch = sample_brownian(grid, 10, seed=2, antithetic=True)
-    np.testing.assert_array_equal(batch.W[:, 1::2], -batch.W[:, 0::2])
-    # Even-indexed paths coincide with the plain draw of the same indices.
-    plain = sample_brownian(grid, 10, seed=2, antithetic=False)
-    np.testing.assert_array_equal(batch.W[:, 0::2], plain.W[:, 0::2])
-
-
-def test_sample_brownian_antithetic_chunking_bit_identical():
-    grid = make_grid(1.0, 4)
-    whole = sample_brownian(grid, 8, seed=7, antithetic=True)
-    parts = [
-        sample_brownian(grid, 4, seed=7, antithetic=True, path_offset=0),
-        sample_brownian(grid, 4, seed=7, antithetic=True, path_offset=4),
-    ]
-    np.testing.assert_array_equal(whole.W, np.concatenate([p.W for p in parts], axis=1))
-
-
 def test_sample_brownian_argument_guards():
     grid = make_grid(1.0, 4)
     with pytest.raises(InvalidArgumentError):
         sample_brownian(grid, 0, seed=1)
-    with pytest.raises(InvalidArgumentError):
-        sample_brownian(grid, 3, seed=1, antithetic=True)
-    with pytest.raises(InvalidArgumentError):
-        sample_brownian(grid, 4, seed=1, antithetic=True, path_offset=3)
     with pytest.raises(InvalidArgumentError):
         sample_brownian(grid, 4, seed=1, path_offset=-1)
     # A bool seed is refused, not read as the stream of 0 or 1.
@@ -151,14 +129,6 @@ def test_sample_brownian_moment_sanity():
     assert abs(var - grid.T) <= 5.0 * var_se
 
 
-def test_sample_brownian_antithetic_kills_odd_functionals():
-    grid = make_grid(1.0, 16)
-    batch = sample_brownian(grid, 2000, seed=1, antithetic=True)
-    # Odd functionals average to zero exactly across antithetic pairs.
-    assert abs(batch.W[-1].mean()) < 1e-15
-    assert abs((batch.W[-1] ** 3).mean()) < 1e-12
-
-
 def test_from_increments_round_trip_and_canonicalization():
     grid = make_grid(1.0, 4)
     inc = np.array([[0.1, -0.2], [0.3, 0.0], [-0.1, 0.5], [0.2, -0.4]])
@@ -180,11 +150,26 @@ def test_batches_are_read_only():
 
 
 def test_sample_brownian_holds_at_most_two_batch_arrays(traced_peak):
-    # The path-major normals are released before the increments are formed.
+    # At the peak only the path-major normals and the cumulative paths are live.
     grid = make_grid(1.0, 128)
     batch, peak = traced_peak(lambda: sample_brownian(grid, 8000, seed=1))
     assert peak < 2.1 * batch.W.nbytes
     np.testing.assert_array_equal(batch.increments, np.diff(batch.W, axis=0))
+
+
+def test_a_batch_keeps_one_batch_sized_array():
+    # The increments are derived on read, not stored next to W.
+    grid = make_grid(1.0, 128)
+    sample_brownian(grid, 2, seed=1)  # the first call also counts lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = sample_brownian(grid, 8000, seed=1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.05 * batch.W.nbytes
+    assert batch.n_paths == 8000
 
 
 def test_from_increments_guards():
@@ -193,6 +178,14 @@ def test_from_increments_guards():
         BrownianBatch.from_increments(grid, np.zeros((3, 2)))
     with pytest.raises(InvalidArgumentError):
         BrownianBatch.from_increments(grid, np.full((4, 2), np.nan))
+    # A zero-path batch is refused here, not later by whatever first reads it.
+    with pytest.raises(InvalidArgumentError, match="n_paths"):
+        BrownianBatch.from_increments(grid, np.zeros((4, 0)))
+    # The seed follows sample_brownian's rule: no bool, no truncated float.
+    for seed in (True, 2.7, "x"):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            BrownianBatch.from_increments(grid, np.zeros((4, 2)), seed=seed)
+    assert BrownianBatch.from_increments(grid, np.zeros((4, 2)), seed=np.int64(3)).seed == 3
 
 
 def test_path_array_shape_and_accessors():
@@ -209,6 +202,17 @@ def test_path_array_rejects_bad_input():
         PathArray(np.zeros((5, 3, 2)))
     with pytest.raises(InvalidArgumentError):
         PathArray(np.full((5, 3, 2, 2), np.inf))
+
+
+def test_path_array_checks_finiteness_in_blocks(traced_peak):
+    # The check holds no mask of the whole array, and still sees its last entry.
+    values = np.zeros((64, 50000, 1, 1))
+    pa, peak = traced_peak(lambda: PathArray(values))
+    assert pa.values is values
+    assert peak < values.nbytes / 16
+    values[-1, -1] = np.nan
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        PathArray(values)
 
 
 def test_path_array_scalar_field_round_trip():

@@ -424,7 +424,7 @@ def test_counterexample_paths_grid_mismatch_guard():
     grid = make_grid(1.0, 8)
     other = make_grid(1.0, 16)
     batch = sample_brownian(other, 4, seed=1)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="8 steps to T = 1.0, the batch 16 steps"):
         counterexample_paths(grid, batch)
 
 
