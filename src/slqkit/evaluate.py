@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import FiniteEscapeError, InvalidArgumentError
 from .feedback import FeedbackLaw
-from .grid import (BrownianBatch, PathArray, TimeGrid, _path_major_increments, _require_grid,
-                   make_grid)
+from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major_increments,
+                   _require_grid, make_grid)
 from .problem import (
     CoefficientModel,
     InitialCondition,
@@ -305,8 +305,9 @@ def cost(
         raise InvalidArgumentError("state and control have different path counts")
     P = xv.shape[1]
     if batch is not None:
-        if batch.grid.N != N or batch.grid.T != grid.T or batch.n_paths != P:
-            raise InvalidArgumentError("batch does not match the state arrays")
+        _require_grid("grid", grid, batch)
+        if batch.n_paths != P:
+            raise InvalidArgumentError(f"state arrays have {P} paths, the batch {batch.n_paths}")
         W = batch.W
     elif model.kind == "deterministic":
         W = _zero_prefix(grid)
@@ -682,33 +683,25 @@ def _probe_block(grid: TimeGrid, n_paths: int, seed: int, path_offset: int,
     a, dW, zeta, mask = (buf[:n_paths * grid.N].reshape(shape) for buf in buffers)
     _path_major_increments(grid, n_paths, seed, path_offset, work=a, out=dW)
     # M takes the normals' buffer and Y overwrites dW: neither is read again.
-    _, _, zeta, Y = _stopped_processes(grid, dW, out=(a, zeta, dW, mask))
-    # Time integrals add in time order (an in-place cumsum), as np.sum(axis=0)
-    # does on counterexample_paths' time-major arrays.
-    sq = np.multiply(zeta, zeta, out=a)
-    zsq = grid.h * np.cumsum(sq, axis=1, out=sq)[:, -1]
-    theta = sq  # Theta_i = zeta_i / Y_i, with Y_0 = Y_SHIFT
+    _, _, zeta, Y, zsq = _stopped_processes(grid, dW, out=(a, zeta, dW, mask))
+    theta = a  # Theta_i = zeta_i / Y_i, with Y_0 = Y_SHIFT
     np.divide(zeta[:, 0], Y_SHIFT, out=theta[:, 0])
     np.divide(zeta[:, 1:], Y[:, :-1], out=theta[:, 1:])
     theta *= theta
+    # Time integrals add in time order (an in-place cumsum), as np.sum(axis=0)
+    # does on counterexample_paths' time-major arrays.
     theta_sq = grid.h * np.cumsum(theta, axis=1, out=theta)[:, -1]
     return (zsq, theta_sq, np.minimum(Y.min(axis=1), Y_SHIFT),
             np.maximum(Y.max(axis=1), Y_SHIFT))
 
 
-def _probe_paths(pool, buffers: list, grid: TimeGrid, n_paths: int, seed: int,
-                 chunk_size: int) -> tuple[np.ndarray, ...]:
-    """:func:`_probe_block`'s per-path arrays for paths ``[0, n_paths)``: each
-    chunk of ``chunk_size`` paths is split into one block per buffer set,
-    reduced on ``pool``'s threads, and the blocks are joined in path order."""
-    parts = []
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        block = -(-(hi - lo) // len(buffers))
-        futures = [pool.submit(_probe_block, grid, min(block, hi - start), seed, start, buf)
-                   for start, buf in zip(range(lo, hi, block), buffers)]
-        parts += [f.result() for f in futures]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _probe_task(free, grid: TimeGrid, seed: int, block: slice) -> tuple[np.ndarray, ...]:
+    """:func:`_probe_block` on ``block``'s paths, in a buffer set borrowed from ``free``."""
+    buffers = free.get()
+    try:
+        return _probe_block(grid, block.stop - block.start, seed, block.start, buffers)
+    finally:
+        free.put(buffers)
 
 
 def counterexample_divergence_probe(
@@ -720,9 +713,9 @@ def counterexample_divergence_probe(
 ) -> ProbeResult:
     """Measure the counterexample's blow-up across (steps, paths) ladders.
 
-    Paths are sampled path-major in chunks of ``chunk_size``, and each chunk
-    is reduced straight to per-path scalars by :func:`counterexample_paths`'
-    stopping rule, time integrals summed in time order: the max/median
+    Paths are sampled path-major in blocks, and each block is reduced
+    straight to per-path scalars by :func:`counterexample_paths`' stopping
+    rule, time integrals summed in time order: the max/median
     pathwise gain norm ``integral of |Theta|^2 dt`` with ``Theta = zeta / Y``
     (signs drop out of the square), the max stopped-integrand norm
     ``integral of zeta^2 dt``, the mean of its exponential (saturated at
@@ -731,12 +724,13 @@ def counterexample_divergence_probe(
     envelope-violation counts beyond the two-sided ``3 h^0.4`` grid
     allowance.
 
-    Each chunk is split into one block of paths per worker thread (as many
-    as the CPUs this process may run on), and at most ``chunk_size`` paths'
-    arrays are live at once across them.  Each worker computes in its own
-    buffers, allocated once per call and reused across chunks and rungs.
-    Streams are per path and blocks are joined in path order, so the rows do
-    not depend on the worker count or on ``chunk_size``.
+    A rung of ``N`` steps and ``P`` paths is cut into blocks of at most
+    ``_PATH_BLOCK_ENTRIES // N`` paths (at least one) and ``ceil(min(chunk_size,
+    P) / workers)``, all submitted at once to one thread per usable CPU.  A
+    block borrows one of ``workers`` buffer sets (three float64 and one boolean
+    array) from a queue, so the working set stays near ``workers * 25 B *
+    _PATH_BLOCK_ENTRIES`` whatever ``P`` or ``chunk_size``.  Blocks are joined
+    in path order: the worker count and block sizes change no bit of the rows.
     """
     steps_seq, paths_seq = list(steps_seq), list(paths_seq)
     for name, seq in (("steps_seq", steps_seq), ("paths_seq", paths_seq)):
@@ -758,15 +752,24 @@ def counterexample_divergence_probe(
         raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     grids = [make_grid(T, N) for N in steps_seq]
     workers = min(_PROBE_WORKERS, chunk_size)
-    size = max(-(-min(chunk_size, P) // workers) * N for N, P in zip(steps_seq, paths_seq))
-    buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
-               for _ in range(workers)]
-    # Imported here, not at module level, to keep it off the package's import.
+    blocks = [_path_blocks(P, N, -(-min(chunk_size, P) // workers))
+              for N, P in zip(steps_seq, paths_seq)]
+    size = max(rung[0].stop * N for rung, N in zip(blocks, steps_seq))
+    # Imported here, not at module level, to keep them off the package's import.
     from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
-    with ThreadPoolExecutor(workers) as pool:
-        per_path = [_probe_paths(pool, buffers, grid, n_paths, seed, chunk_size)
-                    for grid, n_paths in zip(grids, paths_seq)]
+    free = SimpleQueue()
+    for _ in range(workers):
+        free.put((np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool)))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [[pool.submit(_probe_task, free, grid, seed, b) for b in rung]
+                   for grid, rung in zip(grids, blocks)]
+        per_path = [tuple(map(np.concatenate, zip(*(f.result() for f in rung))))
+                    for rung in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a raise, no queued block runs
     rows: list[ProbeRow] = []
     for N, n_paths, grid, (zsq, theta_sq, y_lo, y_hi) in zip(steps_seq, paths_seq, grids,
                                                              per_path):

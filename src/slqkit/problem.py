@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import BrownianBatch, TimeGrid, _require_grid, _time_blocks, make_grid
+from .grid import BrownianBatch, TimeGrid, _path_blocks, _require_grid, _time_blocks, make_grid
 
 __all__ = [
     "CoefficientModel",
@@ -481,7 +481,8 @@ def _stopped_processes(grid: TimeGrid, dW: np.ndarray,
     """The counterexample's stopping rule, stated once: from path-major
     increments ``dW`` ``(n_paths, N)``, ``(M_1..M_N, tau_index,
     zeta_0..zeta_{N-1}, Y_1..Y_N)`` of :class:`CounterexamplePaths`, each
-    process path-major ``(n_paths, N)``.  Sums run in time order.
+    process path-major ``(n_paths, N)``, then the per-path ``integral
+    zeta^2 dt``.  Sums run in time order.
 
     ``out`` optionally gives the buffers ``(M, zeta, Y, mask)``: C-contiguous
     ``(n_paths, N)`` arrays, float64 but for the boolean ``mask`` scratch.
@@ -499,12 +500,14 @@ def _stopped_processes(grid: TimeGrid, dW: np.ndarray,
     # M_0 = 0 never crosses: tau is 1 + the first crossing among M_1..M_N.
     tau_index = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, N)
     # zeta is still on at the crossing index itself.
-    np.multiply(ZETA_SCALE * inv_sqrt,
-                np.less_equal(np.arange(N), tau_index[:, None], out=mask), out=zeta)
+    last_on, on = np.minimum(tau_index, N - 1), ZETA_SCALE * inv_sqrt
+    np.multiply(on, np.less_equal(np.arange(N), last_on[:, None], out=mask), out=zeta)
     np.multiply(zeta, dW, out=Y)
     np.cumsum(Y, axis=1, out=Y)
     Y += Y_SHIFT
-    return M, tau_index, zeta, Y
+    # Adding zeros is exact, so each path's time-order sum of zeta^2 is the
+    # one prefix sum of the switched-on values read at its last on-index.
+    return M, tau_index, zeta, Y, grid.h * np.cumsum(on * on)[last_on]
 
 
 def counterexample_paths(grid: TimeGrid, batch: BrownianBatch) -> CounterexamplePaths:
@@ -516,7 +519,7 @@ def counterexample_paths(grid: TimeGrid, batch: BrownianBatch) -> Counterexample
     adapted: the indicator at index ``i`` only looks at sums up to ``i - 1``.
     """
     _require_grid("grid", grid, batch)
-    M_t, tau_index, zeta_t, Y_t = _stopped_processes(grid, np.diff(batch.W, axis=0).T)
+    M_t, tau_index, zeta_t, Y_t, _ = _stopped_processes(grid, np.diff(batch.W, axis=0).T)
     M = np.zeros((grid.N + 1, batch.n_paths))
     M[1:] = M_t.T
     zeta = np.zeros_like(M)
@@ -539,8 +542,10 @@ def scenario_counterexample(T: float) -> CoefficientModel:
         raise InvalidArgumentError(f"T must be finite and > 0, got {T!r}")
 
     def G(W: np.ndarray) -> np.ndarray:
-        Y = _stopped_processes(make_grid(T, W.shape[0] - 1), np.diff(W, axis=0).T)[3]
-        return (1.0 / Y[:, -1] - 0.25)[:, None, None]  # Y_N
+        grid, P = make_grid(T, W.shape[0] - 1), W.shape[1]
+        Y_N = [_stopped_processes(grid, np.diff(W[:, b], axis=0).T)[3][:, -1]
+               for b in _path_blocks(P, grid.N, P)]
+        return (1.0 / np.concatenate(Y_N) - 0.25)[:, None, None]
 
     return CoefficientModel(
         n=1, m=1,

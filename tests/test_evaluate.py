@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,9 +182,22 @@ def test_cost_guards():
     with pytest.raises(InvalidArgumentError):
         cost(model, x, _zero_control(grid, 4), INIT, grid,
              batch=sample_brownian(make_grid(1.0, 4), 4, seed=1))
-    with pytest.raises(InvalidArgumentError, match="batch does not match"):
+    with pytest.raises(InvalidArgumentError, match="the batch 8 steps to T = 2.0"):
         cost(model, x, _zero_control(grid, 4), INIT, grid,
              batch=sample_brownian(make_grid(2.0, 8), 4, seed=1))
+
+
+def test_cost_refusal_names_both_grids_and_path_counts():
+    model = scenario_deterministic(0, 0, 0, 0, 1, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    x = PathArray(np.zeros((9, 4, 1, 1)))
+    with pytest.raises(InvalidArgumentError) as exc:
+        cost(model, x, _zero_control(grid, 4), INIT, grid,
+             batch=sample_brownian(make_grid(3.0, 16), 4, seed=1))
+    assert str(exc.value) == "grid has 8 steps to T = 1.0, the batch 16 steps to T = 3.0"
+    with pytest.raises(InvalidArgumentError, match="state arrays have 4 paths, the batch 5"):
+        cost(model, x, _zero_control(grid, 4), INIT, grid,
+             batch=sample_brownian(grid, 5, seed=1))
 
 
 def test_cost_without_batch_needs_a_deterministic_model():
@@ -713,6 +727,19 @@ def test_probe_leaves_no_thread_behind(monkeypatch):
         counterexample_divergence_probe(1.0, [64, 128], [100, 200], seed=1, chunk_size=30)
     assert exc.value is boom
     assert set(threading.enumerate()) == before
+
+
+def test_probe_working_set_does_not_grow_with_the_chunk(monkeypatch):
+    # Two workers, each with one buffer set of at most 2**18 entries per
+    # array (6.5 MB): 4000 paths of 1024 steps as one chunk would be 102 MB.
+    monkeypatch.setattr(evaluate, "_PROBE_WORKERS", 2)
+    tracemalloc.start()
+    try:
+        counterexample_divergence_probe(1.0, [1024], [4000], seed=1, chunk_size=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_probe_rows_hold_with_more_workers_than_cores(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slqkit.errors import InvalidArgumentError
+from slqkit import grid as grid_module
 from slqkit.grid import BrownianBatch, _time_blocks, make_grid, sample_brownian
 from slqkit.problem import (
     Y_SHIFT,
@@ -426,6 +427,18 @@ def test_counterexample_paths_grid_mismatch_guard():
     batch = sample_brownian(other, 4, seed=1)
     with pytest.raises(InvalidArgumentError, match="8 steps to T = 1.0, the batch 16 steps"):
         counterexample_paths(grid, batch)
+
+
+@pytest.mark.parametrize("entries", [1, 5 * 64, 1 << 18])
+def test_counterexample_G_walks_path_blocks_bit_for_bit(monkeypatch, entries):
+    # Blocks of 1 path, of 5 paths with a short last block, and one block.
+    monkeypatch.setattr(grid_module, "_PATH_BLOCK_ENTRIES", entries)
+    grid = make_grid(1.0, 64)
+    batch = sample_brownian(grid, 37, seed=4)
+    want = 1.0 / counterexample_paths(grid, batch).Y[-1] - 0.25
+    got = scenario_counterexample(1.0).G(batch.W)
+    assert got.shape == (37, 1, 1)
+    np.testing.assert_array_equal(got[:, 0, 0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slqkit import evaluate
+from slqkit import grid as grid_module
 from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, load_config, main
 from slqkit.errors import FiniteEscapeError, InvalidArgumentError, RiccatiSingularError, SlqError
 from slqkit.evaluate import (
@@ -171,14 +172,17 @@ def _serial_probe_row(grid, n_paths, seed):
     n_paths=st.integers(1, 30),
     more=st.tuples(st.integers(1, 48), st.integers(1, 30)),
     chunk_size=st.integers(1, 40),
+    block_entries=st.integers(1, 2000),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_probe_rows_do_not_depend_on_the_worker_count(N, n_paths, more, chunk_size, seed):
+def test_probe_rows_do_not_depend_on_the_worker_count(N, n_paths, more, chunk_size,
+                                                      block_entries, seed):
     # Two rungs, so the second reuses the buffers the first wrote.
     steps, paths = [N, N + more[0]], [n_paths, n_paths + more[1]]
     rows = []
     for workers in (1, 2, 3):
-        with mock.patch.object(evaluate, "_PROBE_WORKERS", workers):
+        with mock.patch.object(evaluate, "_PROBE_WORKERS", workers), \
+                mock.patch.object(grid_module, "_PATH_BLOCK_ENTRIES", block_entries):
             probe = counterexample_divergence_probe(1.0, steps, paths, seed,
                                                     chunk_size=chunk_size)
         rows.append([dataclasses.asdict(r) for r in probe.rows])
