@@ -62,6 +62,7 @@ from .problem import (
 )
 from .riccati import (
     RegressionBasis,
+    _gains,
     closed_form_counterexample,
     closed_form_example1,
     solve_bsre_regression,
@@ -364,14 +365,15 @@ def run(config: ExperimentConfig) -> RunReport:
             if "completion_of_squares" in enabled:
                 u_fb = loop()[1]
                 eps = config.tolerance("cos_epsilon")
+                Kv = sol.K.values  # derived once for every arm
                 arms = {}
                 for pid, v in perts():
-                    res = _completion_of_squares(sol, law, model, PathArray(u_fb.values + eps * v),
+                    res = _completion_of_squares(Kv, law, model, PathArray(u_fb.values + eps * v),
                                                  init, batch, loop, n_se, disc)
                     arms[pid] = {"residual": res.residual, "tolerance": res.tolerance,
                                  "passed": res.passed}
                 worst = max(arm["residual"] for arm in arms.values())
-                replay = _completion_of_squares(sol, law, model, u_fb, init, batch, loop,
+                replay = _completion_of_squares(Kv, law, model, u_fb, init, batch, loop,
                                                 n_se, disc)
                 arms["closed_loop_replay"] = {"residual": replay.residual, "tolerance": 0.0,
                                               "passed": replay.residual == 0.0}
@@ -414,9 +416,9 @@ def run(config: ExperimentConfig) -> RunReport:
         with stage("artifacts_s"):
             n_export = min(RICCATI_CSV_MAX_PATHS, sol.P.n_paths)
             # A 1x1 field keeps its signed entry; a larger one reads as its Frobenius norm.
-            fields = [f.values[..., 0, 0] if f.values.shape[2:] == (1, 1)
-                      else np.linalg.norm(f.values, axis=(2, 3))
-                      for f in (sol.P, sol.Lambda, sol.K, sol.L)]
+            fields = [v[..., 0, 0] if v.shape[2:] == (1, 1) else np.linalg.norm(v, axis=(2, 3))
+                      for v in (sol.P.values, sol.Lambda.values,
+                                *_gains(sol, paths=slice(n_export)))]
             riccati_rows = (
                 [_fmt(grid.points[i]), str(p)] + [_fmt(f[i, p]) for f in fields]
                 for p in range(n_export) for i in range(grid.N + 1)

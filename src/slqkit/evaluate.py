@@ -411,17 +411,17 @@ def completion_of_squares_check(
     exactly zero: the open-loop replay reproduces the closed-loop states bit
     for bit and the penalty vanishes identically.
     """
-    return _completion_of_squares(sol, law, model, u, init, batch,
+    _require_grid("solution grid", sol.grid, batch)
+    _require_paths(batch.n_paths, law.theta.values, sol.P.values)
+    return _completion_of_squares(sol.K.values, law, model, u, init, batch,
                                   lambda: _closed_loop(model, law, init, batch), n_se, disc_coeff)
 
 
-def _completion_of_squares(sol, law, model, u, init, batch, loop,
+def _completion_of_squares(Kv: np.ndarray, law, model, u, init, batch, loop,
                            n_se: float, disc_coeff: float) -> CheckResult:
-    """:func:`completion_of_squares_check` on the closed loop ``loop()``, built
-    after the guards, so several controls share one closed loop."""
-    _require_grid("solution grid", sol.grid, batch)
-    th, Kv = law.theta.values, sol.K.values
-    _require_paths(batch.n_paths, th, Kv)
+    """:func:`completion_of_squares_check` with ``K`` given, on the closed loop
+    ``loop()``, so several controls share ``K`` and one closed loop."""
+    th = law.theta.values
     J_fb = loop()[2]
     x_u = simulate_open_loop(model, u, init, batch)
     J_u = cost(model, x_u, u, init, batch.grid, batch)

@@ -25,7 +25,7 @@ from .errors import InvalidArgumentError, SynthesisInfeasibleError
 from .grid import PathArray, TimeGrid, _time_blocks
 from .pinv import solvability
 from .problem import CoefficientModel, _zero_prefix, coefficient_table
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _gains
 
 __all__ = [
     "FeedbackLaw",
@@ -85,9 +85,10 @@ def synthesize(
     Solvability is checked at every (time, path) sample: ``K`` PSD within
     ``tol`` and ``L`` in the range of ``K`` within ``tol``-scale, by
     :func:`slqkit.pinv.solvability` on one block of time rows at a time,
-    each written straight into the gain array.  ``theta_free`` must broadcast
-    to the gain's shape; without it the null-space term is zero.  When ``K``
-    is invertible everywhere the result does not depend on ``theta_free``.
+    each derived from the solution's pair and its gain written straight into
+    the gain array.  ``theta_free`` must broadcast to the gain's shape;
+    without it the null-space term is zero.  When ``K`` is invertible
+    everywhere the result does not depend on ``theta_free``.
 
     Raises
     ------
@@ -97,40 +98,37 @@ def synthesize(
     InvalidArgumentError
         Bad ``tol`` or ``theta_free``, or solution and model of different sizes.
     """
-    K = sol.K.values
-    L = sol.L.values
-    m, n = L.shape[2:]
+    m, n = sol.table.model.m, sol.table.model.n
     if model.m != m or model.n != n:
-        raise InvalidArgumentError(
-            f"model dimensions (n={model.n}, m={model.m}) do not match solution "
-            f"(n={n}, m={m})"
-        )
+        raise InvalidArgumentError(f"model dimensions (n={model.n}, m={model.m}) do not match "
+                                   f"solution (n={n}, m={m})")
+    theta = np.empty(sol.P.values.shape[:2] + (m, n))
     if theta_free is not None:
         free = np.asarray(theta_free.values if isinstance(theta_free, PathArray)
                           else theta_free, dtype=np.float64)
         try:
-            free = np.broadcast_to(free, L.shape)
+            free = np.broadcast_to(free, theta.shape)
         except ValueError:
             raise InvalidArgumentError(
-                f"theta_free of shape {free.shape} does not broadcast to {L.shape}") from None
-    theta = np.empty(L.shape)
+                f"theta_free of shape {free.shape} does not broadcast to {theta.shape}") from None
     offenders = {"psd": [], "range": []}  # (t, path) pairs in time-then-path order
     counts = dict.fromkeys(offenders, 0)
     try:
-        for rows in _time_blocks(K, L):
-            Kd, psd, in_range = solvability(K[rows], L[rows], tol)
+        for rows in _time_blocks(theta, sol.P.values):
+            K, L = _gains(sol, rows)
+            Kd, psd, in_range = solvability(K, L, tol)
             for reason, ok in (("psd", psd), ("range", in_range)):
                 idx_t, idx_p = np.nonzero(~ok)
                 counts[reason] += idx_t.size
                 offenders[reason] += zip(sol.grid.points[rows][idx_t[:100]].tolist(),
                                          idx_p[:100].tolist())
             if not any(counts.values()):  # else synthesis fails: no gain is formed
-                gain = np.matmul(Kd, L[rows], out=theta[rows])
+                gain = np.matmul(Kd, L, out=theta[rows])
                 np.negative(gain, out=gain)
                 if theta_free is not None:
-                    gain += (np.eye(m) - Kd @ K[rows]) @ free[rows]
+                    gain += (np.eye(m) - Kd @ K) @ free[rows]
     except InvalidArgumentError:
-        solvability(K, L, tol)  # raises it again, with the whole batch's shapes and maxima
+        solvability(*_gains(sol), tol)  # raises it again, with the whole batch's shapes and maxima
         raise
     for reason, pts in offenders.items():
         if counts[reason]:
@@ -164,7 +162,11 @@ def regularity_diagnostics(
     th = law.theta.values
     if th.shape[0] != grid.N + 1:
         raise InvalidArgumentError("law and grid have inconsistent step counts")
-    sq = grid.h * np.sum(th[:-1] ** 2, axis=(2, 3)).sum(axis=0)
+    # NumPy sums the rows of one path pairwise, and of several in time order.
+    sq = np.empty((0, th.shape[1]))
+    for rows in [slice(None)] if th.shape[1] == 1 else _time_blocks(th[:-1]):
+        sq = np.concatenate((sq, np.sum(th[:-1][rows] ** 2, axis=(2, 3)))).sum(0, keepdims=True)
+    sq = grid.h * sq[0]
     if bound_threshold is None:
         bound_threshold = 10.0 * float(np.median(sq))
     qs = np.quantile(sq, [0.5, 0.9, 0.99])
@@ -203,18 +205,17 @@ def stationarity_residual(
     """Maximum over (time, path) of ``||L + K Theta||_F``.
 
     Zero (to rounding) wherever the range condition holds — this is the
-    first-order condition the gain was built to satisfy.  Passing the model
-    (and, for path-dependent coefficients, the batch's ``W``) additionally
-    evaluates the adjoint-process form of the same identity.
+    first-order condition the gain was built to satisfy, with ``K`` and ``L``
+    derived one block of time rows at a time.  A model (with, for path-dependent
+    coefficients, the batch's ``W``) adds the identity's adjoint-process form.
     """
     if W is not None and (np.ndim(W) != 2 or np.shape(W)[0] != sol.grid.N + 1):
         raise InvalidArgumentError(f"W must be 2-D with {sol.grid.N + 1} rows, got {np.shape(W)}")
-    Kv = sol.K.values
-    Lv = sol.L.values
     th = law.theta.values
     block_max = []
-    for rows in _time_blocks(Kv, Lv, th):
-        resid = Lv[rows] + np.einsum("tpij,tpjk->tpik", Kv[rows], th[rows])
+    for rows in _time_blocks(th, sol.P.values):
+        K, L = _gains(sol, rows)
+        resid = L + np.einsum("tpij,tpjk->tpik", K, th[rows])
         block_max.append(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max())
     max_resid = float(np.max(block_max))
     pi_resid = None

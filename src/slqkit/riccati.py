@@ -20,6 +20,9 @@ is handled by four routes:
 * :func:`closed_form_example1` / :func:`closed_form_counterexample` — direct
   evaluation of the two known closed-form solution pairs, used as ground
   truth everywhere else.
+
+Each returns the pair ``(P, Lam)`` and its coefficient table, from which
+:func:`_gains` derives ``K`` and ``L`` where they are read.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ GRAM_RANK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """A (pathwise) solution pair plus its derived gain ingredients.
+    """A (pathwise) solution pair and the coefficient table it was solved on.
 
     Attributes
     ----------
@@ -83,20 +86,31 @@ class RiccatiSolution:
     P, Lambda : PathArray
         ``(N+1, n_paths, n, n)`` symmetric matrices; deterministic solvers
         emit a single path and exact-zero ``Lambda``.
-    K, L : PathArray
-        ``K_i = R_i + D_i^T P_i D_i`` (``m x m``) and
-        ``L_i = B_i^T P_i + D_i^T (P_i C_i + Lambda_i)`` (``m x n``).
+    table : CoefficientTable
+        The coefficients it was solved on: ``N+1`` time rows, ``1`` or ``n_paths`` path rows.
     solver_tag : str
         One of ``deterministic_ode``, ``regression_mc``,
         ``closed_form_example1``, ``closed_form_counterexample``.
+    K, L : PathArray
+        ``R + D^T P D`` (``m x m``) and ``B^T P + D^T (P C + Lambda)``
+        (``m x n``), derived from the pair by :func:`_gains` on each read.
     """
 
     grid: TimeGrid
     P: PathArray = field(repr=False)
     Lambda: PathArray = field(repr=False)
-    K: PathArray = field(repr=False)
-    L: PathArray = field(repr=False)
+    table: CoefficientTable = field(repr=False)
     solver_tag: str = "deterministic_ode"
+
+    def __post_init__(self):
+        for what, have, need in (("time rows", self.table.A.shape[0], [self.grid.N + 1]),
+                                 ("path rows", self.table.n_paths, [1, self.P.n_paths]),
+                                 ("state dimensions", self.table.model.n, [self.P.rows])):
+            if have not in need:
+                raise InvalidArgumentError(f"coefficient table has {have} {what}; expected {need}")
+
+    K = property(lambda self: PathArray(_gains(self)[0]))
+    L = property(lambda self: PathArray(_gains(self)[1]))
 
 
 @dataclass(frozen=True)
@@ -116,22 +130,20 @@ class RegressionBasis:
             raise InvalidArgumentError(f"basis degree must be >= 0, got {self.degree}")
 
 
-def _solution(tab: CoefficientTable, grid: TimeGrid, Pv: np.ndarray, Lv: np.ndarray,
-              tag: str) -> RiccatiSolution:
-    """The pair ``(P, Lambda) = (Pv, Lv)`` with K_i = R + D^T P D and
-    L_i = B^T P + D^T (P C + Lambda) at every node, read from ``tab``."""
-    steps, n_paths, n, _ = Pv.shape
-    m = tab.model.m
-    K = np.empty((steps, n_paths, m, m))
-    L = np.empty((steps, n_paths, m, n))
-    for i in range(steps):
-        _, B, C, D, _, R = _node(tab, i)
-        Pi = Pv[i]
-        K[i] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pi, D)
-        L[i] = (np.einsum("...nm,...nk->...mk", B, Pi)
-                + np.einsum("...nm,...nk->...mk", D, Pi @ C + Lv[i]))
-    return RiccatiSolution(grid=grid, P=PathArray(Pv), Lambda=PathArray(Lv),
-                           K=PathArray(K), L=PathArray(L), solver_tag=tag)
+def _gains(sol: RiccatiSolution, rows: slice = slice(None), paths: slice = slice(None)) -> tuple:
+    """``K = R + D^T P D`` and ``L = B^T P + D^T (P C + Lambda)`` of ``sol`` on
+    time rows ``rows`` and paths ``paths``, node by node, as read-only arrays."""
+    Pv, Lv = sol.P.values[rows, paths], sol.Lambda.values[rows, paths]
+    K = np.empty(Pv.shape[:2] + (sol.table.model.m,) * 2)
+    L = np.empty(K.shape[:3] + Pv.shape[3:])
+    for j, i in enumerate(range(sol.grid.N + 1)[rows]):
+        _, B, C, D, _, R = (v if len(v) == 1 else v[paths] for v in _node(sol.table, i))
+        K[j] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pv[j], D)
+        L[j] = (np.einsum("...nm,...nk->...mk", B, Pv[j])
+                + np.einsum("...nm,...nk->...mk", D, Pv[j] @ C + Lv[j]))
+    K.setflags(write=False)
+    L.setflags(write=False)
+    return K, L
 
 
 def _node(tab: CoefficientTable, i: int) -> tuple:
@@ -247,7 +259,7 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
                 if not np.isfinite(P).all():
                     raise FiniteEscapeError(escape.format(t=t), time=t)
             Pv[i] = P
-    return _solution(tab, grid, Pv, np.zeros_like(Pv), "deterministic_ode")
+    return RiccatiSolution(grid, PathArray(Pv), PathArray(np.zeros_like(Pv)), tab)
 
 
 def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolution:
@@ -297,7 +309,7 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
             Pv[i] = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
             if not np.isfinite(Pv[i]).all():
                 raise FiniteEscapeError(escape.format(t=t), time=t)
-    return _solution(tab, grid, Pv, np.zeros_like(Pv), "deterministic_ode")
+    return RiccatiSolution(grid, PathArray(Pv), PathArray(np.zeros_like(Pv)), tab)
 
 
 def _regression_features(model: CoefficientModel, W: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -472,8 +484,8 @@ def solve_bsre_regression(
         drift = 2.0 * a * p_next + 2.0 * c * lam + c * c * p_next + q - L * L / K
         Pv[i] = fit(p_next + h * drift)
         Lv[i] = lam
-    del feats  # before K and L are allocated
-    return _solution(tab, grid, Pv[:, :, None, None], Lv[:, :, None, None], "regression_mc")
+    return RiccatiSolution(grid, PathArray(Pv[:, :, None, None]), PathArray(Lv[:, :, None, None]),
+                           tab, "regression_mc")
 
 
 def closed_form_example1(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolution:
@@ -486,7 +498,7 @@ def closed_form_example1(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolutio
     y = example1_y(grid, batch.W)
     Pv = (1.0 / y - tab.R[0, 0, 0, 0])[:, :, None, None]
     Lv = (-np.cos(batch.W) / (y * y))[:, :, None, None]
-    return _solution(tab, grid, Pv, Lv, "closed_form_example1")
+    return RiccatiSolution(grid, PathArray(Pv), PathArray(Lv), tab, "closed_form_example1")
 
 
 def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolution:
@@ -499,4 +511,4 @@ def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiS
     Pv = (1.0 / aux.Y - 0.25)[:, :, None, None]
     Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]
     tab = coefficient_table(scenario_counterexample(grid.T), _zero_prefix(grid))
-    return _solution(tab, grid, Pv, Lv, "closed_form_counterexample")
+    return RiccatiSolution(grid, PathArray(Pv), PathArray(Lv), tab, "closed_form_counterexample")

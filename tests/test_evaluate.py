@@ -14,6 +14,7 @@ from slqkit.feedback import FeedbackLaw, synthesize
 from slqkit.grid import BrownianBatch, PathArray, make_grid, sample_brownian
 from slqkit.problem import (
     CoefficientModel,
+    CoefficientTable,
     InitialCondition,
     scenario_deterministic,
     scenario_example1,
@@ -332,8 +333,13 @@ def test_table_kernels_match_reference_loop_bit_for_bit(make_model):
     P_path = rng.uniform(0.5, 1.5, (grid.N + 1, 50, n, n))
     P_path = P_path + P_path.swapaxes(-1, -2)
     K_row = np.eye(m)[None, None] * np.linspace(1.0, 2.0, grid.N + 1)[:, None, None, None]
+    # D = 0 and B = 0 with R = K_row give K = K_row and L = 0 on every path.
+    weights = CoefficientModel(
+        n=n, m=m, A=lambda i, W: np.zeros((n, n)), B=lambda i, W: np.zeros((n, m)),
+        C=lambda i, W: np.zeros((n, n)), D=lambda i, W: np.zeros((n, m)),
+        Q=lambda i, W: np.zeros((n, n)), R=lambda i, W: K_row[i, 0], G=lambda W: np.zeros((n, n)))
     sol = RiccatiSolution(grid=grid, P=PathArray(P_path), Lambda=PathArray(np.zeros_like(P_path)),
-                          K=PathArray(K_row), L=PathArray(np.zeros((grid.N + 1, 1, m, n))))
+                          table=CoefficientTable(weights, np.zeros((grid.N + 1, 1))))
     eta_col = np.broadcast_to(eta.reshape(1, n, 1), (50, n, 1))
     value_ref = 0.5 * _reference_form(P_path[0], eta_col, eta_col)
     res = value_identity_check(sol, law, model, init, batch)
@@ -415,7 +421,7 @@ def test_value_identity_example1_passes_at_unit_scale():
 def test_checks_reject_a_solution_of_another_path_count():
     grid, batch, model, sol, law = _example1_setup(N=16, n_paths=50)
     three = dataclasses.replace(sol, P=PathArray(sol.P.values[:, :3]),
-                                K=PathArray(sol.K.values[:, :3]))
+                                Lambda=PathArray(sol.Lambda.values[:, :3]))
     with pytest.raises(InvalidArgumentError, match="path dimension mismatch"):
         value_identity_check(three, law, model, INIT, batch)
     _, u_fb = simulate_closed_loop(model, law, INIT, batch)

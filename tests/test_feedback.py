@@ -1,12 +1,20 @@
 """Tests for gain synthesis, regularity diagnostics, and stationarity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from slqkit.errors import InvalidArgumentError, SynthesisInfeasibleError
 from slqkit.grid import PathArray, _time_blocks, make_grid, sample_brownian
 from slqkit.pinv import solvability
-from slqkit.problem import scenario_counterexample, scenario_deterministic, scenario_example1
+from slqkit.problem import (
+    CoefficientModel,
+    CoefficientTable,
+    scenario_counterexample,
+    scenario_deterministic,
+    scenario_example1,
+)
 from slqkit.feedback import (
     FeedbackLaw,
     RegularityReport,
@@ -18,6 +26,7 @@ from slqkit.riccati import (
     RiccatiSolution,
     closed_form_counterexample,
     closed_form_example1,
+    solve_bsre_regression,
     solve_deterministic,
 )
 
@@ -30,25 +39,37 @@ def _example1_setup(N=64, n_paths=200, seed=1):
     return grid, batch, sol, model
 
 
+def _solution_with(grid, Kv, Lv):
+    """A solution whose derived K and L are exactly the ``(N+1, k, m, m)``
+    ``Kv`` and ``(N+1, k, m, n)`` ``Lv``: ``P = I``, ``Lambda = 0`` and a
+    per-path table with ``D = 0``, ``R = K`` and ``B = L^T``, so that
+    ``R + D^T P D = K`` and ``B^T P + D^T (P C + Lambda) = L``."""
+    m, n = Lv.shape[2:]
+    lead = (grid.N + 1, max(Kv.shape[1], Lv.shape[1]))
+
+    def zero(i, W):
+        return np.zeros((n, n))
+
+    model = CoefficientModel(
+        n=n, m=m, A=zero, C=zero, Q=zero, D=lambda i, W: np.zeros((n, m)),
+        B=lambda i, W: np.broadcast_to(Lv[i], lead[1:] + (m, n)).swapaxes(-1, -2),
+        R=lambda i, W: np.broadcast_to(Kv[i], lead[1:] + (m, m)), G=lambda W: np.zeros((n, n)))
+    return RiccatiSolution(grid=grid, P=PathArray(np.broadcast_to(np.eye(n), lead + (n, n))),
+                           Lambda=PathArray(np.zeros(lead + (n, n))),
+                           table=CoefficientTable(model, np.zeros(lead)))
+
+
 def _manual_solution(grid, K, L, n_paths=1):
     """Hand-built scalar solution with constant K, L at every sample."""
     shape = (grid.N + 1, n_paths, 1, 1)
-    z = PathArray(np.zeros(shape))
-    return RiccatiSolution(
-        grid=grid,
-        P=z, Lambda=z,
-        K=PathArray(np.full(shape, float(K))),
-        L=PathArray(np.full(shape, float(L))),
-        solver_tag="deterministic_ode",
-    )
+    return _solution_with(grid, np.full(shape, float(K)), np.full(shape, float(L)))
 
 
 def _matrix_problem(grid, Kv, Lv):
     """A solution with the given ``(N+1, n_paths, m, m)`` K and
     ``(N+1, n_paths, m, n)`` L, and a zero model of matching dimensions."""
     m, n = Lv.shape[2:]
-    z = PathArray(np.zeros(Lv.shape[:2] + (n, n)))
-    sol = RiccatiSolution(grid=grid, P=z, Lambda=z, K=PathArray(Kv), L=PathArray(Lv))
+    sol = _solution_with(grid, Kv, Lv)
     model = scenario_deterministic(0, 0, 0, 0, 0, 0, 0, T=1.0)
     model = type(model)(
         n=n, m=m,
@@ -200,11 +221,11 @@ def test_blocked_synthesis_equals_the_whole_batch_formulas():
 def test_offenders_across_blocks_keep_time_then_path_order():
     grid = make_grid(1.0, 8)
     t = grid.points
-    sol = _manual_solution(grid, K=1.0, L=0.0, n_paths=40000)
-    Kv = sol.K.values
+    Kv = np.ones((grid.N + 1, 40000, 1, 1))
     assert len(_time_blocks(Kv)) == grid.N + 1
     Kv[5, :70] = -1.0  # a later block, at lower path indices
     Kv[2, 100:160] = -1.0
+    sol = _solution_with(grid, Kv, np.zeros_like(Kv))
     with pytest.raises(SynthesisInfeasibleError) as exc:
         synthesize(sol, scenario_deterministic(0, 0, 0, 0, 0, 0, 0, T=1.0))
     assert exc.value.reason == "psd"
@@ -229,8 +250,7 @@ def test_synthesis_and_stationarity_hold_no_batch_sized_temporary(traced_peak):
     grid = make_grid(1.0, 63)
     shape = (grid.N + 1, 50_000, 1, 1)
     z = PathArray(np.zeros(shape))
-    sol = RiccatiSolution(grid=grid, P=z, Lambda=z, K=PathArray(rng.uniform(0.5, 2.0, shape)),
-                          L=PathArray(rng.normal(size=shape)))
+    sol = _solution_with(grid, rng.uniform(0.5, 2.0, shape), rng.normal(size=shape))
     model = scenario_deterministic(0, 0, 0, 1, 0, 1, 0, T=1.0)
 
     def synthesize_and_check():
@@ -240,6 +260,25 @@ def test_synthesis_and_stationarity_hold_no_batch_sized_temporary(traced_peak):
     (law, st), peak = traced_peak(synthesize_and_check)
     assert st.max_residual <= 1e-12
     assert peak < law.theta.values.nbytes + 0.25 * z.values.nbytes
+
+
+def test_regression_solution_feeds_synthesis_without_batch_sized_temporaries(traced_peak):
+    # A solution holds its pair and table; synthesis and the residual derive
+    # K and L one block of time rows at a time.
+    assert [f.name for f in dataclasses.fields(RiccatiSolution)] == [
+        "grid", "P", "Lambda", "table", "solver_tag"]
+    grid = make_grid(1.0, 64)
+    batch = sample_brownian(grid, 50_000, seed=1)
+    model = scenario_example1(1.0)
+    sol = solve_bsre_regression(model, grid, batch)
+
+    def synthesize_and_check():
+        law = synthesize(sol, model)
+        return law, stationarity_residual(law, sol, model, batch.W)
+
+    (law, st), peak = traced_peak(synthesize_and_check)
+    assert st.max_residual <= 1e-12
+    assert peak < law.theta.values.nbytes + 0.25 * batch.W.nbytes
 
 
 def test_synthesize_guards():
@@ -295,6 +334,21 @@ def test_regularity_left_point_norm_formula():
     assert set(report.quantiles) == {0.5, 0.9, 0.99}
     assert report.qualified
     assert law.diagnostics is report
+
+
+@pytest.mark.parametrize("shape", [(64, 50_000, 1, 1), (32, 3000, 2, 3), (40_001, 1, 1, 1)])
+def test_regularity_sums_blocks_as_the_whole_batch_formula(shape, traced_peak):
+    # Several paths sum their rows in time order, one path pairwise, both as
+    # the whole-batch formula does; with many paths no batch-sized temporary.
+    theta = np.random.default_rng(5).normal(size=shape)
+    grid = make_grid(1.0, shape[0] - 1)
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+    report, peak = traced_peak(lambda: regularity_diagnostics(law, grid))
+    expected = grid.h * np.sum(theta[:-1] ** 2, axis=(2, 3)).sum(axis=0)
+    assert report.pathwise_sqnorm.tobytes() == expected.tobytes()
+    if shape[1] > 1:
+        assert len(_time_blocks(theta)) > 1
+        assert peak < 0.25 * theta.nbytes
 
 
 def test_regularity_default_threshold_is_ten_medians():

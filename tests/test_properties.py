@@ -1,8 +1,8 @@
 """Property tests (hypothesis) for path sampling, coefficient tables, the
-divergence probe, the batched solvability kernel, the deterministic Riccati
-solvers against a per-stage reference loop, the sweep's superposition, the
-simulator's entry kernel against batched matrix products, and the CLI's
-config round trip."""
+``K`` and ``L`` derived from a solution pair, the divergence probe, the
+batched solvability kernel, the deterministic Riccati solvers against a
+per-stage reference loop, the sweep's superposition, the simulator's entry
+kernel against batched matrix products, and the CLI's config round trip."""
 
 import dataclasses
 import json
@@ -32,7 +32,7 @@ from slqkit.evaluate import (
 )
 from slqkit.feedback import FeedbackLaw
 from slqkit.grid import PathArray
-from slqkit.grid import _path_major_increments, make_grid, sample_brownian
+from slqkit.grid import _path_major_increments, _time_blocks, make_grid, sample_brownian
 from slqkit.pinv import _verdicts, pinv, solvability
 from slqkit.problem import (
     Y_SHIFT,
@@ -46,7 +46,13 @@ from slqkit.problem import (
     delta_grid,
     scenario_deterministic,
 )
-from slqkit.riccati import SOLVE_TOL, discrete_recursion_oracle, solve_deterministic
+from slqkit.riccati import (
+    SOLVE_TOL,
+    RiccatiSolution,
+    _gains,
+    discrete_recursion_oracle,
+    solve_deterministic,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -260,6 +266,64 @@ def test_every_table_row_equals_the_evaluator(n, m, N, n_paths, forms):
             row = getattr(tab, name)[i]
             np.testing.assert_array_equal(
                 row, np.broadcast_to(model.coeff(name, i, W[: i + 1], n_paths), row.shape))
+
+
+def _reference_gains(tab, Pv, Lv):
+    """``K = R + D^T P D`` and ``L = B^T P + D^T (P C + Lambda)`` at every
+    node, by the per-node expression a solution once stored them with."""
+    steps, n_paths, n, _ = Pv.shape
+    m = tab.model.m
+    K = np.empty((steps, n_paths, m, m))
+    L = np.empty((steps, n_paths, m, n))
+    for i in range(steps):
+        B, C, D, R = (getattr(tab, name)[i] for name in "BCDR")
+        Pi = Pv[i]
+        K[i] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pi, D)
+        L[i] = (np.einsum("...nm,...nk->...mk", B, Pi)
+                + np.einsum("...nm,...nk->...mk", D, Pi @ C + Lv[i]))
+    return K, L
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    N=st.integers(2, 6),
+    n_paths=st.integers(1, 5),
+    forms=st.lists(st.sampled_from(FORMS), min_size=6, max_size=6),
+    block_entries=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derived_gains_equal_the_per_node_reference(n, m, N, n_paths, forms, block_entries,
+                                                     seed):
+    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m), "Q": (n, n), "R": (m, m)}
+    evaluators = {name: _evaluator(form, *shapes[name], k)
+                  for k, (name, form) in enumerate(zip(shapes, forms))}
+    model = CoefficientModel(n=n, m=m, G=lambda W: np.eye(n), kind="path_dependent",
+                             **evaluators)
+    grid = make_grid(1.0, N)
+    tab = coefficient_table(model, sample_brownian(grid, n_paths, seed=N).W)
+    rng = np.random.default_rng(seed)
+    S, T = rng.normal(size=(2, N + 1, n_paths, n, n))
+    Pv, Lam = S + S.swapaxes(-1, -2), T + T.swapaxes(-1, -2)  # a nonzero Lambda
+    sol = RiccatiSolution(grid, PathArray(Pv), PathArray(Lam), tab)
+    reference = _reference_gains(tab, Pv, Lam)
+
+    theta = np.empty((N + 1, n_paths, m, n))
+    with mock.patch.object(grid_module, "_BLOCK_ENTRIES", block_entries):
+        blocks = [_gains(sol, rows) for rows in _time_blocks(theta, Pv)]
+    derived = [np.concatenate(arrays) for arrays in zip(*blocks)]
+    k = int(rng.integers(1, n_paths + 1))
+    for got, ref, whole, first in zip(derived, reference, (sol.K.values, sol.L.values),
+                                      _gains(sol, paths=slice(k))):
+        assert got.tobytes() == ref.tobytes()
+        assert whole.tobytes() == ref.tobytes()
+        # The first k paths may round apart: einsum takes another loop for a
+        # batch of one path (seen at n = 2, m = 1).
+        np.testing.assert_allclose(first, ref[:, :k], rtol=0.0,
+                                   atol=1e-14 * (1.0 + np.abs(ref).max()))
+        assert not (whole.flags.writeable or first.flags.writeable)
+    assert not any(a.flags.writeable for pair in blocks for a in pair)
 
 
 def _solvability_pair(rng, m, n, rank, negatives, in_range):

@@ -1,5 +1,7 @@
 """Tests for the four backward-Riccati solution routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from slqkit.problem import (
     Y_SHIFT,
     ZETA_SCALE,
     CoefficientModel,
+    CoefficientTable,
     scenario_counterexample,
     scenario_deterministic,
     scenario_example1,
 )
 from slqkit.riccati import (
     RegressionBasis,
+    RiccatiSolution,
     _design_matrix,
     _projector,
     _whiten,
@@ -494,3 +498,50 @@ def test_regression_counterexample_completes_at_moderate_scale():
     assert np.isfinite(sol.P.values).all()
     g = scenario_counterexample(1.0).terminal(batch.W, batch.n_paths)
     np.testing.assert_array_equal(sol.P.values[-1], g)
+
+
+# ---------------------------------------------------------------------------
+# RiccatiSolution: the pair and the table it was solved on
+# ---------------------------------------------------------------------------
+
+def _example1_solution(N=8, n_paths=5):
+    grid = make_grid(1.0, N)
+    return closed_form_example1(grid, sample_brownian(grid, n_paths, seed=3))
+
+
+def test_derived_gains_are_fresh_read_only_arrays():
+    sol = _example1_solution()
+    assert sol.K.values is not sol.K.values
+    for derived in (sol.K.values, sol.L.values):
+        assert not derived.flags.writeable
+
+
+def test_solution_refuses_a_table_of_another_step_count():
+    sol = _example1_solution()
+    table = CoefficientTable(scenario_example1(1.0), np.zeros((17, 1)))
+    with pytest.raises(InvalidArgumentError,
+                       match=r"coefficient table has 17 time rows; expected \[9\]"):
+        dataclasses.replace(sol, table=table)
+
+
+def test_solution_refuses_a_table_of_another_path_count():
+    sol = _example1_solution()
+    table = CoefficientTable(scenario_example1(1.0), np.zeros((9, 3)))
+    with pytest.raises(InvalidArgumentError,
+                       match=r"coefficient table has 3 path rows; expected \[1, 5\]"):
+        dataclasses.replace(sol, table=table)
+    # One path row, or one per path of P, is accepted.
+    for k in (1, 5):
+        dataclasses.replace(sol, table=CoefficientTable(scenario_example1(1.0), np.zeros((9, k))))
+
+
+def test_solution_refuses_a_table_of_another_state_dimension():
+    sol = _example1_solution()
+    model = scenario_deterministic(0, 0, 0, 0, 0, 1, 0, T=1.0)
+    two = dataclasses.replace(
+        model, n=2, A=lambda i, W: np.zeros((2, 2)), B=lambda i, W: np.zeros((2, 1)),
+        C=lambda i, W: np.zeros((2, 2)), D=lambda i, W: np.zeros((2, 1)),
+        Q=lambda i, W: np.zeros((2, 2)), G=lambda W: np.zeros((2, 2)))
+    with pytest.raises(InvalidArgumentError,
+                       match=r"coefficient table has 2 state dimensions; expected \[1\]"):
+        dataclasses.replace(sol, table=CoefficientTable(two, np.zeros((9, 1))))
