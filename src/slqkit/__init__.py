@@ -36,7 +36,6 @@ from .problem import (
     CoefficientTable,
     CounterexamplePaths,
     InitialCondition,
-    ValidationReport,
     coefficient_table,
     counterexample_paths,
     delta_grid,
@@ -44,7 +43,6 @@ from .problem import (
     scenario_counterexample,
     scenario_deterministic,
     scenario_example1,
-    validate,
 )
 from .riccati import (
     EPS_CLAMP,
@@ -119,7 +117,6 @@ __all__ = [
     "SweepRow",
     "SynthesisInfeasibleError",
     "TimeGrid",
-    "ValidationReport",
     "Y_UPPER",
     "ZETA_SCALE",
     "closed_form_counterexample",
@@ -153,6 +150,5 @@ __all__ = [
     "solve_deterministic",
     "stationarity_residual",
     "synthesize",
-    "validate",
     "value_identity_check",
 ]

@@ -44,13 +44,11 @@ from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major
 from .problem import (
     CoefficientModel,
     InitialCondition,
-    SYMMETRY_TOL,
     Y_SHIFT,
     Y_UPPER,
     ZETA_SCALE,
-    _asymmetry,
     _stopped_processes,
-    _zero_prefix,
+    _table_for,
     coefficient_table,
     delta_grid,
 )
@@ -308,14 +306,7 @@ def cost(
         _require_grid("grid", grid, batch)
         if batch.n_paths != P:
             raise InvalidArgumentError(f"state arrays have {P} paths, the batch {batch.n_paths}")
-        W = batch.W
-    elif model.kind == "deterministic":
-        W = _zero_prefix(grid)
-    else:
-        raise InvalidArgumentError(
-            f"cost of a {model.kind!r} model needs the batch its weights depend on"
-        )
-    tab = coefficient_table(model, W)
+    tab = _table_for("cost", model, grid, None if batch is None else batch.W)
     run_state, run_ctrl, term = _bilinear(tab, init.start_index, grid.h, xv, uv, xv, uv)
     per_path = 0.5 * (run_state + run_ctrl + term)
     se = float(per_path.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
@@ -546,10 +537,12 @@ def optimality_sweep(
     construction and stays asserted.  The independent leg simulates the
     ``+eps`` arm of the largest ``|eps|`` directly for each ``v``; it must
     match its prediction within ``SUPERPOSITION_RTOL`` relative, max norm.
-    An empty ``perturbations``, a zero or non-finite epsilon, fewer than two
-    distinct ``|eps|``, or a ``Q``, ``R`` or ``G`` that breaks the symmetry
-    rule of :func:`slqkit.problem.validate` (the superposition needs
-    symmetric weights) raises ``InvalidArgumentError`` before any simulation.
+    The superposition needs symmetric weights.  An empty ``perturbations``,
+    a zero or non-finite epsilon, fewer than two distinct ``|eps|``, or a
+    model whose coefficient table refuses its data (a non-finite coefficient,
+    or a ``Q``, ``R`` or ``G`` that breaks the table's symmetry rule, see
+    :class:`slqkit.problem.CoefficientTable`) raises
+    ``InvalidArgumentError`` before any simulation.
     ``sol`` is not read (``law`` carries the gain); it stays in the
     signature, which the acceptance criteria call.
     """
@@ -573,12 +566,7 @@ def _sweep(law, model, init, batch, loop: tuple | None, perturbations: list | No
         raise InvalidArgumentError(
             "epsilons need at least two distinct |eps| for the quadratic-scaling leg, "
             f"got {epsilons!r}")
-    tab = coefficient_table(model, batch.W)
-    for name in ("Q", "R", "G"):
-        asym, broken = _asymmetry(getattr(tab, name), SYMMETRY_TOL)
-        if broken:
-            raise InvalidArgumentError(f"{name} is not symmetric (max asymmetry {asym:.3e}); "
-                                       "the sweep's superposition needs symmetric weights")
+    coefficient_table(model, batch.W)  # admits the weights before anything is simulated
     x_fb, u_fb, J_fb = _closed_loop(model, law, init, batch) if loop is None else loop
     eps_direct = max(epsilons, key=abs)
     rows: list[SweepRow] = []

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError, SynthesisInfeasibleError
 from .grid import PathArray, TimeGrid, _time_blocks
 from .pinv import solvability
-from .problem import CoefficientModel, _zero_prefix, coefficient_table
+from .problem import CoefficientModel, _table_for
 from .riccati import RiccatiSolution, _gains
 
 __all__ = [
@@ -206,8 +206,9 @@ def stationarity_residual(
 
     Zero (to rounding) wherever the range condition holds — this is the
     first-order condition the gain was built to satisfy, with ``K`` and ``L``
-    derived one block of time rows at a time.  A model (with, for path-dependent
-    coefficients, the batch's ``W``) adds the identity's adjoint-process form.
+    derived one block of time rows at a time.  A model adds the identity's
+    adjoint-process form, read on the batch's ``W``; only a ``"deterministic"``
+    model may omit ``W``, and is then tabulated on a one-path zero prefix.
     """
     if W is not None and (np.ndim(W) != 2 or np.shape(W)[0] != sol.grid.N + 1):
         raise InvalidArgumentError(f"W must be 2-D with {sol.grid.N + 1} rows, got {np.shape(W)}")
@@ -223,7 +224,7 @@ def stationarity_residual(
         worst = 0.0
         Pv = sol.P.values
         Lam = sol.Lambda.values
-        tab = coefficient_table(model, _zero_prefix(sol.grid) if W is None else W)
+        tab = _table_for("stationarity_residual", model, sol.grid, W)
         for i in range(sol.grid.N + 1):
             B, C, D, R = (getattr(tab, name)[i] for name in ("B", "C", "D", "R"))
             Pi = Lam[i] + Pv[i] @ (C + D @ th[i])

@@ -14,8 +14,11 @@ the optional regression ``features``, whose row ``i`` may depend only on
 
 A :class:`CoefficientTable` holds every coefficient of one model evaluated
 once on one path batch (:func:`coefficient_table`); the solvers, the
-simulator and the cost quadrature read it instead of calling the evaluators
-at every step.
+simulator, the cost quadrature, synthesis and every check read it instead
+of calling the evaluators at every step.  It is also where data is
+admitted: a table refuses non-finite coefficients and ``Q``, ``R`` or ``G``
+that are not symmetric (see :class:`CoefficientTable`), so every reader
+refuses them at this one place.
 
 Built-in scenarios:
 
@@ -44,10 +47,8 @@ __all__ = [
     "CoefficientModel",
     "CoefficientTable",
     "InitialCondition",
-    "ValidationReport",
     "CounterexamplePaths",
     "coefficient_table",
-    "validate",
     "scenario_example1",
     "scenario_counterexample",
     "scenario_deterministic",
@@ -186,6 +187,7 @@ def _normalize_eval(raw: np.ndarray, name: str, n_paths: int, rows: int, cols: i
 
 
 _TABLE_NAMES = ("A", "B", "C", "D", "Q", "R")
+SYMMETRY_TOL = 1e-8  # relative tolerance of the symmetry rule for Q, R and G
 
 
 class CoefficientTable:
@@ -199,6 +201,14 @@ class CoefficientTable:
     through :meth:`CoefficientModel.coeff` and
     :meth:`CoefficientModel.terminal`, so shapes are validated there.  The
     table holds no reference to ``W``.
+
+    The table is where data enters the problem class, so it admits only
+    finite coefficients and symmetric weights: every entry of ``A..R`` and
+    ``G`` must be finite, and each of ``Q``, ``R`` and ``G`` must satisfy
+    ``max|v - v^T| <= SYMMETRY_TOL (1 + max|v|)`` over the whole array
+    (``R`` may be indefinite).  Otherwise construction raises
+    :class:`InvalidArgumentError` naming the coefficient and the index and
+    path of the first non-finite entry, or the largest asymmetry.
     """
 
     def __init__(self, model: CoefficientModel, W: np.ndarray):
@@ -207,6 +217,8 @@ class CoefficientTable:
         for name in _TABLE_NAMES:
             setattr(self, name, self._tabulate(name, W))
         self.G = model.terminal(W, self.n_paths)
+        for name in _TABLE_NAMES + ("G",):
+            _admit(name, getattr(self, name))
 
     def _tabulate(self, name: str, W: np.ndarray) -> np.ndarray:
         N, P = W.shape[0] - 1, self.n_paths
@@ -221,10 +233,41 @@ class CoefficientTable:
         return out
 
 
+def _admit(name: str, v: np.ndarray) -> None:
+    """The table's admission rule for coefficient ``name``, read one block of
+    leading rows at a time (time rows; paths for ``G``)."""
+    asym = scale = 0.0
+    for b in _time_blocks(v):
+        block = v[b]
+        if not np.isfinite(block).all():
+            at = np.argwhere(~np.isfinite(block))[0]
+            where = (f"path {b.start + at[0]}" if name == "G"
+                     else f"index {b.start + at[0]}, path {at[1]}")
+            raise InvalidArgumentError(f"{name} has a non-finite entry at {where}")
+        if name in ("Q", "R", "G"):
+            asym = max(asym, float(np.abs(block - block.swapaxes(-1, -2)).max()))
+            scale = max(scale, float(np.abs(block).max()))
+    if asym > SYMMETRY_TOL * (1.0 + scale):
+        raise InvalidArgumentError(
+            f"{name} is not symmetric within tolerance (max asymmetry {asym:.3e})")
+
+
 def _zero_prefix(grid: TimeGrid) -> np.ndarray:
     """One all-zero path ``(N+1, 1)`` on ``grid``: the paths on which a model
     whose coefficients are constants is tabulated."""
     return np.zeros((grid.N + 1, 1))
+
+
+def _table_for(what: str, model: CoefficientModel, grid: TimeGrid,
+               W: np.ndarray | None) -> CoefficientTable:
+    """The table ``what`` reads: on ``W`` when given, else on the zero prefix of
+    ``grid``, which only a ``"deterministic"`` model may take."""
+    if W is not None:
+        return coefficient_table(model, W)
+    if model.kind != "deterministic":
+        raise InvalidArgumentError(
+            f"{what} of a {model.kind!r} model needs the batch its weights depend on")
+    return coefficient_table(model, _zero_prefix(grid))
 
 
 # Tables of read-only path arrays, keyed by id(W) then id(model).  An entry
@@ -294,86 +337,6 @@ class InitialCondition:
                 f"per-path eta has shape {eta.shape}, expected ({n_paths}, {n})"
             )
         return eta[:, :, None].copy()
-
-
-SYMMETRY_TOL = 1e-8  # relative tolerance of the symmetry rule for Q, R and G
-
-
-def _asymmetry(vals: np.ndarray, tol: float) -> tuple[float, bool]:
-    """The largest asymmetry of the square matrices ``vals`` (last two axes)
-    and whether it breaks the symmetry rule ``asym > tol (1 + max|vals|)``."""
-    asym = float(np.abs(vals - vals.swapaxes(-1, -2)).max(initial=0.0))
-    return asym, asym > tol * (1.0 + float(np.abs(vals).max(initial=0.0)))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Sampled diagnostics of a model on a batch (finiteness, symmetry,
-    coefficient magnitudes, and pathwise square-integral surrogates)."""
-
-    max_asymmetry: dict
-    max_abs: dict
-    b_sqint_max: float
-    c_sqint_max: float
-    tol: float
-    passed: bool
-    failures: list
-
-
-def validate(model: CoefficientModel, batch: BrownianBatch,
-             tol: float = SYMMETRY_TOL) -> ValidationReport:
-    """Sample every coefficient on every grid index of ``batch`` and report
-    symmetry/finiteness/magnitude diagnostics.
-
-    Q, R and G evaluations must be symmetric within ``tol``-scale; any
-    non-finite evaluation fails.  The report also carries the sampled maxima
-    of the pathwise integrals of |B|^2 and |C|^2 (Frobenius), the grid
-    surrogates of the square-integrability the problem class assumes.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If an evaluator returns a wrongly shaped result.
-    """
-    N = batch.grid.N
-    h = batch.grid.h
-    tab = coefficient_table(model, batch.W)
-    max_asym: dict[str, float] = {}
-    max_abs: dict[str, float] = {}
-    sqint: dict[str, np.ndarray] = {}  # pathwise integrals of |B|^2, |C|^2
-    failures: list[str] = []
-    for name in _TABLE_NAMES:
-        vals = getattr(tab, name)
-        finite = np.isfinite(vals).all(axis=(1, 2, 3))
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            failures.append(f"{name} non-finite at index {bad}")
-            vals = vals[:bad]
-        worst_abs = float(np.abs(vals).max(initial=0.0))
-        max_abs[name] = worst_abs
-        if name in ("B", "C"):
-            running = vals[:N]
-            sqint[name] = h * np.sum(running * running, axis=(2, 3)).sum(axis=0)
-        if name in ("Q", "R"):
-            max_asym[name], broken = _asymmetry(vals, tol)
-            if broken:
-                failures.append(f"{name} asymmetry {max_asym[name]:.6g} exceeds tolerance")
-    gvals = tab.G
-    if not np.isfinite(gvals).all():
-        failures.append("G non-finite")
-    max_abs["G"] = float(np.abs(gvals).max())
-    max_asym["G"], broken = _asymmetry(gvals, tol)
-    if broken:
-        failures.append(f"G asymmetry {max_asym['G']:.6g} exceeds tolerance")
-    return ValidationReport(
-        max_asymmetry=max_asym,
-        max_abs=max_abs,
-        b_sqint_max=float(sqint["B"].max()),
-        c_sqint_max=float(sqint["C"].max()),
-        tol=float(tol),
-        passed=not failures,
-        failures=failures,
-    )
 
 
 def _const(value: float, rows: int = 1, cols: int = 1) -> Evaluator:

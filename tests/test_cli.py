@@ -393,6 +393,30 @@ def test_cli_custom_model_scenario(tmp_path, monkeypatch):
     assert main(["--scenario", "custom-from-file", "--out", str(out)]) == 3
 
 
+def test_cli_asymmetric_custom_weight_exits_4_at_the_solve(tmp_path, monkeypatch, capsys):
+    (tmp_path / "skew_q.py").write_text(
+        "import numpy as np\n"
+        "from slqkit.problem import CoefficientModel\n\n"
+        "def make_model(T):\n"
+        "    eye, skew = np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])\n"
+        "    return CoefficientModel(\n"
+        "        n=2, m=2, A=lambda i, W: 0.1 * eye, B=lambda i, W: eye,\n"
+        "        C=lambda i, W: 0.0 * eye, D=lambda i, W: eye, Q=lambda i, W: skew,\n"
+        "        R=lambda i, W: eye, G=lambda W: eye)\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    out = tmp_path / "skew"
+    cfg = _write_config(tmp_path, scenario="custom-from-file", custom_model="skew_q:make_model",
+                        solver="deterministic_ode", eta=[1.0, 0.0], steps=16, paths=8,
+                        output_dir=str(out))
+    assert main(["--config", cfg]) == 4
+    assert "runtime-error: InvalidArgumentError: Q is not symmetric" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed"].startswith("InvalidArgumentError: Q is not symmetric within tolerance")
+    assert list(report["timings"]) == ["setup_s"]
+    assert report["manifest"] == ["report.json"]
+
+
 def test_cli_csv_and_summary_agree_on_the_sign_of_P(tmp_path, monkeypatch):
     # n = 1, m = 2: P is 1x1 and keeps its sign in both riccati.csv and the
     # summary, while the 2x2 K and the 2x1 L get their Frobenius norms.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from slqkit.errors import FiniteEscapeError, InvalidArgumentError
-from slqkit.feedback import FeedbackLaw, synthesize
+from slqkit.feedback import FeedbackLaw, stationarity_residual, synthesize
 from slqkit.grid import BrownianBatch, PathArray, make_grid, sample_brownian
 from slqkit.problem import (
     CoefficientModel,
@@ -19,7 +19,13 @@ from slqkit.problem import (
     scenario_deterministic,
     scenario_example1,
 )
-from slqkit.riccati import RiccatiSolution, closed_form_example1, solve_deterministic
+from slqkit.riccati import (
+    RiccatiSolution,
+    closed_form_example1,
+    discrete_recursion_oracle,
+    solve_bsre_regression,
+    solve_deterministic,
+)
 from slqkit import evaluate
 from slqkit.evaluate import (
     completion_of_squares_check,
@@ -210,6 +216,44 @@ def test_cost_without_batch_needs_a_deterministic_model():
         cost(model, x, _zero_control(grid, 4), INIT, grid)
     batch = sample_brownian(grid, 4, seed=1)
     assert math.isfinite(cost(model, x, _zero_control(grid, 4), INIT, grid, batch).mean)
+
+
+def _entry_points(good):
+    """Every public reader of a model's coefficients, as ``(name, call)`` where
+    ``call(model)`` runs it with everything else built from the model ``good``."""
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 20, seed=1)
+    sol = solve_deterministic(good, grid)
+    law = synthesize(sol, good)
+    x, u = simulate_closed_loop(good, law, INIT, batch)
+    return [
+        ("cost", lambda model: cost(model, x, u, INIT, grid, batch)),
+        ("simulate_closed_loop", lambda model: simulate_closed_loop(model, law, INIT, batch)),
+        ("simulate_open_loop", lambda model: simulate_open_loop(model, u, INIT, batch)),
+        ("solve_deterministic", lambda model: solve_deterministic(model, grid)),
+        ("discrete_recursion_oracle", lambda model: discrete_recursion_oracle(model, grid)),
+        ("solve_bsre_regression", lambda model: solve_bsre_regression(model, grid, batch)),
+        ("value_identity_check", lambda model: value_identity_check(sol, law, model, INIT, batch)),
+        ("completion_of_squares_check",
+         lambda model: completion_of_squares_check(sol, law, model, u, INIT, batch)),
+        ("optimality_sweep", lambda model: optimality_sweep(sol, law, model, INIT, batch)),
+        ("stationarity_residual", lambda model: stationarity_residual(law, sol, model, batch.W)),
+    ]
+
+
+@pytest.mark.parametrize("bad", ["coefficient", "G"])
+def test_every_entry_point_refuses_a_non_finite_coefficient(bad):
+    good = scenario_deterministic(0.3, 1.0, -0.2, 0.5, 1.0, 2.0, 1.0, T=1.0)
+    if bad == "G":
+        model = dataclasses.replace(good, G=lambda W: np.full((1, 1), np.nan))
+        match = "^G has a non-finite entry at path 0$"
+    else:
+        model = dataclasses.replace(good, Q=lambda i, W: np.full((1, 1), np.nan if i == 3 else 1.0))
+        match = "^Q has a non-finite entry at index 3, path 0$"
+    for name, call in _entry_points(good):
+        with pytest.raises(InvalidArgumentError, match=match):
+            call(model)
+            pytest.fail(f"{name} accepted a non-finite {bad}")
 
 
 # ---------------------------------------------------------------------------

@@ -65,20 +65,38 @@ def _manual_solution(grid, K, L, n_paths=1):
     return _solution_with(grid, np.full(shape, float(K)), np.full(shape, float(L)))
 
 
-def _matrix_problem(grid, Kv, Lv):
-    """A solution with the given ``(N+1, n_paths, m, m)`` K and
-    ``(N+1, n_paths, m, n)`` L, and a zero model of matching dimensions."""
-    m, n = Lv.shape[2:]
-    sol = _solution_with(grid, Kv, Lv)
-    model = scenario_deterministic(0, 0, 0, 0, 0, 0, 0, T=1.0)
-    model = type(model)(
+def _zero_model(n, m):
+    return CoefficientModel(
         n=n, m=m,
         A=lambda i, W: np.zeros((n, n)), B=lambda i, W: np.zeros((n, m)),
         C=lambda i, W: np.zeros((n, n)), D=lambda i, W: np.zeros((n, m)),
         Q=lambda i, W: np.zeros((n, n)), R=lambda i, W: np.eye(m),
         G=lambda W: np.zeros((n, n)),
     )
-    return sol, model
+
+
+def _matrix_problem(grid, Kv, Lv):
+    """A solution with the given ``(N+1, n_paths, m, m)`` K and
+    ``(N+1, n_paths, m, n)`` L, and a zero model of matching dimensions."""
+    m, n = Lv.shape[2:]
+    return _solution_with(grid, Kv, Lv), _zero_model(n, m)
+
+
+def _asymmetric_K_problem(grid, Kv):
+    """A solution whose derived K is the ``(N+1, k, m, m)`` ``Kv``, symmetric or
+    not, on a table the admission rule accepts, and a zero model of matching
+    dimensions: ``D = I``, ``B = -I``, ``C = 0``, ``Lambda = 0``,
+    ``P = I + antisym(Kv)`` and the symmetric ``R = sym(Kv) - I``, so that
+    ``R + D^T P D = Kv``; no table rule reads ``P``."""
+    m = Kv.shape[-1]
+    eye = np.eye(m)
+    sym, anti = 0.5 * (Kv + Kv.swapaxes(-1, -2)), 0.5 * (Kv - Kv.swapaxes(-1, -2))
+    zero = _zero_model(m, m)
+    model = dataclasses.replace(zero, B=lambda i, W: -eye, D=lambda i, W: eye,
+                                R=lambda i, W: sym[i] - eye)
+    sol = RiccatiSolution(grid=grid, P=PathArray(eye + anti), Lambda=PathArray(np.zeros(Kv.shape)),
+                          table=CoefficientTable(model, np.zeros(Kv.shape[:2])))
+    return sol, zero
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +258,10 @@ def test_asymmetry_error_names_the_largest_asymmetry_of_all_blocks():
     assert len(_time_blocks(Kv)) == grid.N + 1
     Kv[1, 5, 0, 1] = 0.5
     Kv[6, 7, 0, 1] = 2.0
+    problem = _asymmetric_K_problem(grid, Kv)  # the table admits it: only K is asymmetric
     with pytest.raises(InvalidArgumentError,
                        match=r"not symmetric within tolerance \(max asymmetry 2\.000e\+00\)"):
-        synthesize(*_matrix_problem(grid, Kv, np.zeros((grid.N + 1, 20000, 2, 1))))
+        synthesize(*problem)
 
 
 def test_synthesis_and_stationarity_hold_no_batch_sized_temporary(traced_peak):
@@ -293,8 +312,9 @@ def test_synthesize_guards():
             with pytest.raises(InvalidArgumentError, match="tol"):
                 synthesize(sol, model, tol=tol)
     Kv[2, 1] = [[1.0, 1.0], [0.0, 1.0]]
+    asymmetric = _asymmetric_K_problem(make_grid(1.0, 4), Kv)
     with pytest.raises(InvalidArgumentError, match="symmetric"):
-        synthesize(*_matrix_problem(make_grid(1.0, 4), Kv, np.ones((5, 3, 2, 2))))
+        synthesize(*asymmetric)
     grid, batch, sol, model = _example1_setup(N=8, n_paths=4)
     with pytest.raises(InvalidArgumentError, match="theta_free"):
         synthesize(sol, model, theta_free=np.zeros((3, 3)))
@@ -411,6 +431,19 @@ def test_stationarity_example1_roundoff_scale():
     res = stationarity_residual(law, sol, model, batch.W)
     assert res.max_residual <= 1e-12
     assert res.pi_form_residual <= 1e-12
+
+
+def test_stationarity_form_of_a_random_model_needs_its_batch():
+    # Example 1 with a path-dependent R: on the zero path its pi-form reads
+    # the wrong R and would come out near zero.
+    grid, batch, sol, model = _example1_setup(N=16, n_paths=50)
+    law = synthesize(sol, model)
+    random_R = dataclasses.replace(model, R=lambda i, W: 0.125 * (1.0 + 0.5 * np.sin(W[i])))
+    with pytest.raises(InvalidArgumentError, match="^stationarity_residual of a 'path_dependent' "
+                                                   "model needs the batch its weights depend on$"):
+        stationarity_residual(law, sol, random_R)
+    assert stationarity_residual(law, sol, random_R, batch.W).pi_form_residual > 1e-3
+    assert stationarity_residual(law, sol, model, batch.W).pi_form_residual <= 1e-12
 
 
 def test_stationarity_refuses_a_path_array_of_another_shape():

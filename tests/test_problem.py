@@ -1,5 +1,6 @@
 """Tests for the coefficient-model data layer and the built-in scenarios."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -15,6 +16,7 @@ from slqkit.problem import (
     Y_UPPER,
     ZETA_SCALE,
     CoefficientModel,
+    CoefficientTable,
     InitialCondition,
     coefficient_table,
     counterexample_paths,
@@ -23,7 +25,6 @@ from slqkit.problem import (
     scenario_counterexample,
     scenario_deterministic,
     scenario_example1,
-    validate,
 )
 
 
@@ -172,63 +173,80 @@ def test_table_stays_usable_after_its_batch_is_freed():
 
 
 # ---------------------------------------------------------------------------
-# validate
+# Admission rule of the coefficient table
 # ---------------------------------------------------------------------------
 
-def test_validate_deterministic_model_passes_cleanly():
-    model = scenario_deterministic(0.3, 1.0, -0.2, 0.5, 1.0, 2.0, 1.0, T=1.0)
-    grid = make_grid(1.0, 16)
-    report = validate(model, sample_brownian(grid, 20, seed=1))
-    assert report.passed
-    assert report.failures == []
-    assert report.max_asymmetry["Q"] == 0.0
-    assert report.max_asymmetry["R"] == 0.0
-    assert report.max_asymmetry["G"] == 0.0
-    # Constant B, C integrate exactly: int |B|^2 dt = b^2 T, same for C.
-    assert report.b_sqint_max == pytest.approx(1.0, abs=1e-12)
-    assert report.c_sqint_max == pytest.approx(0.04, abs=1e-12)
+def _with(base, **evaluators):
+    return dataclasses.replace(base, kind="path_dependent", **evaluators)
 
 
-def test_validate_flags_asymmetric_R():
-    base = scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0)
-    model = CoefficientModel(
-        n=1, m=2,
-        A=base.A,
-        B=lambda i, W: np.zeros((1, 2)),
-        C=base.C,
-        D=lambda i, W: np.zeros((1, 2)),
-        Q=base.Q,
-        R=lambda i, W: np.array([[0.0, 1.0], [0.0, 0.0]]),
-        G=base.G,
-    )
-    grid = make_grid(1.0, 8)
-    report = validate(model, sample_brownian(grid, 5, seed=1))
-    assert not report.passed
-    assert report.max_asymmetry["R"] == 1.0
-    assert any("R asymmetry" in f for f in report.failures)
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "Q", "R"])
+def test_table_refuses_a_non_finite_coefficient_naming_index_and_path(name):
+    # 5000 paths make blocks of three time rows, so index 7 sits in the third.
+    W = np.zeros((9, 5000))
+    assert len(_time_blocks(np.empty((9, 5000, 1, 1)))) == 3
+
+    def nan_at_7_on_path_2(i, W):
+        v = np.full(W.shape[1], 0.5)
+        v[2] = np.nan if i == 7 else 0.5
+        return v
+
+    model = _with(scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0),
+                  **{name: nan_at_7_on_path_2})
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^{name} has a non-finite entry at index 7, path 2$"):
+        CoefficientTable(model, W)
 
 
-def test_validate_flags_non_finite_terminal():
-    base = scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0)
-    model = CoefficientModel(
-        n=1, m=1, A=base.A, B=base.B, C=base.C, D=base.D, Q=base.Q, R=base.R,
-        G=lambda W: np.full((W.shape[1], 1, 1), np.nan),
-    )
-    grid = make_grid(1.0, 8)
-    report = validate(model, sample_brownian(grid, 5, seed=1))
-    assert not report.passed
-    assert any("G non-finite" in f for f in report.failures)
+def test_table_refuses_a_non_finite_terminal_naming_the_path():
+    # G's blocks run over paths: 20000 paths of 1x1 make two.
+    def G(W):
+        g = np.ones((W.shape[1], 1, 1))
+        g[17000] = np.inf
+        return g
+
+    model = _with(scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0), G=G)
+    with pytest.raises(InvalidArgumentError, match="^G has a non-finite entry at path 17000$"):
+        coefficient_table(model, np.zeros((9, 20000)))
 
 
-def test_validate_example1_passes_with_bounded_G():
+def test_table_refuses_an_asymmetric_weight_naming_its_asymmetry():
+    def model_with(R):
+        return CoefficientModel(n=1, m=2, A=lambda i, W: np.zeros((1, 1)),
+                                B=lambda i, W: np.zeros((1, 2)), C=lambda i, W: np.zeros((1, 1)),
+                                D=lambda i, W: np.zeros((1, 2)), Q=lambda i, W: np.zeros((1, 1)),
+                                R=lambda i, W: R, G=lambda W: np.eye(1))
+
+    W = sample_brownian(make_grid(1.0, 8), 5, seed=1).W
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^R is not symmetric within tolerance \(max asymmetry 1\.000e\+00\)$"):
+        coefficient_table(model_with(np.array([[0.0, 1.0], [0.0, 0.0]])), W)
+    # Only finiteness and symmetry are admitted: R may be indefinite.
+    indefinite = np.diag([1.0, -1.0])
+    assert (coefficient_table(model_with(indefinite), W).R[3, 0] == indefinite).all()
+
+
+def test_example1_terminal_stays_in_its_band():
     model = scenario_example1(1.0)
-    grid = make_grid(1.0, 64)
-    batch = sample_brownian(grid, 500, seed=1)
-    report = validate(model, batch)
-    assert report.passed
-    g = model.terminal(batch.W, batch.n_paths)
+    batch = sample_brownian(make_grid(1.0, 64), 500, seed=1)
+    g = coefficient_table(model, batch.W).G
     assert g.min() >= 0.125 - 1e-12
     assert g.max() <= 0.875 + 1e-12
+
+
+def test_admitting_a_per_path_weight_holds_no_batch_sized_temporary(traced_peak):
+    S = np.random.default_rng(1).normal(size=(50_000, 2, 2))
+    Q = S + S.swapaxes(-1, -2)
+    eye = np.eye(2)
+    model = CoefficientModel(n=2, m=2, A=lambda i, W: eye, B=lambda i, W: eye,
+                             C=lambda i, W: eye, D=lambda i, W: eye, Q=lambda i, W: Q,
+                             R=lambda i, W: eye, G=lambda W: eye, kind="path_dependent")
+    W = np.zeros((16, 50_000))
+    tab, peak = traced_peak(lambda: CoefficientTable(model, W))
+    assert tab.Q.shape == (16, 50_000, 2, 2)
+    # Tabulating allocates the (N+1, 50k, 2, 2) array itself; admitting it adds
+    # less than a quarter of it.
+    assert peak < 1.25 * tab.Q.nbytes
 
 
 # ---------------------------------------------------------------------------

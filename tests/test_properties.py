@@ -230,8 +230,10 @@ def test_output_buffers_change_no_bit(N, n_paths, seed, offset):
 FORMS = ("const", "broadcast", "scalars", "matrices", "switch")
 
 
-def _evaluator(form, rows, cols, k):
+def _evaluator(form, rows, cols, k, symmetric=False):
     M = np.arange(1.0, rows * cols + 1).reshape(rows, cols) / (k + 1)
+    if symmetric:  # the weights Q and R must pass the table's symmetry rule
+        M = M + M.T
     if form == "const":
         return lambda i, W: M
     if form == "broadcast":
@@ -253,7 +255,7 @@ def _evaluator(form, rows, cols, k):
 )
 def test_every_table_row_equals_the_evaluator(n, m, N, n_paths, forms):
     shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m), "Q": (n, n), "R": (m, m)}
-    evaluators = {name: _evaluator(form, *shapes[name], k)
+    evaluators = {name: _evaluator(form, *shapes[name], k, name in ("Q", "R"))
                   for k, (name, form) in enumerate(zip(shapes, forms))}
     model = CoefficientModel(n=n, m=m, G=lambda W: np.eye(n), kind="path_dependent",
                              **evaluators)
@@ -297,7 +299,7 @@ def _reference_gains(tab, Pv, Lv):
 def test_derived_gains_equal_the_per_node_reference(n, m, N, n_paths, forms, block_entries,
                                                      seed):
     shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m), "Q": (n, n), "R": (m, m)}
-    evaluators = {name: _evaluator(form, *shapes[name], k)
+    evaluators = {name: _evaluator(form, *shapes[name], k, name in ("Q", "R"))
                   for k, (name, form) in enumerate(zip(shapes, forms))}
     model = CoefficientModel(n=n, m=m, G=lambda W: np.eye(n), kind="path_dependent",
                              **evaluators)
