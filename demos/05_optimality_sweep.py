@@ -8,7 +8,9 @@ optimality), the epsilon-odd part of the gap is statistical noise (no
 first-order direction of improvement), and the epsilon-even part scales
 exactly quadratically (ratio 100 between eps = 0.1 and 0.01).  The arms come
 from superposition (one zero-start response per direction); one arm per
-direction is also simulated directly and must agree up to rounding.
+direction is also simulated directly and must agree up to rounding.  The
+responses and the direct arms step together in one pass that adds their
+costs as it goes, so no arm's path history is kept.
 """
 
 import numpy as np

@@ -5,28 +5,34 @@ terms entering one residual are evaluated on the same Brownian batch, so the
 Monte Carlo noise largely cancels in the differences and the reported
 standard error is that of the *difference*, not of the individual costs.
 
-Open- and closed-loop simulation share one Euler driver; replaying the
-recorded closed-loop control through the open-loop simulator reproduces the
-closed-loop states bit for bit.  The driver and the cost quadrature read the
-model's coefficient table (:func:`slqkit.problem.coefficient_table`), built
-once per (model, batch) and shared by every check on that batch.  The three
-Monte Carlo checks read one closed loop: :func:`_closed_loop` simulates
-``u = Theta x`` and costs it, and the checks' private bodies take its
-result, so a caller running all three (the CLI) simulates it once.  One
-quadrature kernel (:func:`_running`, left-point, in time order) takes every
-running quadratic form: the cost, the sweep's cross terms and the
-completion-of-squares penalty.  Path-constant data (coefficient rows, a
-one-path solution, time-only perturbations) stay ``(1, r, c)`` rows that
-broadcast.  One Euler step and one quadratic form serve every dimension, on
-per-entry views (:func:`_entries`), with each sum in index order, so results
-do not depend on the BLAS build.  The Euler step is linear in ``(x, u)`` and
-the cost is one bilinear quadrature ``B`` taken on ``(x, u), (x, u)``, so
-``J(u_fb + eps v) = J_fb + eps B((x_fb, u_fb), (x_v, v)) + eps^2 B((x_v, v),
-(x_v, v)) / 2`` per path up to rounding, with ``x_v`` the response to ``v``
-from a zero state (Q, R and G are symmetric).  The optimality sweep
-uses this superposition in place of one simulation per arm, and checks it
-against a direct simulation of one arm per perturbation.  :func:`_tolerance`
-is the pass line of every Monte Carlo check.
+One Euler step (:func:`_step`) advances every simulation: the closed loop
+and the public open loop (:func:`_simulate`, which stores the run), and the
+arm pass (:func:`_arm_pass`), which steps a stack of open-loop arms together
+and stores no history; replaying the recorded closed-loop control through the
+open-loop simulator reproduces the closed-loop states bit for bit.  The step
+and the cost quadrature read the model's coefficient table
+(:func:`slqkit.problem.coefficient_table`), built once per (model, batch)
+and shared by every check on that batch.  The three Monte Carlo checks read
+one closed loop: :func:`_closed_loop` simulates ``u = Theta x`` and costs
+it, and the checks' private bodies take its result, so a caller running all
+three (the CLI) simulates it once.  Every other run of a check is an arm of
+one arm pass: all completion-of-squares controls in one, and all the
+sweep's arms in another.  One quadrature (:class:`_Quadrature`, left point,
+in time order) takes every quadratic form one index at a time: the cost, the
+sweep's cross terms and the completion-of-squares penalty, as the arm pass
+yields each index.  Path-constant data (coefficient rows, a one-path
+solution, time-only perturbations) stay ``(1, r, c)`` rows that broadcast.
+One Euler step and one quadratic form (:func:`_form`) serve every dimension,
+on per-entry views (:func:`_entries`), with each sum in index order, so
+results do not depend on the BLAS build or on the number of arms in a pass.
+The Euler step is linear in ``(x, u)`` and the cost is one bilinear
+quadrature ``B`` taken on ``(x, u), (x, u)``, so ``J(u_fb + eps v) = J_fb +
+eps B((x_fb, u_fb), (x_v, v)) + eps^2 B((x_v, v), (x_v, v)) / 2`` per path
+up to rounding, with ``x_v`` the response to ``v`` from a zero state (Q, R
+and G are symmetric).  The optimality sweep uses this superposition in place
+of one simulation per arm, and checks it against a direct arm per
+perturbation.  :func:`_tolerance` is the pass line of every Monte Carlo
+check.
 """
 
 from __future__ import annotations
@@ -139,25 +145,37 @@ def _column(a: np.ndarray) -> list:
 
 
 def _dot(row: list, v: list, i: int) -> np.ndarray:
-    """``sum_l row_l v_l`` at index ``i`` of entry lists, in index order from
-    its first term."""
-    total = row[0][i] * v[0][i]
+    """``sum_l row_l v_l`` of the entry lists ``row`` at index ``i`` and one
+    index's entries ``v``, in index order from its first term."""
+    total = row[0][i] * v[0]
     for l in range(1, len(v)):
-        total = total + row[l][i] * v[l][i]
+        total = total + row[l][i] * v[l]
     return total
+
+
+def _step(coeffs: list, i: int, h: float, dw: np.ndarray, x: list, u: list,
+          out: list) -> list:
+    """The Euler step from index ``i``: ``x_j + h (sum_l A_jl x_l + sum_l B_jl
+    u_l) + (sum_l C_jl x_l + sum_l D_jl u_l) dW`` on the entries ``x`` and
+    ``u`` (``(P,)`` of one run or ``(A, P)`` of a stack of arms), with
+    ``coeffs`` the entry lists of ``A, B, C, D`` (:func:`_dot`).  Entry ``j``
+    is written to ``out[j]`` (a new array for ``None``); returns the list."""
+    A, B, C, D = coeffs
+    return [np.add(x_j + h * (_dot(A[j], x, i) + _dot(B[j], u, i)),
+                   (_dot(C[j], x, i) + _dot(D[j], u, i)) * dw, out=o)
+            for j, (x_j, o) in enumerate(zip(x, out))]
 
 
 def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBatch,
               theta: np.ndarray | None = None, control: np.ndarray | None = None):
-    """Shared Euler driver: the closed loop ``u_i = theta_i x_i`` when
-    ``theta`` (``(N+1, k, m, n)``) is given, else the open loop under
+    """Euler driver of one stored run: the closed loop ``u_i = theta_i x_i``
+    when ``theta`` (``(N+1, k, m, n)``) is given, else the open loop under
     ``control`` (``(N+1, k, m, 1)``), with ``k`` 1 or the batch's path count.
 
-    Coefficients come from the model's table on ``batch``.  A step takes
-    ``x_j + h (sum_l A_jl x_l + sum_l B_jl u_l) + (sum_l C_jl x_l + sum_l
-    D_jl u_l) dW`` on entry lists (:func:`_dot`).  Returns ``(x, u)``: the
-    states ``(N+1, P, n, 1)`` and the closed loop's recorded ``(N+1, P, m,
-    1)`` control, or the open loop's given one, which it steps on as it is.
+    Coefficients come from the model's table on ``batch``, and each index
+    takes :func:`_step`.  Returns ``(x, u)``: the states ``(N+1, P, n, 1)``
+    and the closed loop's recorded ``(N+1, P, m, 1)`` control, or the open
+    loop's given one, which it steps on as it is.
     """
     grid = batch.grid
     N, h = grid.N, grid.h
@@ -174,29 +192,31 @@ def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
     u = np.zeros((N + 1, P, model.m, 1)) if closed else given
     x[: s + 1] = init.eta_column(model.n, P)
     xs, us = _column(x), _column(u)
-    A, B, C, D = (_entries(v) for v in (tab.A, tab.B, tab.C, tab.D))
+    coeffs = [_entries(v) for v in (tab.A, tab.B, tab.C, tab.D)]
     gain = _entries(theta) if closed else None
     # Overflow inside a step is expected on escaping instances; it is raised
     # as FiniteEscapeError after the loop, so silence the warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(s, N + 1):
+            x_i = [x_j[i] for x_j in xs]
             if closed:
                 for u_j, row in zip(us, gain):
-                    u_j[i][...] = _dot(row, xs, i)
+                    u_j[i][...] = _dot(row, x_i, i)
             if i < N:
-                dw = W[i + 1] - W[i]
-                for j, x_j in enumerate(xs):
-                    drift = _dot(A[j], xs, i) + _dot(B[j], us, i)
-                    diffusion = _dot(C[j], xs, i) + _dot(D[j], us, i)
-                    np.add(x_j[i] + h * drift, diffusion * dw, out=x_j[i + 1])
+                _step(coeffs, i, h, W[i + 1] - W[i], x_i, [u_j[i] for u_j in us],
+                      [x_j[i + 1] for x_j in xs])
     # A step keeps a non-finite entry non-finite, so the first non-finite
     # state is the one a check after every step would stop at.
     finite = np.isfinite(x[s + 1:])
     if not finite.all():
         i, p = np.argwhere(~finite)[0, :2]
-        raise FiniteEscapeError(f"state became non-finite at step {s + 1 + i}, first path {p}",
-                                time=None)
+        _escape(s + 1 + i, p)
     return x, u
+
+
+def _escape(i: int, p: int):
+    """Raise the escape of a state first non-finite at step ``i`` on path ``p``."""
+    raise FiniteEscapeError(f"state became non-finite at step {i}, first path {p}", time=None)
 
 
 def simulate_closed_loop(
@@ -233,44 +253,104 @@ def simulate_open_loop(
 ) -> PathArray:
     """Run ``dx = (A x + B u) dt + (C x + D u) dW`` for a given adapted
     control process."""
-    uv = u.values
+    _require_control(model, batch, u.values)
+    x, _ = _simulate(model, init, batch, control=u.values)
+    return PathArray(x)
+
+
+def _require_control(model: CoefficientModel, batch: BrownianBatch, uv: np.ndarray) -> None:
+    """An open-loop control is ``(N+1, k, m, 1)`` on ``batch``, ``k`` 1 or its path count."""
     if uv.shape[0] != batch.grid.N + 1:
         raise InvalidArgumentError("control and batch have inconsistent step counts")
     if uv.shape[2:] != (model.m, 1):
         raise InvalidArgumentError(
             f"control entries must be ({model.m}, 1) columns, got {uv.shape[2:]}")
-    x, _ = _simulate(model, init, batch, control=uv)
-    return PathArray(x)
+    _require_paths(batch.n_paths, uv)
+
+
+def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list):
+    """Step ``A = len(arms)`` open-loop arms on ``batch`` as one stack from
+    index ``s``, yielding ``(i, x_i, u_i)`` for ``i = s..N``: lists of the
+    ``n`` state and ``m`` control entries, each ``(A, P)``, fresh at every
+    index.  No arm's history is stored.
+
+    ``x0`` broadcasts to ``(n, A, P)``: the arms' start states.  Arm ``a`` is
+    a triple ``(base, eps, v)``: it steps on ``u_i = base_i + eps v_i``,
+    formed at each index from ``(N+1, k, m, 1)`` controls ``base`` and ``v``
+    (``k`` 1 or ``P``), with ``None`` for a term left out.  Every arm takes
+    :func:`_step` on the model's table ``tab``, elementwise, so its entries
+    equal those of :func:`simulate_open_loop` on its control from its start,
+    bit for bit.  A non-finite state raises :class:`FiniteEscapeError` at
+    the first step that has one, naming the first path of the first arm
+    that has one there.
+    """
+    N, h, P = batch.grid.N, batch.grid.h, batch.n_paths
+    for base, _, v in arms:
+        for uv in (base, v):
+            if uv is not None:
+                _require_control(tab.model, batch, uv)
+    coeffs = [_entries(c) for c in (tab.A, tab.B, tab.C, tab.D)]
+    W = batch.W
+    x = list(np.broadcast_to(x0, (tab.model.n, len(arms), P)))
+    for i in range(s, N + 1):
+        u = np.empty((tab.model.m, len(arms), P))
+        for a, (base, eps, v) in enumerate(arms):
+            u_a = u[:, a]
+            if v is None:
+                u_a[...] = base[i, :, :, 0].T
+                continue
+            np.multiply(v[i, :, :, 0].T, eps, out=u_a)
+            if base is not None:
+                np.add(base[i, :, :, 0].T, u_a, out=u_a)
+        u = list(u)
+        yield i, x, u
+        if i < N:
+            with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+                x = _step(coeffs, i, h, W[i + 1] - W[i], x, u, [None] * len(x))
+            if not all(np.isfinite(x_j).all() for x_j in x):
+                bad = np.logical_or.reduce([~np.isfinite(x_j) for x_j in x])
+                _escape(i + 1, bad[bad.any(axis=1).argmax()].argmax())
 
 
 def _form(M: list, x: list, y: list, i: int) -> np.ndarray:
-    """Per-path ``<M x, y> = sum_j sum_l (x_j M_jl) y_l`` at index ``i`` of
-    entry lists, summed over ``(j, l)`` in index order from the first term."""
+    """Per-path ``<M_i x, y> = sum_j sum_l (x_j M_jl) y_l`` of the entry lists
+    ``M`` at index ``i`` and one index's entries ``x`` and ``y``, summed over
+    ``(j, l)`` in index order from the first term."""
     total = None
     for x_j, row in zip(x, M):
         for M_jl, y_l in zip(row, y):
-            term = x_j[i] * M_jl[i] * y_l[i]
+            term = x_j * M_jl[i] * y_l
             total = term if total is None else total + term
     return total
 
 
-def _running(M: list, s: int, h: float, x: list, y: list) -> np.ndarray:
-    """Left-point quadrature ``sum_{i=s}^{N-1} h <M_i x_i, y_i>`` per path,
-    summed in time order, of :func:`_form` on entry lists."""
-    total = np.zeros(max(len(v[0]) for v in (M[0][0], x[0], y[0])))
-    for i in range(s, len(x[0]) - 1):
-        total += h * _form(M, x, y, i)
-    return total
+class _Quadrature:
+    """The cost's bilinear form ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q_i
+    x_i, y_i> + <R_i u_i, w_i>) + <G x_N, y_N>`` per path, taken one index at
+    a time by :meth:`add` (left point, in time order, from zero) into
+    ``parts``: its state, control and terminal terms."""
+
+    def __init__(self, tab, h: float):
+        self.Q, self.R, self.G = (_entries(v) for v in (tab.Q, tab.R, tab.G[None]))
+        self.N, self.h = tab.Q.shape[0] - 1, h
+        self.parts = [np.zeros(()), np.zeros(()), None]
+
+    def add(self, i: int, x: list, u: list, y: list, w: list) -> None:
+        """Add index ``i``'s term of the entries ``(x, u)`` and ``(y, w)``."""
+        if i < self.N:
+            self.parts[0] = self.parts[0] + self.h * _form(self.Q, x, y, i)
+            self.parts[1] = self.parts[1] + self.h * _form(self.R, u, w, i)
+        else:
+            self.parts[2] = _form(self.G, x, y, 0)
 
 
-def _bilinear(tab, s: int, h: float, x, u, y, w) -> tuple[np.ndarray, ...]:
-    """The cost's bilinear form on ``(N+1, k, ., 1)`` arrays, per path:
-    ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q x, y> + <R u, w>) + <G x_N,
-    y_N>``, returned as its state, control and terminal parts.  ``G`` gets a
-    one-long leading axis, so index -1 reads it with ``x_N`` and ``y_N``."""
-    x, u, y, w = (_column(v) for v in (x, u, y, w))
-    return (_running(_entries(tab.Q), s, h, x, y), _running(_entries(tab.R), s, h, u, w),
-            _form(_entries(tab.G[None]), x, y, -1))
+def _bilinear(tab, s: int, h: float, x, u, y, w) -> list:
+    """:class:`_Quadrature` from index ``s`` of ``(N+1, k, ., 1)`` histories."""
+    q = _Quadrature(tab, h)
+    cols = [_column(v) for v in (x, u, y, w)]
+    for i in range(s, len(x)):
+        q.add(i, *([e[i] for e in c] for c in cols))
+    return q.parts
 
 
 def cost(
@@ -378,7 +458,7 @@ def _value_identity(sol, model, init, batch, loop, n_se: float, disc_coeff: floa
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, sol.P.values)
     J = loop()[2]
-    eta = _column(init.eta_column(model.n, batch.n_paths)[None])
+    eta = init.eta_column(model.n, batch.n_paths)[..., 0].T
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
     return _identity_result("value_identity", J.per_path - quad, batch, n_se, disc_coeff,
                             {"closed_loop_cost": J.mean,
@@ -398,32 +478,42 @@ def completion_of_squares_check(
     """Check ``J(u) = J(Theta x) + 1/2 E sum h <K (u - Theta x), u - Theta x>``
     with ``x`` the open-loop state under ``u`` (all terms on one batch).
 
-    For ``u`` equal to the recorded closed-loop control the residual is
-    exactly zero: the open-loop replay reproduces the closed-loop states bit
-    for bit and the penalty vanishes identically.
+    ``u`` (``(N+1, 1 or n_paths, m, 1)``) runs as a one-arm pass of
+    :func:`_arm_pass`, which adds its cost and penalty as it steps, so its
+    state history is not stored.  For ``u`` equal to the recorded
+    closed-loop control the residual is exactly zero: the replay reproduces
+    the closed-loop states bit for bit and the penalty vanishes identically.
     """
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, law.theta.values, sol.P.values)
-    return _completion_of_squares(sol.K.values, law, model, u, init, batch,
-                                  lambda: _closed_loop(model, law, init, batch), n_se, disc_coeff)
+    return _completion_of_squares(sol.K.values, law, model, [(u.values, 0.0, None)], init, batch,
+                                  lambda: _closed_loop(model, law, init, batch), n_se,
+                                  disc_coeff)[0]
 
 
-def _completion_of_squares(Kv: np.ndarray, law, model, u, init, batch, loop,
-                           n_se: float, disc_coeff: float) -> CheckResult:
-    """:func:`completion_of_squares_check` with ``K`` given, on the closed loop
-    ``loop()``, so several controls share ``K`` and one closed loop."""
-    th = law.theta.values
+def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, batch, loop,
+                           n_se: float, disc_coeff: float) -> list:
+    """:func:`completion_of_squares_check` of each of ``controls`` (arms of
+    :func:`_arm_pass`) with ``K`` given, on the closed loop ``loop()``: the
+    controls share ``K``, the closed loop and one arm pass, which adds each
+    arm's cost and penalty as it goes."""
     J_fb = loop()[2]
-    x_u = simulate_open_loop(model, u, init, batch)
-    J_u = cost(model, x_u, u, init, batch.grid, batch)
-    xs = _column(x_u.values)
-    gap = [[u_j[i] - _dot(row, xs, i) for i in range(len(u_j))]
-           for u_j, row in zip(_column(u.values), _entries(th))]
-    penalty = 0.5 * _running(_entries(Kv), init.start_index, batch.grid.h, gap, gap)
-    return _identity_result("completion_of_squares", J_u.per_path - J_fb.per_path - penalty,
-                            batch, n_se, disc_coeff,
-                            {"J_u": J_u.mean, "J_feedback": J_fb.mean,
-                             "penalty_mean": float(penalty.mean())})
+    tab = coefficient_table(model, batch.W)
+    N, h = batch.grid.N, batch.grid.h
+    K, gain = _entries(Kv), _entries(law.theta.values)
+    q, penalty = _Quadrature(tab, h), np.zeros(())
+    eta = init.eta_column(model.n, batch.n_paths)[..., 0].T[:, None]
+    for i, x, u in _arm_pass(tab, batch, init.start_index, eta, controls):
+        q.add(i, x, u, x, u)
+        if i < N:
+            gap = [u_j - _dot(row, x, i) for u_j, row in zip(u, gain)]
+            penalty = penalty + h * _form(K, gap, gap, i)
+    J_u, penalty = 0.5 * sum(q.parts), 0.5 * penalty
+    return [_identity_result("completion_of_squares", J_u[a] - J_fb.per_path - penalty[a],
+                             batch, n_se, disc_coeff,
+                             {"J_u": float(J_u[a].mean()), "J_feedback": J_fb.mean,
+                              "penalty_mean": float(penalty[a].mean())})
+            for a in range(len(controls))]
 
 
 def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list:
@@ -500,16 +590,26 @@ class SweepResult:
     passed: bool
 
 
-def _superposition(model, x_fb, u_fb, v, init, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path ``cross = B((x_fb, u_fb), (x_v, v))`` and ``J0 = B((x_v, v),
-    (x_v, v)) / 2``, with ``B`` the quadrature of :func:`cost` and ``x_v``
-    the Euler response to ``v`` from a zero state at the start index."""
-    zero = InitialCondition(init.start_index, np.zeros(model.n))
-    x_v = simulate_open_loop(model, PathArray(v), zero, batch).values
-    tab = coefficient_table(model, batch.W)
-    s, h = init.start_index, batch.grid.h
-    cross = sum(_bilinear(tab, s, h, x_fb, u_fb, x_v, v))
-    return cross, 0.5 * sum(_bilinear(tab, s, h, x_v, v, x_v, v))
+def _sweep_arms(tab, x_fb, u_fb, directions: list, eps_direct: float, init,
+                batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each direction ``v``, per path: ``cross = B((x_fb, u_fb), (x_v,
+    v))`` and ``J0 = B((x_v, v), (x_v, v)) / 2``, with ``B`` the cost's
+    :class:`_Quadrature` and ``x_v`` the response to ``v`` from a zero state
+    at the start index, and the cost ``J_dir`` of the direct arm ``u_fb +
+    eps_direct v``.  The responses and the direct arms share one arm pass;
+    each result is ``(V, P)``."""
+    V, h = len(directions), batch.grid.h
+    x0 = np.zeros((tab.model.n, 2 * V, batch.n_paths))
+    x0[:, V:] = init.eta_column(tab.model.n, batch.n_paths)[..., 0].T[:, None]
+    arms = [(None, 1.0, v) for v in directions] + [(u_fb, eps_direct, v) for v in directions]
+    own, cross = _Quadrature(tab, h), _Quadrature(tab, h)
+    x_col, u_col = _column(x_fb), _column(u_fb)
+    for i, x, u in _arm_pass(tab, batch, init.start_index, x0, arms):
+        own.add(i, x, u, x, u)
+        cross.add(i, [x_j[i] for x_j in x_col], [u_j[i] for u_j in u_col],
+                  [x_j[:V] for x_j in x], [u_j[:V] for u_j in u])
+    J = 0.5 * sum(own.parts)
+    return sum(cross.parts), J[:V], J[V:]
 
 
 def optimality_sweep(
@@ -537,6 +637,8 @@ def optimality_sweep(
     construction and stays asserted.  The independent leg simulates the
     ``+eps`` arm of the largest ``|eps|`` directly for each ``v``; it must
     match its prediction within ``SUPERPOSITION_RTOL`` relative, max norm.
+    The responses and the direct arms run as one pass of :func:`_arm_pass`
+    that adds their forms as it steps, so no arm's history is stored.
     The superposition needs symmetric weights.  An empty ``perturbations``,
     a zero or non-finite epsilon, fewer than two distinct ``|eps|``, or a
     model whose coefficient table refuses its data (a non-finite coefficient,
@@ -566,19 +668,20 @@ def _sweep(law, model, init, batch, loop: tuple | None, perturbations: list | No
         raise InvalidArgumentError(
             "epsilons need at least two distinct |eps| for the quadratic-scaling leg, "
             f"got {epsilons!r}")
-    coefficient_table(model, batch.W)  # admits the weights before anything is simulated
+    tab = coefficient_table(model, batch.W)  # admits the weights before anything is simulated
     x_fb, u_fb, J_fb = _closed_loop(model, law, init, batch) if loop is None else loop
     eps_direct = max(epsilons, key=abs)
+    cross, J0, J_dir = _sweep_arms(tab, x_fb.values, u_fb.values, [v for _, v in perturbations],
+                                   eps_direct, init, batch)
     rows: list[SweepRow] = []
     even_by_arm: dict[tuple[str, float], float] = {}
     direct_errors = []
     first_order_ok = True
     gaps_ok = True
-    for pid, v in perturbations:
-        cross, J0 = _superposition(model, x_fb.values, u_fb.values, v, init, batch)
+    for k, (pid, _) in enumerate(perturbations):
 
         def arm(eps):
-            return J_fb.per_path + eps * cross + eps * eps * J0
+            return J_fb.per_path + eps * cross[k] + eps * eps * J0[k]
 
         for eps in epsilons:
             J_p, J_m = arm(eps), arm(-eps)
@@ -597,11 +700,8 @@ def _sweep(law, model, init, batch, loop: tuple | None, perturbations: list | No
                 odd_fd=odd, odd_fd_std_err=odd_se,
                 gap_tolerance=gap_tol, gap_ok=ok,
             ))
-        u_dir = PathArray(u_fb.values + eps_direct * v)
-        x_dir = simulate_open_loop(model, u_dir, init, batch)
-        J_dir = cost(model, x_dir, u_dir, init, grid, batch).per_path
-        scale = max(np.abs(J_dir).max(), np.finfo(np.float64).tiny)
-        direct_errors.append(np.abs(J_dir - arm(eps_direct)).max() / scale)
+        scale = max(np.abs(J_dir[k]).max(), np.finfo(np.float64).tiny)
+        direct_errors.append(np.abs(J_dir[k] - arm(eps_direct)).max() / scale)
     eps_b, eps_a = mags[:2]
     target = (eps_a / eps_b) ** 2
     quad_ratios = {pid: even_by_arm[(pid, eps_a)] / even_by_arm[(pid, eps_b)]

@@ -103,7 +103,8 @@ class CoefficientModel:
     G : callable
         ``(W_full) -> (n, n)`` or ``(n_paths, n, n)`` terminal weight.
     kind : str
-        One of ``"deterministic"`` (coefficients and G constant in the path),
+        One of ``"deterministic"`` (coefficients and G constant in the path,
+        which :class:`CoefficientTable` checks on every batch),
         ``"markov_in_W"`` (functions of ``(t, W_t)``), ``"path_dependent"``.
     features : callable or None
         ``(W_full) -> sequence of (N+1, n_paths) arrays``, one per feature:
@@ -206,9 +207,12 @@ class CoefficientTable:
     finite coefficients and symmetric weights: every entry of ``A..R`` and
     ``G`` must be finite, and each of ``Q``, ``R`` and ``G`` must satisfy
     ``max|v - v^T| <= SYMMETRY_TOL (1 + max|v|)`` over the whole array
-    (``R`` may be indefinite).  Otherwise construction raises
-    :class:`InvalidArgumentError` naming the coefficient and the index and
-    path of the first non-finite entry, or the largest asymmetry.
+    (``R`` may be indefinite).  A ``"deterministic"`` model's rows must
+    also be the same on every path (a per-path stack of equal rows is
+    admitted).  Otherwise construction raises :class:`InvalidArgumentError`
+    naming the coefficient and the index and path of the first non-finite
+    entry or of the first row that differs from path 0's, or the largest
+    asymmetry.
     """
 
     def __init__(self, model: CoefficientModel, W: np.ndarray):
@@ -218,7 +222,7 @@ class CoefficientTable:
             setattr(self, name, self._tabulate(name, W))
         self.G = model.terminal(W, self.n_paths)
         for name in _TABLE_NAMES + ("G",):
-            _admit(name, getattr(self, name))
+            _admit(name, getattr(self, name), model.kind == "deterministic")
 
     def _tabulate(self, name: str, W: np.ndarray) -> np.ndarray:
         N, P = W.shape[0] - 1, self.n_paths
@@ -233,23 +237,32 @@ class CoefficientTable:
         return out
 
 
-def _admit(name: str, v: np.ndarray) -> None:
+def _admit(name: str, v: np.ndarray, path_constant: bool) -> None:
     """The table's admission rule for coefficient ``name``, read one block of
-    leading rows at a time (time rows; paths for ``G``)."""
+    leading rows at a time (time rows; paths for ``G``).  ``path_constant``
+    requires each row to equal the first path's."""
     asym = scale = 0.0
     for b in _time_blocks(v):
         block = v[b]
         if not np.isfinite(block).all():
-            at = np.argwhere(~np.isfinite(block))[0]
-            where = (f"path {b.start + at[0]}" if name == "G"
-                     else f"index {b.start + at[0]}, path {at[1]}")
-            raise InvalidArgumentError(f"{name} has a non-finite entry at {where}")
+            _refuse(name, b, ~np.isfinite(block), "has a non-finite entry")
+        if path_constant:
+            moved = block != (v[:1] if name == "G" else block[:, :1])
+            if moved.any():
+                _refuse(name, b, moved, "of a 'deterministic' model differs across paths")
         if name in ("Q", "R", "G"):
             asym = max(asym, float(np.abs(block - block.swapaxes(-1, -2)).max()))
             scale = max(scale, float(np.abs(block).max()))
     if asym > SYMMETRY_TOL * (1.0 + scale):
         raise InvalidArgumentError(
             f"{name} is not symmetric within tolerance (max asymmetry {asym:.3e})")
+
+
+def _refuse(name: str, b: slice, bad: np.ndarray, what: str):
+    """Raise for the first entry of ``bad``, a mask of the rows ``b`` of ``name``."""
+    at = np.argwhere(bad)[0]
+    where = f"path {b.start + at[0]}" if name == "G" else f"index {b.start + at[0]}, path {at[1]}"
+    raise InvalidArgumentError(f"{name} {what} at {where}")
 
 
 def _zero_prefix(grid: TimeGrid) -> np.ndarray:

@@ -22,7 +22,7 @@ is handled by four routes:
   truth everywhere else.
 
 Each returns the pair ``(P, Lam)`` and its coefficient table, from which
-:func:`_gains` derives ``K`` and ``L`` where they are read.
+:func:`_gain` derives ``K`` or ``L`` where it is read.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class RiccatiSolution:
         ``closed_form_example1``, ``closed_form_counterexample``.
     K, L : PathArray
         ``R + D^T P D`` (``m x m``) and ``B^T P + D^T (P C + Lambda)``
-        (``m x n``), derived from the pair by :func:`_gains` on each read.
+        (``m x n``), each derived alone from the pair by :func:`_gain` on each read.
     """
 
     grid: TimeGrid
@@ -109,8 +109,8 @@ class RiccatiSolution:
             if have not in need:
                 raise InvalidArgumentError(f"coefficient table has {have} {what}; expected {need}")
 
-    K = property(lambda self: PathArray(_gains(self)[0]))
-    L = property(lambda self: PathArray(_gains(self)[1]))
+    K = property(lambda self: PathArray(_gain(self, "K")))
+    L = property(lambda self: PathArray(_gain(self, "L")))
 
 
 @dataclass(frozen=True)
@@ -131,19 +131,27 @@ class RegressionBasis:
 
 
 def _gains(sol: RiccatiSolution, rows: slice = slice(None), paths: slice = slice(None)) -> tuple:
-    """``K = R + D^T P D`` and ``L = B^T P + D^T (P C + Lambda)`` of ``sol`` on
-    time rows ``rows`` and paths ``paths``, node by node, as read-only arrays."""
+    """``(K, L)`` of ``sol`` on time rows ``rows`` and paths ``paths``: see :func:`_gain`."""
+    return _gain(sol, "K", rows, paths), _gain(sol, "L", rows, paths)
+
+
+def _gain(sol: RiccatiSolution, name: str, rows: slice = slice(None),
+          paths: slice = slice(None)) -> np.ndarray:
+    """``K = R + D^T P D`` or ``L = B^T P + D^T (P C + Lambda)`` (``name``) of
+    ``sol`` on time rows ``rows`` and paths ``paths``, node by node, as a
+    read-only array."""
     Pv, Lv = sol.P.values[rows, paths], sol.Lambda.values[rows, paths]
-    K = np.empty(Pv.shape[:2] + (sol.table.model.m,) * 2)
-    L = np.empty(K.shape[:3] + Pv.shape[3:])
+    m = sol.table.model.m
+    out = np.empty(Pv.shape[:2] + ((m, m) if name == "K" else (m, Pv.shape[3])))
     for j, i in enumerate(range(sol.grid.N + 1)[rows]):
         _, B, C, D, _, R = (v if len(v) == 1 else v[paths] for v in _node(sol.table, i))
-        K[j] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pv[j], D)
-        L[j] = (np.einsum("...nm,...nk->...mk", B, Pv[j])
-                + np.einsum("...nm,...nk->...mk", D, Pv[j] @ C + Lv[j]))
-    K.setflags(write=False)
-    L.setflags(write=False)
-    return K, L
+        if name == "K":
+            out[j] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pv[j], D)
+        else:
+            out[j] = (np.einsum("...nm,...nk->...mk", B, Pv[j])
+                      + np.einsum("...nm,...nk->...mk", D, Pv[j] @ C + Lv[j]))
+    out.setflags(write=False)
+    return out
 
 
 def _node(tab: CoefficientTable, i: int) -> tuple:

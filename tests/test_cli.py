@@ -179,11 +179,11 @@ def test_cli_example1_report_and_artifacts(tmp_path):
 
 def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monkeypatch):
     # One closed loop and its cost serve the value identity, completion of
-    # squares and the sweep.  Open loops: 10 + 1 CoS arms, 10 zero-start
-    # responses and 10 direct sweep arms; costs: the closed loop's, the 11
-    # CoS arms' and the 10 direct arms'.  The perturbation library is built
-    # once.
-    calls = {"closed": 0, "open": 0, "cost": 0, "library": 0}
+    # squares and the sweep.  No open loop is simulated on its own: the 10 + 1
+    # CoS arms take one arm pass, and the sweep's 10 zero-start responses and
+    # 10 direct arms another, each adding its arms' costs as it goes.  The
+    # perturbation library is built once.
+    calls = {"closed": 0, "open": 0, "cost": 0, "library": 0, "arm_pass": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -192,7 +192,8 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
         return wrapper
 
     for key, name in (("closed", "simulate_closed_loop"), ("open", "simulate_open_loop"),
-                      ("cost", "cost"), ("library", "make_perturbations")):
+                      ("cost", "cost"), ("library", "make_perturbations"),
+                      ("arm_pass", "_arm_pass")):
         wrapped = counted(key, getattr(evaluate, name))
         monkeypatch.setattr(evaluate, name, wrapped)
         if hasattr(cli, name):
@@ -200,7 +201,7 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
     out = tmp_path / "counted"
     assert main(["--scenario", "example1", "--steps", "16", "--paths", "20",
                  "--out", str(out)]) == 0
-    assert calls == {"closed": 1, "open": 31, "cost": 22, "library": 1}
+    assert calls == {"closed": 1, "open": 0, "cost": 1, "library": 1, "arm_pass": 2}
     flags = json.loads((out / "report.json").read_text())["verification"]["pass_flags"]
     assert flags["optimality"]["superposition_ok"] is True
     assert 0.0 <= flags["optimality"]["superposition_error"] <= evaluate.SUPERPOSITION_RTOL

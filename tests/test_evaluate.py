@@ -506,6 +506,23 @@ def test_checks_refuse_a_solution_of_another_grid_before_simulating(monkeypatch)
     assert calls == [1]
 
 
+def test_a_deterministic_model_whose_weight_moves_with_the_path_is_refused():
+    # Q = 1 + W_i^2 declared "deterministic": solved on the zero path it
+    # looks constant, but costing or checking it on a batch refuses it.
+    model = dataclasses.replace(scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0),
+                                Q=lambda i, W: (1.0 + W[i] ** 2)[:, None, None])
+    grid = make_grid(1.0, 16)
+    batch = sample_brownian(grid, 200, seed=1)
+    sol = solve_deterministic(model, grid)
+    law = synthesize(sol, model)
+    zero = _zero_control(grid, 200)
+    match = "^Q of a 'deterministic' model differs across paths at index 1, path 1$"
+    with pytest.raises(InvalidArgumentError, match=match):
+        cost(model, zero, zero, INIT, grid, batch)
+    with pytest.raises(InvalidArgumentError, match=match):
+        value_identity_check(sol, law, model, INIT, batch)
+
+
 def test_completion_of_squares_replay_is_exactly_zero():
     grid, batch, model, sol, law = _example1_setup()
     _, u_fb = simulate_closed_loop(model, law, INIT, batch)
@@ -701,19 +718,74 @@ def test_sweep_superposition_matches_direct_arms():
 
 def test_sweep_independent_leg_catches_a_wrong_prediction(monkeypatch):
     grid, batch, model, sol, law = _example1_setup(N=32, n_paths=200)
-    exact = evaluate._superposition
+    exact = evaluate._sweep_arms
 
     def off_by_a_part_per_million(*args):
-        cross, J0 = exact(*args)
-        return cross, J0 * (1 + 1e-6)
+        cross, J0, J_dir = exact(*args)
+        return cross, J0 * (1 + 1e-6), J_dir
 
-    monkeypatch.setattr(evaluate, "_superposition", off_by_a_part_per_million)
+    monkeypatch.setattr(evaluate, "_sweep_arms", off_by_a_part_per_million)
     sweep = optimality_sweep(sol, law, model, INIT, batch)
     # Gaps, odd part and eps-scaling cannot see a 1e-6 error in J0; the
     # direct arms do.
     assert sweep.gaps_ok and sweep.first_order_ok and sweep.quad_ok
     assert sweep.superposition_error > 1e3 * evaluate.SUPERPOSITION_RTOL
     assert not sweep.superposition_ok and not sweep.passed
+
+
+def test_an_escaping_arm_raises_where_the_per_arm_route_does():
+    # The state is 0 until a control moves it; then a = 1e155 overflows it
+    # at step 4.  Two loud directions escape at that step from paths 2 and 1;
+    # one at a time, the first of them raises, and so does the arm pass.
+    model = scenario_deterministic(1e155, 1, 0, 0, 0, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 4, seed=1)
+    init = InitialCondition(0, np.zeros(1))
+    law = FeedbackLaw(theta=PathArray(np.zeros((9, 1, 1, 1))), source=None)
+    loud_2, loud_1 = np.zeros((2, 9, 4, 1, 1))
+    loud_2[:, 2:], loud_1[:, 1:] = 1.0, 1.0
+    library = [("quiet", np.zeros((9, 1, 1, 1))), ("loud_2", loud_2), ("loud_1", loud_1)]
+    loop = evaluate._closed_loop(model, law, init, batch)
+    u_fb = loop[1].values
+    with pytest.raises(FiniteEscapeError) as per_arm:
+        for _, v in library:
+            simulate_open_loop(model, PathArray(u_fb + 0.1 * v), init, batch)
+    assert str(per_arm.value) == "state became non-finite at step 4, first path 2"
+    with pytest.raises(FiniteEscapeError) as stacked:
+        evaluate._completion_of_squares(np.ones((9, 1, 1, 1)), law, model,
+                                        [(u_fb, 0.1, v) for _, v in library], init, batch,
+                                        lambda: loop, 3.0, 0.5)
+    assert str(stacked.value) == str(per_arm.value)
+    zero = InitialCondition(0, np.zeros(1))
+    with pytest.raises(FiniteEscapeError) as per_arm:
+        for _, v in library:  # its zero-start response, then its direct arm
+            simulate_open_loop(model, PathArray(v), zero, batch)
+            simulate_open_loop(model, PathArray(u_fb + v), init, batch)
+    with pytest.raises(FiniteEscapeError) as stacked:
+        optimality_sweep(None, law, model, init, batch, perturbations=library)
+    assert str(stacked.value) == str(per_arm.value)
+
+
+def test_arm_passes_hold_less_than_one_batch_array(traced_peak):
+    # No arm's (N+1, P) history is stored: at 512 x 2000 the sweep's 20 arms
+    # and the 11 completion-of-squares arms each peak below one path array.
+    grid = make_grid(1.0, 512)
+    batch = sample_brownian(grid, 2000, seed=1)
+    model = scenario_example1(1.0)
+    sol = closed_form_example1(grid, batch)
+    law = synthesize(sol, model)
+    loop = evaluate._closed_loop(model, law, INIT, batch)
+    library = make_perturbations(grid, batch, model.m)
+    Kv, u_fb = sol.K.values, loop[1].values
+    controls = [(u_fb, 0.1, v) for _, v in library] + [(u_fb, 0.0, None)]
+    sweep, peak = traced_peak(lambda: evaluate._sweep(law, model, INIT, batch, loop, library,
+                                                      evaluate._EPSILONS, 3.0, 0.5))
+    assert sweep.passed
+    assert peak < batch.W.nbytes
+    results, peak = traced_peak(lambda: evaluate._completion_of_squares(
+        Kv, law, model, controls, INIT, batch, lambda: loop, 3.0, 0.5))
+    assert all(r.passed for r in results) and results[-1].residual == 0.0
+    assert peak < batch.W.nbytes
 
 
 # ---------------------------------------------------------------------------

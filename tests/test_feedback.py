@@ -53,7 +53,8 @@ def _solution_with(grid, Kv, Lv):
     model = CoefficientModel(
         n=n, m=m, A=zero, C=zero, Q=zero, D=lambda i, W: np.zeros((n, m)),
         B=lambda i, W: np.broadcast_to(Lv[i], lead[1:] + (m, n)).swapaxes(-1, -2),
-        R=lambda i, W: np.broadcast_to(Kv[i], lead[1:] + (m, m)), G=lambda W: np.zeros((n, n)))
+        R=lambda i, W: np.broadcast_to(Kv[i], lead[1:] + (m, m)), G=lambda W: np.zeros((n, n)),
+        kind="path_dependent")
     return RiccatiSolution(grid=grid, P=PathArray(np.broadcast_to(np.eye(n), lead + (n, n))),
                            Lambda=PathArray(np.zeros(lead + (n, n))),
                            table=CoefficientTable(model, np.zeros(lead)))
@@ -93,7 +94,7 @@ def _asymmetric_K_problem(grid, Kv):
     sym, anti = 0.5 * (Kv + Kv.swapaxes(-1, -2)), 0.5 * (Kv - Kv.swapaxes(-1, -2))
     zero = _zero_model(m, m)
     model = dataclasses.replace(zero, B=lambda i, W: -eye, D=lambda i, W: eye,
-                                R=lambda i, W: sym[i] - eye)
+                                R=lambda i, W: sym[i] - eye, kind="path_dependent")
     sol = RiccatiSolution(grid=grid, P=PathArray(eye + anti), Lambda=PathArray(np.zeros(Kv.shape)),
                           table=CoefficientTable(model, np.zeros(Kv.shape[:2])))
     return sol, zero

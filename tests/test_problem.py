@@ -210,6 +210,34 @@ def test_table_refuses_a_non_finite_terminal_naming_the_path():
         coefficient_table(model, np.zeros((9, 20000)))
 
 
+def test_table_refuses_a_deterministic_model_whose_rows_differ_across_paths():
+    base = scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0)
+    W = np.zeros((9, 5000))
+    W[7, 4321] = 1.0
+
+    def moves_at_7(i, W):
+        return 0.5 + W[i]
+
+    for name in ("A", "B", "C", "D", "Q", "R"):
+        model = dataclasses.replace(base, **{name: moves_at_7})
+        with pytest.raises(InvalidArgumentError, match=f"^{name} of a 'deterministic' model "
+                                                       "differs across paths at index 7, path 4321$"):
+            CoefficientTable(model, W)
+        # Declared path-dependent, the same rows are admitted.
+        CoefficientTable(dataclasses.replace(model, kind="path_dependent"), W)
+    model = dataclasses.replace(base, G=lambda W: 1.0 + W[-1] ** 2)
+    paths = np.zeros((9, 20000))
+    paths[-1, 17000] = 2.0
+    with pytest.raises(InvalidArgumentError, match="^G of a 'deterministic' model differs "
+                                                   "across paths at path 17000$"):
+        CoefficientTable(model, paths)
+    # A per-path stack of equal rows is still admitted.
+    stacked = dataclasses.replace(base, Q=lambda i, W: np.full((W.shape[1], 1, 1), 2.0),
+                                  G=lambda W: np.ones(W.shape[1]))
+    tab = CoefficientTable(stacked, W)
+    assert tab.Q.shape == (9, 5000, 1, 1) and (tab.Q == 2.0).all()
+
+
 def test_table_refuses_an_asymmetric_weight_naming_its_asymmetry():
     def model_with(R):
         return CoefficientModel(n=1, m=2, A=lambda i, W: np.zeros((1, 1)),

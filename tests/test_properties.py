@@ -22,7 +22,6 @@ from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, load_config, main
 from slqkit.errors import FiniteEscapeError, InvalidArgumentError, RiccatiSingularError, SlqError
 from slqkit.evaluate import (
     SUPERPOSITION_RTOL,
-    _superposition,
     cost,
     counterexample_divergence_probe,
     make_perturbations,
@@ -609,11 +608,14 @@ def test_verdicts_decompose_nothing_and_solves_decompose_once_per_stage(monkeypa
     assert decomposed == [1] * grid.N
 
 
-def _random_model(rng, n, path_dependent):
-    """An n x n problem (m = n) with symmetric positive definite weights;
-    ``A`` and ``R`` vary with the path when ``path_dependent``."""
-    A, B, C, D = 0.5 * rng.normal(size=(4, n, n))
-    Q, R, G = (M @ M.T + 0.1 * np.eye(n) for M in rng.normal(size=(3, n, n)))
+def _random_model(rng, n, path_dependent, m=None):
+    """An ``n``-state, ``m``-control problem (``m = n`` by default) with
+    symmetric positive definite weights; ``A`` and ``R`` vary with the path
+    when ``path_dependent``."""
+    m = n if m is None else m
+    A, B, C, D = (0.5 * rng.normal(size=shape) for shape in [(n, n), (n, m)] * 2)
+    Q, R, G = (M @ M.T + 0.1 * np.eye(len(M))
+               for M in (rng.normal(size=(k, k)) for k in (n, m, n)))
 
     def const(M):
         return lambda i, W: M
@@ -622,7 +624,7 @@ def _random_model(rng, n, path_dependent):
         return lambda i, W: M * (1.5 + np.cos(W[i]))[:, None, None]
 
     vary = varying if path_dependent else const
-    return CoefficientModel(n=n, m=n, A=vary(A), B=const(B), C=const(C), D=const(D),
+    return CoefficientModel(n=n, m=m, A=vary(A), B=const(B), C=const(C), D=const(D),
                             Q=const(Q), R=vary(R), G=lambda W: G,
                             kind="path_dependent" if path_dependent else "deterministic")
 
@@ -649,7 +651,8 @@ def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n
     v = rng.normal(size=(N + 1, n_paths, n, 1))
     x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
     J_fb = cost(model, x_fb, u_fb, init, grid, batch).per_path
-    cross, J0 = _superposition(model, x_fb.values, u_fb.values, v, init, batch)
+    (cross,), (J0,), _ = evaluate._sweep_arms(coefficient_table(model, batch.W), x_fb.values,
+                                              u_fb.values, [v], eps, init, batch)
     u = PathArray(u_fb.values + eps * v)
     J = cost(model, simulate_open_loop(model, u, init, batch), u, init, grid, batch).per_path
     predicted = J_fb + eps * cross + eps * eps * J0
@@ -717,6 +720,121 @@ def test_sweep_on_broadcast_rows_equals_the_dense_library(n, path_dependent, N, 
         bound = 64 * eps * max(abs(ref.J), abs(J_fb))
         assert abs(row.J - ref.J) <= bound
         assert abs(row.J_minus_Jfb - ref.J_minus_Jfb) <= bound
+
+
+def _reference_form(M, a, b):
+    """Per-path ``<M a, b>`` of ``(k, r, c)`` rows and ``(k, ., 1)`` columns:
+    terms ``(a_j M_jl) b_l`` added in index order from the first."""
+    total = None
+    for j in range(a.shape[1]):
+        for l in range(b.shape[1]):
+            term = a[:, j, 0] * M[:, j, l] * b[:, l, 0]
+            total = term if total is None else total + term
+    return total
+
+
+def _reference_bilinear(tab, s, h, x, u, y, w):
+    """The cost's ``B((x, u), (y, w))`` per path on ``(N+1, k, ., 1)``
+    histories, as the per-arm route took it: left point, in time order from
+    zero, with its state, control and terminal parts added by ``sum``."""
+    run, ctrl = np.zeros(1), np.zeros(1)
+    for i in range(s, x.shape[0] - 1):
+        run = run + h * _reference_form(tab.Q[i], x[i], y[i])
+        ctrl = ctrl + h * _reference_form(tab.R[i], u[i], w[i])
+    return sum((run, ctrl, _reference_form(tab.G, x[-1], y[-1])))
+
+
+def _per_arm_sweep_arms(model, x_fb, u_fb, directions, eps_direct, init, batch):
+    """``(cross, J0, J_dir)`` of the sweep one arm at a time: a zero-start
+    response and a direct arm per direction, from the public simulator and
+    cost."""
+    grid, s = batch.grid, init.start_index
+    tab = coefficient_table(model, batch.W)
+    zero = InitialCondition(s, np.zeros(model.n))
+    cross, J0, J_dir = [], [], []
+    for v in directions:
+        x_v = simulate_open_loop(model, PathArray(v), zero, batch).values
+        cross.append(_reference_bilinear(tab, s, grid.h, x_fb, u_fb, x_v, v))
+        J0.append(0.5 * _reference_bilinear(tab, s, grid.h, x_v, v, x_v, v))
+        u = PathArray(u_fb + eps_direct * v)
+        J_dir.append(cost(model, simulate_open_loop(model, u, init, batch), u, init, grid,
+                          batch).per_path)
+    return np.array(cross), np.array(J0), np.array(J_dir)
+
+
+def _per_arm_completion_of_squares(model, theta, Kv, controls, init, batch, J_fb):
+    """Residual and standard error of each completion-of-squares control, one
+    open loop and one cost at a time, with the penalty taken step by step."""
+    grid, s, P = batch.grid, init.start_index, batch.n_paths
+    out = []
+    for u in controls:
+        x = simulate_open_loop(model, PathArray(u), init, batch).values
+        J_u = cost(model, PathArray(x), PathArray(u), init, grid, batch).per_path
+        penalty = np.zeros(1)
+        for i in range(s, grid.N):
+            gap = np.empty(u[i].shape)
+            for j in range(model.m):
+                fb = theta[i][:, j, 0] * x[i][:, 0, 0]
+                for l in range(1, model.n):
+                    fb = fb + theta[i][:, j, l] * x[i][:, l, 0]
+                gap[:, j, 0] = u[i][:, j, 0] - fb
+            penalty = penalty + grid.h * _reference_form(Kv[i], gap, gap)
+        diff = J_u - J_fb - 0.5 * penalty
+        out.append((abs(float(diff.mean())),
+                    float(diff.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0))
+    return out
+
+
+@SETTINGS
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.sampled_from([1, 2]),
+    path_dependent=st.booleans(),
+    N=st.integers(2, 10),
+    n_paths=st.integers(1, 6),
+    late_start=st.integers(1, 9),
+    eps=st.floats(1e-2, 10.0) | st.floats(-10.0, -1e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, n_paths,
+                                                       late_start, eps, seed):
+    # One arm pass per check gives every per-path value that simulating and
+    # costing each arm on its own gives, for a time-only and a per-path
+    # direction, from the first index and from a later one.
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, n, path_dependent, m)
+    grid = make_grid(1.0, N)
+    batch = sample_brownian(grid, n_paths, seed)
+    tab = coefficient_table(model, batch.W)
+    theta = rng.uniform(-1.0, 1.0, (N + 1, n_paths, m, n))
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+    S = rng.normal(size=(N + 1, n_paths if path_dependent else 1, m, m))
+    Kv = S + S.swapaxes(-1, -2)
+    directions = [rng.normal(size=(N + 1, 1, m, 1)), rng.normal(size=(N + 1, n_paths, m, 1))]
+    library = [("time_only", directions[0]), ("per_path", directions[1])]
+    eps_direct = max(evaluate._EPSILONS, key=abs)
+    for s in (0, min(late_start, N - 1)):
+        init = InitialCondition(s, rng.normal(size=n))
+        loop = evaluate._closed_loop(model, law, init, batch)
+        x_fb, u_fb, J_fb = loop[0].values, loop[1].values, loop[2]
+        want = _per_arm_sweep_arms(model, x_fb, u_fb, directions, eps_direct, init, batch)
+        got = evaluate._sweep_arms(tab, x_fb, u_fb, directions, eps_direct, init, batch)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        sweep = optimality_sweep(None, law, model, init, batch, perturbations=library)
+        with mock.patch.object(evaluate, "_sweep_arms", lambda *args: want):
+            reference = optimality_sweep(None, law, model, init, batch, perturbations=library)
+        assert sweep.rows == reference.rows
+        assert sweep.superposition_error == reference.superposition_error
+
+        controls = [(u_fb, eps, v) for v in directions] + [(u_fb, 0.0, None)]
+        results = evaluate._completion_of_squares(Kv, law, model, controls, init, batch,
+                                                  lambda: loop, 3.0, 0.5)
+        dense = [u_fb + eps * v for v in directions] + [u_fb]
+        want = _per_arm_completion_of_squares(model, theta, Kv, dense, init, batch,
+                                              J_fb.per_path)
+        assert [(r.residual, r.details["std_error"]) for r in results] == want
+        assert results[-1].residual == 0.0 and results[-1].details["penalty_mean"] == 0.0
 
 
 def _matmul_simulate(tab, init, batch, theta=None, control=None):

@@ -516,6 +516,16 @@ def test_derived_gains_are_fresh_read_only_arrays():
         assert not derived.flags.writeable
 
 
+def test_reading_K_derives_K_alone(traced_peak):
+    # A reader of K pays for one K array and node-sized temporaries, not L.
+    grid = make_grid(1.0, 64)
+    sol = solve_bsre_regression(scenario_example1(1.0), grid,
+                                sample_brownian(grid, 50_000, seed=1))
+    K, peak = traced_peak(lambda: sol.K.values)
+    assert K.shape == (65, 50_000, 1, 1)
+    assert peak < K.nbytes + 4 * sol.P.values[0].nbytes
+
+
 def test_solution_refuses_a_table_of_another_step_count():
     sol = _example1_solution()
     table = CoefficientTable(scenario_example1(1.0), np.zeros((17, 1)))
