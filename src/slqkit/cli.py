@@ -4,9 +4,9 @@ Reads a JSON config (or equivalent flags) and runs five stages in order, each
 timed into the report's ``timings`` as ``<stage>_s``: ``setup`` (the scenario's
 model, the grid and the Brownian batch), ``riccati`` (the chosen solver),
 ``feedback`` (the gain ``Theta = -K^+ L`` and its regularity), ``checks`` (the
-enabled checks, in ``CHECKS`` order) and ``artifacts``.  The checks share one
-closed loop ``(x, u, J)`` and one perturbation library, each built on first
-use.  The run writes:
+enabled checks, in ``CHECKS`` order) and ``artifacts``.  The checks read one
+memoized closed loop of :mod:`slqkit.evaluate`, and the perturbation library is
+built once, when completion of squares or the sweep is enabled.  The run writes:
 
 * ``report.json`` — config echo, Riccati summary, regularity report,
   verification residuals/flags, timings, and the artifact manifest;
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import importlib
 import json
 import math
@@ -42,15 +41,14 @@ import numpy as np
 
 from .errors import ConfigError, SlqError
 from .evaluate import (
-    _EPSILONS,
     DISC_ALLOWANCE,
     N_SE,
     _closed_loop,
     _completion_of_squares,
-    _sweep,
-    _value_identity,
     counterexample_divergence_probe,
     make_perturbations,
+    optimality_sweep,
+    value_identity_check,
 )
 from .feedback import regularity_diagnostics, stationarity_residual, synthesize
 from .grid import make_grid, sample_brownian
@@ -353,24 +351,23 @@ def run(config: ExperimentConfig) -> RunReport:
         enabled = config.enabled_checks()
         pass_flags: dict[str, dict] = {}
         sweep_rows: list[dict] = []
-        # Built on first use, then shared by every check that reads them.
-        loop = functools.cache(lambda: _closed_loop(model, law, init, batch))
-        perts = functools.cache(lambda: make_perturbations(grid, batch, model.m))
 
         with stage("checks_s"):
+            if "completion_of_squares" in enabled or "optimality" in enabled:
+                perts = make_perturbations(grid, batch, model.m)
             if "value_identity" in enabled:
-                res = _value_identity(sol, model, init, batch, loop, n_se, disc)
+                res = value_identity_check(sol, law, model, init, batch, n_se, disc)
                 pass_flags["value_identity"] = {
                     k: getattr(res, k) for k in ("passed", "residual", "tolerance", "details")}
             if "completion_of_squares" in enabled:
-                u_fb = loop()[1].values
+                u_fb = _closed_loop(model, law, init, batch)[1].values
                 eps = config.tolerance("cos_epsilon")
                 # Ten perturbed arms and the replay, in one arm pass.
-                controls = [(u_fb, eps, v) for _, v in perts()] + [(u_fb, 0.0, None)]
+                controls = [(u_fb, eps, v) for _, v in perts] + [(u_fb, 0.0, None)]
                 *results, replay = _completion_of_squares(sol.K.values, law, model, controls,
-                                                          init, batch, loop, n_se, disc)
+                                                          init, batch, n_se, disc)
                 arms = {pid: {"residual": res.residual, "tolerance": res.tolerance,
-                              "passed": res.passed} for (pid, _), res in zip(perts(), results)}
+                              "passed": res.passed} for (pid, _), res in zip(perts, results)}
                 worst = max(arm["residual"] for arm in arms.values())
                 arms["closed_loop_replay"] = {"residual": replay.residual, "tolerance": 0.0,
                                               "passed": replay.residual == 0.0}
@@ -379,7 +376,8 @@ def run(config: ExperimentConfig) -> RunReport:
                     "tolerance": None, "arms": arms,
                 }
             if "optimality" in enabled:
-                sweep = _sweep(law, model, init, batch, loop(), perts(), _EPSILONS, n_se, disc)
+                sweep = optimality_sweep(sol, law, model, init, batch, perts, n_se=n_se,
+                                         disc_coeff=disc)
                 sweep_rows = [{k: getattr(r, k) for k in _SWEEP_COLUMNS} for r in sweep.rows]
                 pass_flags["optimality"] = {k: getattr(sweep, k) for k in (
                     "passed", "min_gap", "first_order_ok", "quad_ratios", "quad_ok",

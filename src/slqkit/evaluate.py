@@ -14,14 +14,14 @@ and the cost quadrature read the model's coefficient table
 (:func:`slqkit.problem.coefficient_table`), built once per (model, batch)
 and shared by every check on that batch.  The three Monte Carlo checks read
 one closed loop: :func:`_closed_loop` simulates ``u = Theta x`` and costs
-it, and the checks' private bodies take its result, so a caller running all
-three (the CLI) simulates it once.  Every other run of a check is an arm of
-one arm pass: all completion-of-squares controls in one, and all the
-sweep's arms in another.  One quadrature (:class:`_Quadrature`, left point,
-in time order) takes every quadratic form one index at a time: the cost, the
-sweep's cross terms and the completion-of-squares penalty, as the arm pass
-yields each index.  Path-constant data (coefficient rows, a one-path
-solution, time-only perturbations) stay ``(1, r, c)`` rows that broadcast.
+it, memoized like the table, so the checks on a synthesized gain read one
+closed loop whoever calls them.  Every other run of a check is an arm of one
+arm pass: all completion-of-squares controls in one, and all the sweep's
+arms in another.  One quadrature (:class:`_Quadrature`, left point, in time
+order) takes every quadratic form one index at a time: the cost, the sweep's
+cross terms and the completion-of-squares penalty, as the arm pass yields
+each index.  Path-constant data (coefficient rows, a one-path solution,
+time-only perturbations) stay ``(1, r, c)`` rows that broadcast.
 One Euler step and one quadratic form (:func:`_form`) serve every dimension,
 on per-entry views (:func:`_entries`), with each sum in index order, so
 results do not depend on the BLAS build or on the number of arms in a pass.
@@ -46,7 +46,7 @@ import numpy as np
 from .errors import FiniteEscapeError, InvalidArgumentError
 from .feedback import FeedbackLaw
 from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major_increments,
-                   _require_grid, make_grid)
+                   _require_grid, _shared, make_grid)
 from .problem import (
     CoefficientModel,
     InitialCondition,
@@ -234,6 +234,9 @@ def simulate_closed_loop(
 
     Raises
     ------
+    InvalidArgumentError
+        If the gain's step count or its ``(m, n)`` entries do not fit the
+        batch and the model.
     FiniteEscapeError
         If the state overflows; the message carries the first offending
         (step, path).
@@ -241,6 +244,9 @@ def simulate_closed_loop(
     th = law.theta.values
     if th.shape[0] != batch.grid.N + 1:
         raise InvalidArgumentError("feedback law and batch have inconsistent step counts")
+    if th.shape[2:] != (model.m, model.n):
+        raise InvalidArgumentError(f"gain entries must be {(model.m, model.n)} for the model, "
+                                   f"got {th.shape[2:]}")
     x, u = _simulate(model, init, batch, theta=th)
     return PathArray(x), PathArray(u)
 
@@ -442,27 +448,32 @@ def value_identity_check(
     is ``n_se`` standard errors of that difference plus the frozen
     ``disc_coeff * sqrt(h)`` discretization allowance.
     """
-    return _value_identity(sol, model, init, batch, lambda: _closed_loop(model, law, init, batch),
-                           n_se, disc_coeff)
-
-
-def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEstimate]:
-    """The closed loop ``(x, u)`` under ``law`` on ``batch`` and its cost
-    ``J``: the one triple that the three Monte Carlo checks read."""
-    x, u = simulate_closed_loop(model, law, init, batch)
-    return x, u, cost(model, x, u, init, batch.grid, batch)
-
-
-def _value_identity(sol, model, init, batch, loop, n_se: float, disc_coeff: float) -> CheckResult:
-    """:func:`value_identity_check` on the closed loop ``loop()``, built after the guards."""
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, sol.P.values)
-    J = loop()[2]
+    J = _closed_loop(model, law, init, batch)[2]
     eta = init.eta_column(model.n, batch.n_paths)[..., 0].T
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
     return _identity_result("value_identity", J.per_path - quad, batch, n_se, disc_coeff,
                             {"closed_loop_cost": J.mean,
                              "value_quadratic_form": float(quad.mean())})
+
+
+def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEstimate]:
+    """The closed loop ``(x, u)`` under ``law`` on ``batch`` and its cost
+    ``J``, the triple the three Monte Carlo checks read.  It is shared by
+    :func:`slqkit.grid._shared` on ``(batch.W, law.theta.values)`` and the
+    model, grid and start, so a synthesized gain is simulated once per batch
+    and start; its ``x`` and ``u`` are read-only."""
+    grid, eta = batch.grid, init.eta
+
+    def build():
+        x, u = simulate_closed_loop(model, law, init, batch)
+        x.values.setflags(write=False)
+        u.values.setflags(write=False)
+        return x, u, cost(model, x, u, init, grid, batch)
+
+    key = (id(model), grid.T, grid.N, init.start_index, eta.shape, eta.tobytes())
+    return _shared((batch.W, law.theta.values), key, model, build)
 
 
 def completion_of_squares_check(
@@ -487,17 +498,16 @@ def completion_of_squares_check(
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, law.theta.values, sol.P.values)
     return _completion_of_squares(sol.K.values, law, model, [(u.values, 0.0, None)], init, batch,
-                                  lambda: _closed_loop(model, law, init, batch), n_se,
-                                  disc_coeff)[0]
+                                  n_se, disc_coeff)[0]
 
 
-def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, batch, loop,
+def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, batch,
                            n_se: float, disc_coeff: float) -> list:
     """:func:`completion_of_squares_check` of each of ``controls`` (arms of
-    :func:`_arm_pass`) with ``K`` given, on the closed loop ``loop()``: the
-    controls share ``K``, the closed loop and one arm pass, which adds each
-    arm's cost and penalty as it goes."""
-    J_fb = loop()[2]
+    :func:`_arm_pass`) with ``K`` given: the controls share ``K``, the
+    :func:`_closed_loop` and one arm pass, which adds each arm's cost and
+    penalty as it goes."""
+    J_fb = _closed_loop(model, law, init, batch)[2]
     tab = coefficient_table(model, batch.W)
     N, h = batch.grid.N, batch.grid.h
     K, gain = _entries(Kv), _entries(law.theta.values)
@@ -648,14 +658,6 @@ def optimality_sweep(
     ``sol`` is not read (``law`` carries the gain); it stays in the
     signature, which the acceptance criteria call.
     """
-    return _sweep(law, model, init, batch, None, perturbations, epsilons, n_se, disc_coeff)
-
-
-def _sweep(law, model, init, batch, loop: tuple | None, perturbations: list | None,
-           epsilons: tuple, n_se: float, disc_coeff: float) -> SweepResult:
-    """:func:`optimality_sweep` on the :func:`_closed_loop` triple ``loop``.
-    The inputs are checked first, and a ``None`` loop is built only after
-    they pass, so bad inputs are refused before anything is simulated."""
     grid = batch.grid
     if perturbations is None:
         perturbations = make_perturbations(grid, batch, model.m)
@@ -669,7 +671,7 @@ def _sweep(law, model, init, batch, loop: tuple | None, perturbations: list | No
             "epsilons need at least two distinct |eps| for the quadratic-scaling leg, "
             f"got {epsilons!r}")
     tab = coefficient_table(model, batch.W)  # admits the weights before anything is simulated
-    x_fb, u_fb, J_fb = _closed_loop(model, law, init, batch) if loop is None else loop
+    x_fb, u_fb, J_fb = _closed_loop(model, law, init, batch)
     eps_direct = max(epsilons, key=abs)
     cross, J0, J_dir = _sweep_arms(tab, x_fb.values, u_fb.values, [v for _, v in perturbations],
                                    eps_direct, init, batch)

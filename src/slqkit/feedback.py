@@ -63,7 +63,7 @@ class FeedbackLaw:
     Attributes
     ----------
     theta : PathArray
-        ``(N+1, n_paths, m, n)`` gain matrices.
+        ``(N+1, n_paths, m, n)`` gain matrices, read-only from :func:`synthesize`.
     source : RiccatiSolution
     diagnostics : RegularityReport or None
         Populated by :func:`regularity_diagnostics`.
@@ -137,6 +137,7 @@ def synthesize(
             raise SynthesisInfeasibleError(
                 f"{label} at {counts[reason]} sample point(s); first offenders (t, path): "
                 f"{pts[:5]}", reason=reason, offenders=pts[:100], total_offenders=counts[reason])
+    theta.setflags(write=False)  # an immutable gain lets the checks share its closed loop
     return FeedbackLaw(theta=PathArray(theta), source=sol)
 
 

@@ -22,6 +22,7 @@ native resolution, and no nesting across step counts is promised.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,8 +111,8 @@ class BrownianBatch:
 
     ``n_paths`` and ``increments`` are derived from ``W`` on read.  Batches
     built by :func:`sample_brownian` and :meth:`from_increments` are
-    immutable: ``W`` is read-only, which lets the coefficient tables of
-    :mod:`slqkit.problem` be shared per batch.
+    immutable: ``W`` is read-only, which lets its coefficient tables and
+    closed loops be shared per batch (:func:`_shared`).
     """
 
     grid: TimeGrid
@@ -154,6 +155,27 @@ class BrownianBatch:
         np.cumsum(inc, axis=0, out=W[1:])
         W.setflags(write=False)
         return BrownianBatch(grid=grid, seed=int(seed), W=W)
+
+
+_SHARED: dict[tuple[int, ...], dict] = {}  # the arrays' ids -> {key: (pin, value)}
+
+
+def _shared(arrays: tuple, key, pin, build):
+    """``build()``, built once per ``key`` on read-only ``arrays`` that own
+    their data, and kept until any of the arrays is freed.  An entry holds
+    ``pin`` (the objects whose ids are in ``key``) and no reference to its
+    arrays; a value is a pure function of its key, so sharing it changes no
+    result.  A writable or view array gets a fresh ``build()`` on every call."""
+    if any(a.flags.writeable or a.base is not None for a in arrays):
+        return build()
+    ids = tuple(map(id, arrays))
+    if ids not in _SHARED:
+        for a in arrays:
+            weakref.finalize(a, _SHARED.pop, ids, None)
+    entries = _SHARED.setdefault(ids, {})
+    if key not in entries:
+        entries[key] = (pin, build())
+    return entries[key][1]
 
 
 def _require_grid(what: str, grid: TimeGrid, batch: BrownianBatch) -> None:

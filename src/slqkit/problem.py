@@ -34,14 +34,14 @@ Built-in scenarios:
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import BrownianBatch, TimeGrid, _path_blocks, _require_grid, _time_blocks, make_grid
+from .grid import (BrownianBatch, TimeGrid, _path_blocks, _require_grid, _shared, _time_blocks,
+                   make_grid)
 
 __all__ = [
     "CoefficientModel",
@@ -283,35 +283,12 @@ def _table_for(what: str, model: CoefficientModel, grid: TimeGrid,
     return coefficient_table(model, _zero_prefix(grid))
 
 
-# Tables of read-only path arrays, keyed by id(W) then id(model).  An entry
-# is dropped when its array is freed, so the memo lives exactly as long as
-# the batch's paths (never as long as a model), and a table is a pure
-# function of its key, so sharing it between callers changes no result.
-_TABLES: dict[int, dict[int, tuple[CoefficientModel, CoefficientTable]]] = {}
-
-
 def coefficient_table(model: CoefficientModel, W: np.ndarray) -> CoefficientTable:
-    """The :class:`CoefficientTable` of ``model`` on the paths ``W``
-    (shape ``(N+1, n_paths)``).
-
-    Read-only arrays that own their data, such as the ``W`` of every
-    :class:`~slqkit.grid.BrownianBatch` built by :mod:`slqkit.grid`, get
-    one table per model, built on first request and shared until the array
-    is freed; the memo holds no reference to the array.  Any other array
-    gets a fresh table on every call.
-    """
-    if W.flags.writeable or W.base is not None:
-        return CoefficientTable(model, W)
-    key = id(W)
-    per_model = _TABLES.get(key)
-    if per_model is None:
-        per_model = _TABLES[key] = {}
-        weakref.finalize(W, _TABLES.pop, key, None)
-    entry = per_model.get(id(model))
-    if entry is None:
-        # The model is held with its table, so its id cannot be reused.
-        entry = per_model[id(model)] = (model, CoefficientTable(model, W))
-    return entry[1]
+    """The :class:`CoefficientTable` of ``model`` on the paths ``W`` (shape
+    ``(N+1, n_paths)``).  A read-only ``W`` that owns its data, as every
+    batch's does, gets one table per model, shared by :func:`slqkit.grid._shared`
+    until ``W`` is freed; any other array gets a fresh table on every call."""
+    return _shared((W,), id(model), model, lambda: CoefficientTable(model, W))
 
 
 @dataclass(frozen=True)

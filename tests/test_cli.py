@@ -1,9 +1,11 @@
 """Tests for the experiment-runner CLI: config validation, artifacts,
 exit codes, reproducibility, and flag handling."""
 
+import ast
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,12 +223,18 @@ def test_cli_stages_cover_the_run(tmp_path, monkeypatch):
     assert sum(report.timings.values()) >= 0.95 * wall
 
 
-def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path):
+def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path, monkeypatch):
     # The CLI's shared closed loop changes no number: each residual, detail
     # and sweep row equals what the public check computes on its own.
     out = tmp_path / "same"
     assert main(["--scenario", "example1", "--steps", "32", "--paths", "200",
                  "--seed", "3", "--out", str(out)]) == 0
+    calls = {"closed": 0, "cost": 0}
+    for key, name in (("closed", "simulate_closed_loop"), ("cost", "cost")):
+        def counted(*args, _key=key, _fn=getattr(evaluate, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evaluate, name, counted)
     verification = json.loads((out / "report.json").read_text())["verification"]
     flags = verification["pass_flags"]
     grid = make_grid(1.0, 32)
@@ -259,6 +267,21 @@ def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path):
          "J_minus_Jfb": r.J_minus_Jfb, "std_err": r.std_err} for r in sweep.rows]
     assert flags["optimality"]["min_gap"] == sweep.min_gap
     assert flags["optimality"]["superposition_error"] == sweep.superposition_error
+    # The value identity, the eleven completion-of-squares calls and the sweep
+    # read one memoized closed loop and its cost (13 of each without the memo);
+    # the other simulation is this test's own u_fb.
+    assert calls == {"closed": 2, "cost": 1}
+
+
+def test_cli_reaches_into_evaluate_only_for_the_shared_arm_pass():
+    # The CLI runs the public checks; of evaluate's private names it imports
+    # only the closed loop and the completion-of-squares body, whose arm list
+    # lets the ten perturbed arms and the replay share one arm pass.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module in ("evaluate", "slqkit.evaluate") for alias in node.names
+               if alias.name.startswith("_")}
+    assert private == {"_closed_loop", "_completion_of_squares"}
 
 
 def test_report_echoes_the_checks_that_ran(tmp_path):

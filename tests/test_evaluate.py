@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 from slqkit.errors import FiniteEscapeError, InvalidArgumentError
 from slqkit.feedback import FeedbackLaw, stationarity_residual, synthesize
-from slqkit.grid import BrownianBatch, PathArray, make_grid, sample_brownian
+from slqkit.grid import _SHARED, BrownianBatch, PathArray, make_grid, sample_brownian
 from slqkit.problem import (
     CoefficientModel,
     CoefficientTable,
@@ -123,6 +124,24 @@ def test_simulation_guards():
         simulate_open_loop(model, _zero_control(make_grid(1.0, 4), 3), INIT, batch)
     with pytest.raises(InvalidArgumentError):
         simulate_open_loop(model, PathArray(np.zeros((9, 3, 2, 1))), INIT, batch)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2)])
+def test_a_gain_of_the_wrong_shape_is_refused(shape):
+    # Example 1 has m = n = 1.  A wider gain whose first entry is the right
+    # one used to run on its first row and column, silently truncated.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
+    theta = np.zeros((17, 20) + shape)
+    theta[..., :1, :1] = law.theta.values
+    wide = FeedbackLaw(theta=PathArray(theta), source=sol)
+    u = _zero_control(grid, 20)
+    match = re.escape(f"gain entries must be (1, 1) for the model, got {shape}")
+    for run in (lambda: simulate_closed_loop(model, wide, INIT, batch),
+                lambda: value_identity_check(sol, wide, model, INIT, batch),
+                lambda: completion_of_squares_check(sol, wide, model, u, INIT, batch),
+                lambda: optimality_sweep(sol, wide, model, INIT, batch)):
+        with pytest.raises(InvalidArgumentError, match=match):
+            run()
 
 
 def _overflowing_2x2():
@@ -523,6 +542,57 @@ def test_a_deterministic_model_whose_weight_moves_with_the_path_is_refused():
         value_identity_check(sol, law, model, INIT, batch)
 
 
+def test_a_synthesized_gain_and_its_shared_closed_loop_are_read_only():
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
+    x, u, J = evaluate._closed_loop(model, law, INIT, batch)
+    assert evaluate._closed_loop(model, law, INIT, batch)[2] is J
+    for values in (law.theta.values, x.values, u.values):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0, 0, 0] = 1.0
+
+
+def test_a_writable_gain_gets_a_fresh_closed_loop_on_every_call():
+    # A hand-built gain may change between calls: no stale closed loop is read.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=200)
+    theta = law.theta.values.copy()
+    hand = FeedbackLaw(theta=PathArray(theta), source=sol)
+    first = value_identity_check(sol, hand, model, INIT, batch)
+    assert first.residual == value_identity_check(sol, law, model, INIT, batch).residual
+    theta *= 0.5
+    second = value_identity_check(sol, hand, model, INIT, batch)
+    halved = FeedbackLaw(theta=PathArray(0.5 * law.theta.values), source=sol)
+    assert second.residual == value_identity_check(sol, halved, model, INIT, batch).residual
+    assert second.residual != first.residual
+
+
+@pytest.mark.parametrize("drop", ["law", "batch"])
+def test_a_shared_closed_loop_goes_with_its_gain_or_its_batch(drop):
+    # The memo holds neither the gain nor the paths: freeing either drops
+    # the entry at once, with no garbage-collection pass.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
+    value_identity_check(sol, law, model, INIT, batch)
+    ids = (id(batch.W), id(law.theta.values))
+    assert ids in _SHARED
+    if drop == "law":
+        del law
+    else:
+        del batch
+    assert ids not in _SHARED
+
+
+def test_batches_sharing_paths_on_other_grids_get_their_own_closed_loops():
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
+    longer = BrownianBatch(grid=make_grid(2.0, 16), seed=1, W=batch.W)
+    x, _, J = evaluate._closed_loop(model, law, INIT, batch)
+    x_long, _, J_long = evaluate._closed_loop(model, law, INIT, longer)
+    assert evaluate._closed_loop(model, law, INIT, longer)[0] is x_long
+    assert J_long.mean != J.mean
+    np.testing.assert_array_equal(x_long.values,
+                                  simulate_closed_loop(model, law, INIT, longer)[0].values)
+    np.testing.assert_array_equal(x.values, simulate_closed_loop(model, law, INIT, batch)[0].values)
+
+
 def test_completion_of_squares_replay_is_exactly_zero():
     grid, batch, model, sol, law = _example1_setup()
     _, u_fb = simulate_closed_loop(model, law, INIT, batch)
@@ -754,7 +824,7 @@ def test_an_escaping_arm_raises_where_the_per_arm_route_does():
     with pytest.raises(FiniteEscapeError) as stacked:
         evaluate._completion_of_squares(np.ones((9, 1, 1, 1)), law, model,
                                         [(u_fb, 0.1, v) for _, v in library], init, batch,
-                                        lambda: loop, 3.0, 0.5)
+                                        3.0, 0.5)
     assert str(stacked.value) == str(per_arm.value)
     zero = InitialCondition(0, np.zeros(1))
     with pytest.raises(FiniteEscapeError) as per_arm:
@@ -778,12 +848,11 @@ def test_arm_passes_hold_less_than_one_batch_array(traced_peak):
     library = make_perturbations(grid, batch, model.m)
     Kv, u_fb = sol.K.values, loop[1].values
     controls = [(u_fb, 0.1, v) for _, v in library] + [(u_fb, 0.0, None)]
-    sweep, peak = traced_peak(lambda: evaluate._sweep(law, model, INIT, batch, loop, library,
-                                                      evaluate._EPSILONS, 3.0, 0.5))
+    sweep, peak = traced_peak(lambda: optimality_sweep(sol, law, model, INIT, batch, library))
     assert sweep.passed
     assert peak < batch.W.nbytes
     results, peak = traced_peak(lambda: evaluate._completion_of_squares(
-        Kv, law, model, controls, INIT, batch, lambda: loop, 3.0, 0.5))
+        Kv, law, model, controls, INIT, batch, 3.0, 0.5))
     assert all(r.passed for r in results) and results[-1].residual == 0.0
     assert peak < batch.W.nbytes
 

@@ -829,7 +829,7 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
 
         controls = [(u_fb, eps, v) for v in directions] + [(u_fb, 0.0, None)]
         results = evaluate._completion_of_squares(Kv, law, model, controls, init, batch,
-                                                  lambda: loop, 3.0, 0.5)
+                                                  3.0, 0.5)
         dense = [u_fb + eps * v for v in directions] + [u_fb]
         want = _per_arm_completion_of_squares(model, theta, Kv, dense, init, batch,
                                               J_fb.per_path)
