@@ -5,8 +5,9 @@ timed into the report's ``timings`` as ``<stage>_s``: ``setup`` (the scenario's
 model, the grid and the Brownian batch), ``riccati`` (the chosen solver),
 ``feedback`` (the gain ``Theta = -K^+ L`` and its regularity), ``checks`` (the
 enabled checks, in ``CHECKS`` order) and ``artifacts``.  The checks read one
-memoized closed loop of :mod:`slqkit.evaluate`, and the perturbation library is
-built once, when completion of squares or the sweep is enabled.  The run writes:
+memoized closed-loop cost of :mod:`slqkit.evaluate` and step the closed loop as
+arm 0 of their arm passes; the perturbation library is built once, when
+completion of squares or the sweep is enabled.  The run writes:
 
 * ``report.json`` — config echo, Riccati summary, regularity report,
   verification residuals/flags, timings, and the artifact manifest;
@@ -43,7 +44,6 @@ from .errors import ConfigError, SlqError
 from .evaluate import (
     DISC_ALLOWANCE,
     N_SE,
-    _closed_loop,
     _completion_of_squares,
     counterexample_divergence_probe,
     make_perturbations,
@@ -360,10 +360,9 @@ def run(config: ExperimentConfig) -> RunReport:
                 pass_flags["value_identity"] = {
                     k: getattr(res, k) for k in ("passed", "residual", "tolerance", "details")}
             if "completion_of_squares" in enabled:
-                u_fb = _closed_loop(model, law, init, batch)[1].values
                 eps = config.tolerance("cos_epsilon")
-                # Ten perturbed arms and the replay, in one arm pass.
-                controls = [(u_fb, eps, v) for _, v in perts] + [(u_fb, 0.0, None)]
+                # Ten perturbed arms and the replay, in one arm pass with the closed loop.
+                controls = [(True, eps, v) for _, v in perts] + [(True, 0.0, None)]
                 *results, replay = _completion_of_squares(sol.K.values, law, model, controls,
                                                           init, batch, n_se, disc)
                 arms = {pid: {"residual": res.residual, "tolerance": res.tolerance,

@@ -5,22 +5,24 @@ terms entering one residual are evaluated on the same Brownian batch, so the
 Monte Carlo noise largely cancels in the differences and the reported
 standard error is that of the *difference*, not of the individual costs.
 
-One Euler step (:func:`_step`) advances every simulation: the closed loop
-and the public open loop (:func:`_simulate`, which stores the run), and the
-arm pass (:func:`_arm_pass`), which steps a stack of open-loop arms together
-and stores no history; replaying the recorded closed-loop control through the
-open-loop simulator reproduces the closed-loop states bit for bit.  The step
-and the cost quadrature read the model's coefficient table
+One Euler driver runs every simulation: the arm pass (:func:`_arm_pass`)
+steps a stack of arms with one Euler step (:func:`_step`) and stores no
+history.  Given a gain, its arm 0 is the closed loop ``u = Theta x``; every
+other arm steps on ``u_fb + eps v`` or on ``eps v``.  The public simulators
+record a one-arm pass, so replaying the recorded closed-loop control through
+the open-loop simulator reproduces the closed-loop states bit for bit.  The
+step and the cost quadrature read the model's coefficient table
 (:func:`slqkit.problem.coefficient_table`), built once per (model, batch)
 and shared by every check on that batch.  The three Monte Carlo checks read
-one closed loop: :func:`_closed_loop` simulates ``u = Theta x`` and costs
-it, memoized like the table, so the checks on a synthesized gain read one
-closed loop whoever calls them.  Every other run of a check is an arm of one
-arm pass: all completion-of-squares controls in one, and all the sweep's
-arms in another.  One quadrature (:class:`_Quadrature`, left point, in time
-order) takes every quadratic form one index at a time: the cost, the sweep's
-cross terms and the completion-of-squares penalty, as the arm pass yields
-each index.  Path-constant data (coefficient rows, a one-path solution,
+one closed-loop cost: :func:`_closed_loop` takes it from a one-arm pass,
+memoized like the table with one float per path, so the checks on a
+synthesized gain read one closed loop whoever calls them.  Every other run
+of a check is an arm of one arm pass, with the closed loop as arm 0 where an
+arm steps on it: all completion-of-squares controls in one, and all the
+sweep's arms in another.  One quadrature (:class:`_Quadrature`, left point,
+in time order) takes every quadratic form one index at a time: the cost, the
+sweep's cross terms and the completion-of-squares penalty, as the arm pass
+yields each index.  Path-constant data (coefficient rows, a one-path solution,
 time-only perturbations) stay ``(1, r, c)`` rows that broadcast.
 One Euler step and one quadratic form (:func:`_form`) serve every dimension,
 on per-entry views (:func:`_entries`), with each sum in index order, so
@@ -139,11 +141,6 @@ def _entries(a: np.ndarray) -> list:
     return [[list(a[..., j, l]) for l in range(a.shape[-1])] for j in range(a.shape[-2])]
 
 
-def _column(a: np.ndarray) -> list:
-    """The views ``E[j][i] = a[i, ..., j, 0]`` of an ``(I, ..., r, 1)`` column array."""
-    return [row[0] for row in _entries(a)]
-
-
 def _dot(row: list, v: list, i: int) -> np.ndarray:
     """``sum_l row_l v_l`` of the entry lists ``row`` at index ``i`` and one
     index's entries ``v``, in index order from its first term."""
@@ -153,70 +150,37 @@ def _dot(row: list, v: list, i: int) -> np.ndarray:
     return total
 
 
-def _step(coeffs: list, i: int, h: float, dw: np.ndarray, x: list, u: list,
-          out: list) -> list:
-    """The Euler step from index ``i``: ``x_j + h (sum_l A_jl x_l + sum_l B_jl
-    u_l) + (sum_l C_jl x_l + sum_l D_jl u_l) dW`` on the entries ``x`` and
-    ``u`` (``(P,)`` of one run or ``(A, P)`` of a stack of arms), with
-    ``coeffs`` the entry lists of ``A, B, C, D`` (:func:`_dot`).  Entry ``j``
-    is written to ``out[j]`` (a new array for ``None``); returns the list."""
+def _step(coeffs: list, i: int, h: float, dw: np.ndarray, x: list, u: list) -> list:
+    """The Euler step from index ``i``: the new entries ``x_j + h (sum_l A_jl
+    x_l + sum_l B_jl u_l) + (sum_l C_jl x_l + sum_l D_jl u_l) dW`` of the
+    ``(A, P)`` entries ``x`` and ``u`` of a stack of arms, with ``coeffs`` the
+    entry lists of ``A, B, C, D`` (:func:`_dot`)."""
     A, B, C, D = coeffs
-    return [np.add(x_j + h * (_dot(A[j], x, i) + _dot(B[j], u, i)),
-                   (_dot(C[j], x, i) + _dot(D[j], u, i)) * dw, out=o)
-            for j, (x_j, o) in enumerate(zip(x, out))]
+    return [x_j + h * (_dot(A[j], x, i) + _dot(B[j], u, i))
+            + (_dot(C[j], x, i) + _dot(D[j], u, i)) * dw for j, x_j in enumerate(x)]
 
 
-def _simulate(model: CoefficientModel, init: InitialCondition, batch: BrownianBatch,
-              theta: np.ndarray | None = None, control: np.ndarray | None = None):
-    """Euler driver of one stored run: the closed loop ``u_i = theta_i x_i``
-    when ``theta`` (``(N+1, k, m, n)``) is given, else the open loop under
-    ``control`` (``(N+1, k, m, 1)``), with ``k`` 1 or the batch's path count.
-
-    Coefficients come from the model's table on ``batch``, and each index
-    takes :func:`_step`.  Returns ``(x, u)``: the states ``(N+1, P, n, 1)``
-    and the closed loop's recorded ``(N+1, P, m, 1)`` control, or the open
-    loop's given one, which it steps on as it is.
-    """
-    grid = batch.grid
-    N, h = grid.N, grid.h
-    P = batch.n_paths
-    s = init.start_index
-    if s >= N:
-        raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
-    closed = theta is not None
-    given = theta if closed else control
-    _require_paths(P, given)
-    W = batch.W
-    tab = coefficient_table(model, W)
-    x = np.empty((N + 1, P, model.n, 1))
-    u = np.zeros((N + 1, P, model.m, 1)) if closed else given
-    x[: s + 1] = init.eta_column(model.n, P)
-    xs, us = _column(x), _column(u)
-    coeffs = [_entries(v) for v in (tab.A, tab.B, tab.C, tab.D)]
-    gain = _entries(theta) if closed else None
-    # Overflow inside a step is expected on escaping instances; it is raised
-    # as FiniteEscapeError after the loop, so silence the warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(s, N + 1):
-            x_i = [x_j[i] for x_j in xs]
-            if closed:
-                for u_j, row in zip(us, gain):
-                    u_j[i][...] = _dot(row, x_i, i)
-            if i < N:
-                _step(coeffs, i, h, W[i + 1] - W[i], x_i, [u_j[i] for u_j in us],
-                      [x_j[i + 1] for x_j in xs])
-    # A step keeps a non-finite entry non-finite, so the first non-finite
-    # state is the one a check after every step would stop at.
-    finite = np.isfinite(x[s + 1:])
-    if not finite.all():
-        i, p = np.argwhere(~finite)[0, :2]
-        _escape(s + 1 + i, p)
-    return x, u
+def _start(init: InitialCondition, n: int, P: int) -> np.ndarray:
+    """The start state of a one-arm stack of :func:`_arm_pass`, ``(n, 1, P)``."""
+    return init.eta_column(n, P)[..., 0].T[:, None]
 
 
-def _escape(i: int, p: int):
-    """Raise the escape of a state first non-finite at step ``i`` on path ``p``."""
-    raise FiniteEscapeError(f"state became non-finite at step {i}, first path {p}", time=None)
+def _recorded(model: CoefficientModel, init: InitialCondition, batch: BrownianBatch,
+              arms: list, theta: np.ndarray | None = None) -> list:
+    """The ``(N+1, P, n, 1)`` states of a one-arm pass of :func:`_arm_pass`
+    from the start index, and with ``theta`` its ``(N+1, P, m, 1)`` controls,
+    as histories: ``x = eta`` up to the start and ``u = 0`` before it."""
+    N, P, s = batch.grid.N, batch.n_paths, init.start_index
+    hist = [np.empty((N + 1, P, model.n, 1))]
+    if theta is not None:
+        hist.append(np.zeros((N + 1, P, model.m, 1)))
+    hist[0][: s + 1] = init.eta_column(model.n, P)
+    tab = coefficient_table(model, batch.W)
+    for i, *entries in _arm_pass(tab, batch, s, _start(init, model.n, P), arms, theta):
+        for v, e in zip(hist, entries):
+            for j, e_j in enumerate(e):
+                v[i, :, j, 0] = e_j[0]
+    return hist
 
 
 def simulate_closed_loop(
@@ -228,26 +192,20 @@ def simulate_closed_loop(
     """Run ``dx = (A + B Theta) x dt + (C + D Theta) x dW`` from the start
     index, recording ``u = Theta x`` along the way.
 
-    The state is advanced by the same kernel as :func:`simulate_open_loop`
-    applied to the recorded control, so replaying that control open-loop
-    reproduces these states exactly.
+    The run is arm 0 of a one-arm pass of :func:`_arm_pass`, recorded index
+    by index; replaying the recorded control through
+    :func:`simulate_open_loop` reproduces these states exactly.
 
     Raises
     ------
     InvalidArgumentError
         If the gain's step count or its ``(m, n)`` entries do not fit the
-        batch and the model.
+        batch and the model, or the start index is not below ``N``.
     FiniteEscapeError
         If the state overflows; the message carries the first offending
         (step, path).
     """
-    th = law.theta.values
-    if th.shape[0] != batch.grid.N + 1:
-        raise InvalidArgumentError("feedback law and batch have inconsistent step counts")
-    if th.shape[2:] != (model.m, model.n):
-        raise InvalidArgumentError(f"gain entries must be {(model.m, model.n)} for the model, "
-                                   f"got {th.shape[2:]}")
-    x, u = _simulate(model, init, batch, theta=th)
+    x, u = _recorded(model, init, batch, [], law.theta.values)
     return PathArray(x), PathArray(u)
 
 
@@ -259,63 +217,83 @@ def simulate_open_loop(
 ) -> PathArray:
     """Run ``dx = (A x + B u) dt + (C x + D u) dW`` for a given adapted
     control process."""
-    _require_control(model, batch, u.values)
-    x, _ = _simulate(model, init, batch, control=u.values)
+    x, = _recorded(model, init, batch, [(False, 1.0, u.values)])
     return PathArray(x)
 
 
-def _require_control(model: CoefficientModel, batch: BrownianBatch, uv: np.ndarray) -> None:
-    """An open-loop control is ``(N+1, k, m, 1)`` on ``batch``, ``k`` 1 or its path count."""
-    if uv.shape[0] != batch.grid.N + 1:
-        raise InvalidArgumentError("control and batch have inconsistent step counts")
-    if uv.shape[2:] != (model.m, 1):
+def _require_process(what: str, entries: tuple, batch: BrownianBatch, v: np.ndarray) -> None:
+    """A gain or a control is ``(N+1, k, r, c)`` on ``batch`` with ``(r, c)``
+    its ``entries``, ``k`` 1 or the batch's path count."""
+    if v.shape[0] != batch.grid.N + 1:
+        raise InvalidArgumentError(f"{what} and batch have inconsistent step counts")
+    if v.shape[2:] != entries:
         raise InvalidArgumentError(
-            f"control entries must be ({model.m}, 1) columns, got {uv.shape[2:]}")
-    _require_paths(batch.n_paths, uv)
+            f"{what} entries must be {entries} for the model, got {v.shape[2:]}")
+    _require_paths(batch.n_paths, v)
 
 
-def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list):
-    """Step ``A = len(arms)`` open-loop arms on ``batch`` as one stack from
-    index ``s``, yielding ``(i, x_i, u_i)`` for ``i = s..N``: lists of the
-    ``n`` state and ``m`` control entries, each ``(A, P)``, fresh at every
-    index.  No arm's history is stored.
+def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
+              theta: np.ndarray | None = None):
+    """Step a stack of ``A`` arms on ``batch`` from index ``s``, yielding
+    ``(i, x_i, u_i)`` for ``i = s..N``: lists of the ``n`` state and ``m``
+    control entries, each ``(A, P)``, fresh at every index.  No arm's history
+    is stored.
 
-    ``x0`` broadcasts to ``(n, A, P)``: the arms' start states.  Arm ``a`` is
-    a triple ``(base, eps, v)``: it steps on ``u_i = base_i + eps v_i``,
-    formed at each index from ``(N+1, k, m, 1)`` controls ``base`` and ``v``
-    (``k`` 1 or ``P``), with ``None`` for a term left out.  Every arm takes
-    :func:`_step` on the model's table ``tab``, elementwise, so its entries
-    equal those of :func:`simulate_open_loop` on its control from its start,
-    bit for bit.  A non-finite state raises :class:`FiniteEscapeError` at
-    the first step that has one, naming the first path of the first arm
-    that has one there.
+    With ``theta`` (``(N+1, k, m, n)``, ``k`` 1 or ``P``), arm 0 is the closed
+    loop, stepped ahead of ``arms`` on ``u_fb,i = theta_i x_i`` formed from its
+    own state at index ``i``, and ``A = 1 + len(arms)``; else ``A =
+    len(arms)``.  ``x0`` broadcasts to ``(n, A, P)``: the arms' start states.
+    An arm of ``arms`` is a triple ``(on_fb, eps, v)``: it steps on ``u_fb,i
+    + eps v_i`` when ``on_fb``, else on ``eps v_i``, with ``v`` an ``(N+1, k,
+    m, 1)`` control; ``(True, 0.0, None)`` replays ``u_fb`` alone, and a
+    given control ``u`` runs as ``(False, 1.0, u)``.  Every arm takes
+    :func:`_step` on the model's table ``tab``, elementwise, so an arm's
+    entries do not depend on the stack it runs in, bit for bit.  A start
+    index not below ``N`` raises :class:`InvalidArgumentError` before any
+    step; a non-finite state raises :class:`FiniteEscapeError` at the first
+    step that has one, naming the first path of the first arm that has one
+    there.
     """
     N, h, P = batch.grid.N, batch.grid.h, batch.n_paths
-    for base, _, v in arms:
-        for uv in (base, v):
-            if uv is not None:
-                _require_control(tab.model, batch, uv)
+    n, m = tab.model.n, tab.model.m
+    if theta is not None:
+        _require_process("gain", (m, n), batch, theta)
+    for _, _, v in arms:
+        if v is not None:
+            _require_process("control", (m, 1), batch, v)
+    if s >= N:
+        raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
     coeffs = [_entries(c) for c in (tab.A, tab.B, tab.C, tab.D)]
+    gain = None if theta is None else _entries(theta)
+    lead = int(gain is not None)
     W = batch.W
-    x = list(np.broadcast_to(x0, (tab.model.n, len(arms), P)))
+    x = list(np.broadcast_to(x0, (n, lead + len(arms), P)))
     for i in range(s, N + 1):
-        u = np.empty((tab.model.m, len(arms), P))
-        for a, (base, eps, v) in enumerate(arms):
-            u_a = u[:, a]
-            if v is None:
-                u_a[...] = base[i, :, :, 0].T
-                continue
-            np.multiply(v[i, :, :, 0].T, eps, out=u_a)
-            if base is not None:
-                np.add(base[i, :, :, 0].T, u_a, out=u_a)
-        u = list(u)
+        u = np.empty((m, lead + len(arms), P))
+        # Overflow in Theta x or in a step is expected on escaping instances;
+        # it is raised as FiniteEscapeError from the next state, so silence it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gain is not None:
+                x_fb = [x_j[0] for x_j in x]
+                u[:, 0] = [_dot(row, x_fb, i) for row in gain]
+            for a, (on_fb, eps, v) in enumerate(arms, lead):
+                u_a = u[:, a]
+                if v is None:
+                    u_a[...] = u[:, 0]
+                    continue
+                np.multiply(v[i, :, :, 0].T, eps, out=u_a)
+                if on_fb:
+                    np.add(u[:, 0], u_a, out=u_a)
+            u = list(u)
+            # Index i is yielded once the step from it is known finite, so no
+            # caller reads the control of an escaping step.
+            x_next = x if i == N else _step(coeffs, i, h, W[i + 1] - W[i], x, u)
+        if not all(np.isfinite(x_j).all() for x_j in x_next):
+            bad = np.logical_or.reduce([~np.isfinite(x_j) for x_j in x_next])
+            raise FiniteEscapeError(f"state became non-finite at step {i + 1}, first path "
+                                    f"{bad[bad.any(axis=1).argmax()].argmax()}", time=None)
         yield i, x, u
-        if i < N:
-            with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-                x = _step(coeffs, i, h, W[i + 1] - W[i], x, u, [None] * len(x))
-            if not all(np.isfinite(x_j).all() for x_j in x):
-                bad = np.logical_or.reduce([~np.isfinite(x_j) for x_j in x])
-                _escape(i + 1, bad[bad.any(axis=1).argmax()].argmax())
+        x = x_next
 
 
 def _form(M: list, x: list, y: list, i: int) -> np.ndarray:
@@ -353,7 +331,7 @@ class _Quadrature:
 def _bilinear(tab, s: int, h: float, x, u, y, w) -> list:
     """:class:`_Quadrature` from index ``s`` of ``(N+1, k, ., 1)`` histories."""
     q = _Quadrature(tab, h)
-    cols = [_column(v) for v in (x, u, y, w)]
+    cols = [[row[0] for row in _entries(v)] for v in (x, u, y, w)]
     for i in range(s, len(x)):
         q.add(i, *([e[i] for e in c] for c in cols))
     return q.parts
@@ -393,20 +371,19 @@ def cost(
         if batch.n_paths != P:
             raise InvalidArgumentError(f"state arrays have {P} paths, the batch {batch.n_paths}")
     tab = _table_for("cost", model, grid, None if batch is None else batch.W)
-    run_state, run_ctrl, term = _bilinear(tab, init.start_index, grid.h, xv, uv, xv, uv)
+    return _estimate(*_bilinear(tab, init.start_index, grid.h, xv, uv, xv, uv))
+
+
+def _estimate(run_state: np.ndarray, run_ctrl: np.ndarray, term: np.ndarray) -> CostEstimate:
+    """The :class:`CostEstimate` of the per-path parts ``(P,)`` of the cost's
+    :class:`_Quadrature` taken on ``(x, u), (x, u)``."""
     per_path = 0.5 * (run_state + run_ctrl + term)
-    se = float(per_path.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
-    return CostEstimate(
-        mean=float(per_path.mean()),
-        std_error=se,
-        n_paths=P,
-        components={
-            "running_state": float(0.5 * run_state.mean()),
-            "running_control": float(0.5 * run_ctrl.mean()),
-            "terminal": float(0.5 * term.mean()),
-        },
-        per_path=per_path,
-    )
+    mean, se = _combined(per_path)
+    components = {"running_state": float(0.5 * run_state.mean()),
+                  "running_control": float(0.5 * run_ctrl.mean()),
+                  "terminal": float(0.5 * term.mean())}
+    return CostEstimate(mean=mean, std_error=se, n_paths=per_path.shape[0],
+                        components=components, per_path=per_path)
 
 
 def _combined(diff: np.ndarray) -> tuple[float, float]:
@@ -450,27 +427,34 @@ def value_identity_check(
     """
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, sol.P.values)
-    J = _closed_loop(model, law, init, batch)[2]
-    eta = init.eta_column(model.n, batch.n_paths)[..., 0].T
+    J = _closed_loop(model, law, init, batch)
+    eta = _start(init, model.n, batch.n_paths)[:, 0]
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
     return _identity_result("value_identity", J.per_path - quad, batch, n_se, disc_coeff,
                             {"closed_loop_cost": J.mean,
                              "value_quadratic_form": float(quad.mean())})
 
 
-def _closed_loop(model, law, init, batch) -> tuple[PathArray, PathArray, CostEstimate]:
-    """The closed loop ``(x, u)`` under ``law`` on ``batch`` and its cost
-    ``J``, the triple the three Monte Carlo checks read.  It is shared by
-    :func:`slqkit.grid._shared` on ``(batch.W, law.theta.values)`` and the
-    model, grid and start, so a synthesized gain is simulated once per batch
-    and start; its ``x`` and ``u`` are read-only."""
+def _closed_loop(model, law, init, batch) -> CostEstimate:
+    """The cost ``J_fb`` of the closed loop ``u = Theta x`` under ``law`` on
+    ``batch``, which the three Monte Carlo checks read: a one-arm feedback
+    pass of :func:`_arm_pass` that adds its :class:`_Quadrature` as it steps,
+    equal bit for bit to :func:`cost` of :func:`simulate_closed_loop`.  It is
+    shared by :func:`slqkit.grid._shared` on ``(batch.W, law.theta.values)``
+    and the model, grid and start, so a synthesized gain is simulated once per
+    batch and start; the entry holds ``P`` floats, its read-only
+    ``per_path``."""
     grid, eta = batch.grid, init.eta
 
     def build():
-        x, u = simulate_closed_loop(model, law, init, batch)
-        x.values.setflags(write=False)
-        u.values.setflags(write=False)
-        return x, u, cost(model, x, u, init, grid, batch)
+        tab = coefficient_table(model, batch.W)
+        q = _Quadrature(tab, grid.h)
+        for i, x, u in _arm_pass(tab, batch, init.start_index,
+                                 _start(init, model.n, batch.n_paths), [], law.theta.values):
+            q.add(i, x, u, x, u)
+        J = _estimate(*(part[0] for part in q.parts))
+        J.per_path.setflags(write=False)
+        return J
 
     key = (id(model), grid.T, grid.N, init.start_index, eta.shape, eta.tobytes())
     return _shared((batch.W, law.theta.values), key, model, build)
@@ -489,16 +473,18 @@ def completion_of_squares_check(
     """Check ``J(u) = J(Theta x) + 1/2 E sum h <K (u - Theta x), u - Theta x>``
     with ``x`` the open-loop state under ``u`` (all terms on one batch).
 
-    ``u`` (``(N+1, 1 or n_paths, m, 1)``) runs as a one-arm pass of
-    :func:`_arm_pass`, which adds its cost and penalty as it steps, so its
-    state history is not stored.  For ``u`` equal to the recorded
-    closed-loop control the residual is exactly zero: the replay reproduces
-    the closed-loop states bit for bit and the penalty vanishes identically.
+    ``u`` (``(N+1, 1 or n_paths, m, 1)``) runs as the one arm ``(False,
+    1.0, u)`` of :func:`_arm_pass`, which adds its cost and penalty as it
+    steps, so its state history is not stored; ``J(Theta x)`` is the
+    memoized :func:`_closed_loop`.  For ``u`` equal to the control recorded
+    by :func:`simulate_closed_loop` the residual is exactly zero: the replay
+    reproduces the closed-loop states bit for bit and the penalty vanishes
+    identically.
     """
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, law.theta.values, sol.P.values)
-    return _completion_of_squares(sol.K.values, law, model, [(u.values, 0.0, None)], init, batch,
-                                  n_se, disc_coeff)[0]
+    return _completion_of_squares(sol.K.values, law, model, [(False, 1.0, u.values)], init,
+                                  batch, n_se, disc_coeff)[0]
 
 
 def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, batch,
@@ -506,14 +492,16 @@ def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, bat
     """:func:`completion_of_squares_check` of each of ``controls`` (arms of
     :func:`_arm_pass`) with ``K`` given: the controls share ``K``, the
     :func:`_closed_loop` and one arm pass, which adds each arm's cost and
-    penalty as it goes."""
-    J_fb = _closed_loop(model, law, init, batch)[2]
+    penalty as it goes.  The pass steps the closed loop as its arm 0 only
+    when some control is ``on_fb``."""
+    J_fb = _closed_loop(model, law, init, batch)
     tab = coefficient_table(model, batch.W)
     N, h = batch.grid.N, batch.grid.h
     K, gain = _entries(Kv), _entries(law.theta.values)
     q, penalty = _Quadrature(tab, h), np.zeros(())
-    eta = init.eta_column(model.n, batch.n_paths)[..., 0].T[:, None]
-    for i, x, u in _arm_pass(tab, batch, init.start_index, eta, controls):
+    lead = any(on_fb for on_fb, _, _ in controls)
+    for i, x, u in _arm_pass(tab, batch, init.start_index, _start(init, model.n, batch.n_paths),
+                             controls, law.theta.values if lead else None):
         q.add(i, x, u, x, u)
         if i < N:
             gap = [u_j - _dot(row, x, i) for u_j, row in zip(u, gain)]
@@ -523,7 +511,7 @@ def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, bat
                              batch, n_se, disc_coeff,
                              {"J_u": float(J_u[a].mean()), "J_feedback": J_fb.mean,
                               "penalty_mean": float(penalty[a].mean())})
-            for a in range(len(controls))]
+            for a in range(lead, lead + len(controls))]
 
 
 def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list:
@@ -539,10 +527,12 @@ def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list
     _require_grid("grid", grid, batch)
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidArgumentError(f"m must be a positive integer, got {m!r}")
-    t = grid.points[:, None]
+    # Every field is computed at its final width from broadcast views, so no
+    # path field is held twice.
+    t = np.broadcast_to(grid.points[:, None, None, None], (grid.N + 1, 1, m, 1))
     T = grid.T
-    W = batch.W
-    fields = [
+    W = np.broadcast_to(batch.W[:, :, None, None], (grid.N + 1, batch.n_paths, m, 1))
+    return [
         ("const_one", np.ones_like(t)),
         ("const_neg_half", np.full_like(t, -0.5)),
         ("sin_2pi_t", np.sin(2.0 * math.pi * t / T)),
@@ -554,7 +544,6 @@ def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list
         ("sign_w_sin_t", np.sign(W) * np.sin(math.pi * t / T)),
         ("clip_w", np.clip(W, -1.0, 1.0)),
     ]
-    return [(pid, np.repeat(f[:, :, None, None], m, axis=2)) for pid, f in fields]
 
 
 @dataclass(frozen=True)
@@ -600,26 +589,27 @@ class SweepResult:
     passed: bool
 
 
-def _sweep_arms(tab, x_fb, u_fb, directions: list, eps_direct: float, init,
+def _sweep_arms(tab, theta: np.ndarray, directions: list, eps_direct: float, init,
                 batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each direction ``v``, per path: ``cross = B((x_fb, u_fb), (x_v,
     v))`` and ``J0 = B((x_v, v), (x_v, v)) / 2``, with ``B`` the cost's
-    :class:`_Quadrature` and ``x_v`` the response to ``v`` from a zero state
-    at the start index, and the cost ``J_dir`` of the direct arm ``u_fb +
-    eps_direct v``.  The responses and the direct arms share one arm pass;
+    :class:`_Quadrature`, ``(x_fb, u_fb)`` the closed loop under the gain
+    ``theta`` and ``x_v`` the response to ``v`` from a zero state at the
+    start index, and the cost ``J_dir`` of the direct arm ``u_fb + eps_direct
+    v``.  The closed loop (arm 0, whose entries at each index are the cross
+    terms' operands), the responses and the direct arms share one arm pass;
     each result is ``(V, P)``."""
     V, h = len(directions), batch.grid.h
-    x0 = np.zeros((tab.model.n, 2 * V, batch.n_paths))
-    x0[:, V:] = init.eta_column(tab.model.n, batch.n_paths)[..., 0].T[:, None]
-    arms = [(None, 1.0, v) for v in directions] + [(u_fb, eps_direct, v) for v in directions]
+    x0 = np.zeros((tab.model.n, 1 + 2 * V, batch.n_paths))
+    x0[:, :1] = x0[:, V + 1:] = _start(init, tab.model.n, batch.n_paths)
+    arms = [(False, 1.0, v) for v in directions] + [(True, eps_direct, v) for v in directions]
     own, cross = _Quadrature(tab, h), _Quadrature(tab, h)
-    x_col, u_col = _column(x_fb), _column(u_fb)
-    for i, x, u in _arm_pass(tab, batch, init.start_index, x0, arms):
+    for i, x, u in _arm_pass(tab, batch, init.start_index, x0, arms, theta):
         own.add(i, x, u, x, u)
-        cross.add(i, [x_j[i] for x_j in x_col], [u_j[i] for u_j in u_col],
-                  [x_j[:V] for x_j in x], [u_j[:V] for u_j in u])
+        cross.add(i, [x_j[0] for x_j in x], [u_j[0] for u_j in u],
+                  [x_j[1:V + 1] for x_j in x], [u_j[1:V + 1] for u_j in u])
     J = 0.5 * sum(own.parts)
-    return sum(cross.parts), J[:V], J[V:]
+    return sum(cross.parts), J[1:V + 1], J[V + 1:]
 
 
 def optimality_sweep(
@@ -647,8 +637,10 @@ def optimality_sweep(
     construction and stays asserted.  The independent leg simulates the
     ``+eps`` arm of the largest ``|eps|`` directly for each ``v``; it must
     match its prediction within ``SUPERPOSITION_RTOL`` relative, max norm.
-    The responses and the direct arms run as one pass of :func:`_arm_pass`
-    that adds their forms as it steps, so no arm's history is stored.
+    The closed loop (arm 0, whose entries give the cross terms), the
+    responses and the direct arms ``(True, eps, v)`` run as one pass of
+    :func:`_arm_pass` that adds their forms as it steps, so no arm's history
+    is stored; ``J_fb`` is the memoized :func:`_closed_loop`, read first.
     The superposition needs symmetric weights.  An empty ``perturbations``,
     a zero or non-finite epsilon, fewer than two distinct ``|eps|``, or a
     model whose coefficient table refuses its data (a non-finite coefficient,
@@ -671,9 +663,9 @@ def optimality_sweep(
             "epsilons need at least two distinct |eps| for the quadratic-scaling leg, "
             f"got {epsilons!r}")
     tab = coefficient_table(model, batch.W)  # admits the weights before anything is simulated
-    x_fb, u_fb, J_fb = _closed_loop(model, law, init, batch)
+    J_fb = _closed_loop(model, law, init, batch)
     eps_direct = max(epsilons, key=abs)
-    cross, J0, J_dir = _sweep_arms(tab, x_fb.values, u_fb.values, [v for _, v in perturbations],
+    cross, J0, J_dir = _sweep_arms(tab, law.theta.values, [v for _, v in perturbations],
                                    eps_direct, init, batch)
     rows: list[SweepRow] = []
     even_by_arm: dict[tuple[str, float], float] = {}

@@ -157,7 +157,8 @@ class BrownianBatch:
         return BrownianBatch(grid=grid, seed=int(seed), W=W)
 
 
-_SHARED: dict[tuple[int, ...], dict] = {}  # the arrays' ids -> {key: (pin, value)}
+# The arrays' ids -> (one finalizer per array, {key: (pin, value)}).
+_SHARED: dict[tuple[int, ...], tuple[list, dict]] = {}
 
 
 def _shared(arrays: tuple, key, pin, build):
@@ -170,12 +171,18 @@ def _shared(arrays: tuple, key, pin, build):
         return build()
     ids = tuple(map(id, arrays))
     if ids not in _SHARED:
-        for a in arrays:
-            weakref.finalize(a, _SHARED.pop, ids, None)
-    entries = _SHARED.setdefault(ids, {})
+        _SHARED[ids] = ([weakref.finalize(a, _drop, ids) for a in arrays], {})
+    entries = _SHARED[ids][1]
     if key not in entries:
         entries[key] = (pin, build())
     return entries[key][1]
+
+
+def _drop(ids: tuple) -> None:
+    """Drop the entries on ``ids`` when the first of their arrays is freed,
+    with the finalizers of the others, which would otherwise outlive it."""
+    for f in _SHARED.pop(ids)[0]:
+        f.detach()
 
 
 def _require_grid(what: str, grid: TimeGrid, batch: BrownianBatch) -> None:

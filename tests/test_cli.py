@@ -180,10 +180,11 @@ def test_cli_example1_report_and_artifacts(tmp_path):
 
 
 def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monkeypatch):
-    # One closed loop and its cost serve the value identity, completion of
-    # squares and the sweep.  No open loop is simulated on its own: the 10 + 1
-    # CoS arms take one arm pass, and the sweep's 10 zero-start responses and
-    # 10 direct arms another, each adding its arms' costs as it goes.  The
+    # One memoized closed-loop cost serves the value identity, completion of
+    # squares and the sweep, built from a one-arm pass.  No run is simulated
+    # and stored on its own: the 10 + 1 CoS arms take one arm pass with the
+    # closed loop as arm 0, and the sweep's 10 zero-start responses and 10
+    # direct arms another, each adding its arms' costs as it goes.  The
     # perturbation library is built once.
     calls = {"closed": 0, "open": 0, "cost": 0, "library": 0, "arm_pass": 0}
 
@@ -203,7 +204,7 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
     out = tmp_path / "counted"
     assert main(["--scenario", "example1", "--steps", "16", "--paths", "20",
                  "--out", str(out)]) == 0
-    assert calls == {"closed": 1, "open": 0, "cost": 1, "library": 1, "arm_pass": 2}
+    assert calls == {"closed": 0, "open": 0, "cost": 0, "library": 1, "arm_pass": 3}
     flags = json.loads((out / "report.json").read_text())["verification"]["pass_flags"]
     assert flags["optimality"]["superposition_ok"] is True
     assert 0.0 <= flags["optimality"]["superposition_error"] <= evaluate.SUPERPOSITION_RTOL
@@ -268,20 +269,20 @@ def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path, monkeypa
     assert flags["optimality"]["min_gap"] == sweep.min_gap
     assert flags["optimality"]["superposition_error"] == sweep.superposition_error
     # The value identity, the eleven completion-of-squares calls and the sweep
-    # read one memoized closed loop and its cost (13 of each without the memo);
-    # the other simulation is this test's own u_fb.
-    assert calls == {"closed": 2, "cost": 1}
+    # read one memoized closed-loop cost, taken as the closed loop steps; the
+    # one stored closed loop is this test's own u_fb.
+    assert calls == {"closed": 1, "cost": 0}
 
 
 def test_cli_reaches_into_evaluate_only_for_the_shared_arm_pass():
     # The CLI runs the public checks; of evaluate's private names it imports
-    # only the closed loop and the completion-of-squares body, whose arm list
-    # lets the ten perturbed arms and the replay share one arm pass.
+    # only the completion-of-squares body, whose arm list lets the ten
+    # perturbed arms and the replay share one arm pass with the closed loop.
     tree = ast.parse(Path(cli.__file__).read_text())
     private = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and node.module in ("evaluate", "slqkit.evaluate") for alias in node.names
                if alias.name.startswith("_")}
-    assert private == {"_closed_loop", "_completion_of_squares"}
+    assert private == {"_completion_of_squares"}
 
 
 def test_report_echoes_the_checks_that_ran(tmp_path):

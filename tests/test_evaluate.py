@@ -6,6 +6,8 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -124,6 +126,49 @@ def test_simulation_guards():
         simulate_open_loop(model, _zero_control(make_grid(1.0, 4), 3), INIT, batch)
     with pytest.raises(InvalidArgumentError):
         simulate_open_loop(model, PathArray(np.zeros((9, 3, 2, 1))), INIT, batch)
+
+
+def test_a_start_at_the_last_index_is_refused_before_any_step(monkeypatch):
+    # From s = N a run would take no step and cost the terminal term alone.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
+    late = InitialCondition(16, np.array([1.0]))
+    u = _zero_control(grid, 20)
+
+    def no_step(*args):
+        raise AssertionError("stepped before the start-index guard")
+
+    monkeypatch.setattr(evaluate, "_step", no_step)
+    for run in (lambda: simulate_closed_loop(model, law, late, batch),
+                lambda: simulate_open_loop(model, u, late, batch),
+                lambda: value_identity_check(sol, law, model, late, batch),
+                lambda: completion_of_squares_check(sol, law, model, u, late, batch),
+                lambda: optimality_sweep(sol, law, model, late, batch)):
+        with pytest.raises(InvalidArgumentError, match=r"^start_index 16 must be < N = 16$"):
+            run()
+
+
+def test_a_gain_that_overflows_a_finite_state_raises_an_escape():
+    # Theta_3 = 1e308 on path 2 takes u = Theta x past float-max while x is
+    # still finite: the next state is non-finite, and no RuntimeWarning leaks.
+    # Every check reads the closed-loop cost first, so each names that escape.
+    model = scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 4, seed=1)
+    sol = solve_deterministic(model, grid)
+    theta = np.zeros((9, 4, 1, 1))
+    theta[3, 2] = 1e308
+    law = FeedbackLaw(theta=PathArray(theta), source=sol)
+    init = InitialCondition(0, np.array([10.0]))
+    zero = _zero_control(grid, 4)
+    for run in (lambda: simulate_closed_loop(model, law, init, batch),
+                lambda: value_identity_check(sol, law, model, init, batch),
+                lambda: completion_of_squares_check(sol, law, model, zero, init, batch),
+                lambda: optimality_sweep(sol, law, model, init, batch)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FiniteEscapeError,
+                               match="^state became non-finite at step 4, first path 2$"):
+                run()
 
 
 @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2)])
@@ -508,13 +553,13 @@ def test_checks_refuse_a_solution_of_another_grid_before_simulating(monkeypatch)
     other = closed_form_example1(finer, sample_brownian(finer, 2000, seed=1))
     u = _zero_control(grid, 2000)
     calls = []
-    simulate = evaluate._simulate
+    arm_pass = evaluate._arm_pass
 
-    def counting_simulate(*args, **kwargs):
+    def counting_arm_pass(*args, **kwargs):
         calls.append(1)
-        return simulate(*args, **kwargs)
+        return arm_pass(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "_simulate", counting_simulate)
+    monkeypatch.setattr(evaluate, "_arm_pass", counting_arm_pass)
     with pytest.raises(InvalidArgumentError, match="64 steps.*32 steps"):
         value_identity_check(other, law, model, INIT, batch)
     with pytest.raises(InvalidArgumentError, match="64 steps.*32 steps"):
@@ -544,9 +589,9 @@ def test_a_deterministic_model_whose_weight_moves_with_the_path_is_refused():
 
 def test_a_synthesized_gain_and_its_shared_closed_loop_are_read_only():
     grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
-    x, u, J = evaluate._closed_loop(model, law, INIT, batch)
-    assert evaluate._closed_loop(model, law, INIT, batch)[2] is J
-    for values in (law.theta.values, x.values, u.values):
+    J = evaluate._closed_loop(model, law, INIT, batch)
+    assert evaluate._closed_loop(model, law, INIT, batch) is J
+    for values in (law.theta.values, J.per_path[:, None, None, None]):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0, 0, 0, 0] = 1.0
@@ -581,16 +626,45 @@ def test_a_shared_closed_loop_goes_with_its_gain_or_its_batch(drop):
     assert ids not in _SHARED
 
 
+def test_a_shared_closed_loop_holds_its_per_path_cost_alone():
+    # The memo keeps no state or control history: its entry's arrays hold at
+    # most one float per path.
+    grid, batch, model, sol, law = _example1_setup(N=64, n_paths=50)
+    J = evaluate._closed_loop(model, law, INIT, batch)
+    (_, entries), = [v for ids, v in _SHARED.items() if ids == (id(batch.W), id(law.theta.values))]
+    values = [value for _, value in entries.values()]
+    assert values == [J]
+    arrays = [getattr(J, f.name) for f in dataclasses.fields(J)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size <= batch.n_paths for a in arrays)
+
+
+def test_the_memo_leaves_no_finalizer_behind_a_freed_batch():
+    # A read-only gain outlives its batches; each batch's memo entry must take
+    # its finalizers with it when the batch is freed.
+    model = scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0)
+    grid = make_grid(1.0, 16)
+    sol = solve_deterministic(model, grid)
+    law = synthesize(sol, model)
+    assert not law.theta.values.flags.writeable
+    before = len(weakref.finalize._registry)
+    for seed in range(50):
+        batch = sample_brownian(grid, 10, seed)
+        value_identity_check(sol, law, model, INIT, batch)
+        del batch
+    assert len(weakref.finalize._registry) == before
+
+
 def test_batches_sharing_paths_on_other_grids_get_their_own_closed_loops():
     grid, batch, model, sol, law = _example1_setup(N=16, n_paths=20)
     longer = BrownianBatch(grid=make_grid(2.0, 16), seed=1, W=batch.W)
-    x, _, J = evaluate._closed_loop(model, law, INIT, batch)
-    x_long, _, J_long = evaluate._closed_loop(model, law, INIT, longer)
-    assert evaluate._closed_loop(model, law, INIT, longer)[0] is x_long
+    J = evaluate._closed_loop(model, law, INIT, batch)
+    J_long = evaluate._closed_loop(model, law, INIT, longer)
+    assert evaluate._closed_loop(model, law, INIT, longer) is J_long
     assert J_long.mean != J.mean
-    np.testing.assert_array_equal(x_long.values,
-                                  simulate_closed_loop(model, law, INIT, longer)[0].values)
-    np.testing.assert_array_equal(x.values, simulate_closed_loop(model, law, INIT, batch)[0].values)
+    for b, J_b in ((longer, J_long), (batch, J)):
+        x, u = simulate_closed_loop(model, law, INIT, b)
+        np.testing.assert_array_equal(J_b.per_path, cost(model, x, u, INIT, b.grid, b).per_path)
 
 
 def test_completion_of_squares_replay_is_exactly_zero():
@@ -758,7 +832,7 @@ def test_sweep_rejects_asymmetric_weights_before_simulating(name, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the symmetry guard")
 
-    monkeypatch.setattr(evaluate, "_simulate", no_simulation)
+    monkeypatch.setattr(evaluate, "_arm_pass", no_simulation)
     init = InitialCondition(0, np.array([1.0, -0.5]))
     with pytest.raises(InvalidArgumentError, match=f"^{name} is not symmetric"):
         optimality_sweep(sol, law, model, init, batch)
@@ -815,15 +889,14 @@ def test_an_escaping_arm_raises_where_the_per_arm_route_does():
     loud_2, loud_1 = np.zeros((2, 9, 4, 1, 1))
     loud_2[:, 2:], loud_1[:, 1:] = 1.0, 1.0
     library = [("quiet", np.zeros((9, 1, 1, 1))), ("loud_2", loud_2), ("loud_1", loud_1)]
-    loop = evaluate._closed_loop(model, law, init, batch)
-    u_fb = loop[1].values
+    u_fb = simulate_closed_loop(model, law, init, batch)[1].values
     with pytest.raises(FiniteEscapeError) as per_arm:
         for _, v in library:
             simulate_open_loop(model, PathArray(u_fb + 0.1 * v), init, batch)
     assert str(per_arm.value) == "state became non-finite at step 4, first path 2"
     with pytest.raises(FiniteEscapeError) as stacked:
         evaluate._completion_of_squares(np.ones((9, 1, 1, 1)), law, model,
-                                        [(u_fb, 0.1, v) for _, v in library], init, batch,
+                                        [(True, 0.1, v) for _, v in library], init, batch,
                                         3.0, 0.5)
     assert str(stacked.value) == str(per_arm.value)
     zero = InitialCondition(0, np.zeros(1))
@@ -844,10 +917,10 @@ def test_arm_passes_hold_less_than_one_batch_array(traced_peak):
     model = scenario_example1(1.0)
     sol = closed_form_example1(grid, batch)
     law = synthesize(sol, model)
-    loop = evaluate._closed_loop(model, law, INIT, batch)
+    evaluate._closed_loop(model, law, INIT, batch)
     library = make_perturbations(grid, batch, model.m)
-    Kv, u_fb = sol.K.values, loop[1].values
-    controls = [(u_fb, 0.1, v) for _, v in library] + [(u_fb, 0.0, None)]
+    Kv = sol.K.values
+    controls = [(True, 0.1, v) for _, v in library] + [(True, 0.0, None)]
     sweep, peak = traced_peak(lambda: optimality_sweep(sol, law, model, INIT, batch, library))
     assert sweep.passed
     assert peak < batch.W.nbytes

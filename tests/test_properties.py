@@ -651,8 +651,8 @@ def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n
     v = rng.normal(size=(N + 1, n_paths, n, 1))
     x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
     J_fb = cost(model, x_fb, u_fb, init, grid, batch).per_path
-    (cross,), (J0,), _ = evaluate._sweep_arms(coefficient_table(model, batch.W), x_fb.values,
-                                              u_fb.values, [v], eps, init, batch)
+    (cross,), (J0,), _ = evaluate._sweep_arms(coefficient_table(model, batch.W), theta, [v],
+                                              eps, init, batch)
     u = PathArray(u_fb.values + eps * v)
     J = cost(model, simulate_open_loop(model, u, init, batch), u, init, grid, batch).per_path
     predicted = J_fb + eps * cross + eps * eps * J0
@@ -800,13 +800,15 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
                                                        late_start, eps, seed):
     # One arm pass per check gives every per-path value that simulating and
     # costing each arm on its own gives, for a time-only and a per-path
-    # direction, from the first index and from a later one.
+    # direction, from the first index and from a later one; so does the
+    # memoized closed-loop cost, against the stored closed loop and its cost.
     rng = np.random.default_rng(seed)
     model = _random_model(rng, n, path_dependent, m)
     grid = make_grid(1.0, N)
     batch = sample_brownian(grid, n_paths, seed)
     tab = coefficient_table(model, batch.W)
     theta = rng.uniform(-1.0, 1.0, (N + 1, n_paths, m, n))
+    theta.setflags(write=False)  # a read-only gain's closed-loop cost is memoized
     law = FeedbackLaw(theta=PathArray(theta), source=None)
     S = rng.normal(size=(N + 1, n_paths if path_dependent else 1, m, m))
     Kv = S + S.swapaxes(-1, -2)
@@ -815,10 +817,12 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
     eps_direct = max(evaluate._EPSILONS, key=abs)
     for s in (0, min(late_start, N - 1)):
         init = InitialCondition(s, rng.normal(size=n))
-        loop = evaluate._closed_loop(model, law, init, batch)
-        x_fb, u_fb, J_fb = loop[0].values, loop[1].values, loop[2]
+        x, u = simulate_closed_loop(model, law, init, batch)
+        x_fb, u_fb, J_fb = x.values, u.values, cost(model, x, u, init, grid, batch)
+        np.testing.assert_array_equal(evaluate._closed_loop(model, law, init, batch).per_path,
+                                      J_fb.per_path)
         want = _per_arm_sweep_arms(model, x_fb, u_fb, directions, eps_direct, init, batch)
-        got = evaluate._sweep_arms(tab, x_fb, u_fb, directions, eps_direct, init, batch)
+        got = evaluate._sweep_arms(tab, theta, directions, eps_direct, init, batch)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         sweep = optimality_sweep(None, law, model, init, batch, perturbations=library)
@@ -827,7 +831,7 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
         assert sweep.rows == reference.rows
         assert sweep.superposition_error == reference.superposition_error
 
-        controls = [(u_fb, eps, v) for v in directions] + [(u_fb, 0.0, None)]
+        controls = [(True, eps, v) for v in directions] + [(True, 0.0, None)]
         results = evaluate._completion_of_squares(Kv, law, model, controls, init, batch,
                                                   3.0, 0.5)
         dense = [u_fb + eps * v for v in directions] + [u_fb]
