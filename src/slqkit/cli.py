@@ -363,8 +363,8 @@ def run(config: ExperimentConfig) -> RunReport:
                 eps = config.tolerance("cos_epsilon")
                 # Ten perturbed arms and the replay, in one arm pass with the closed loop.
                 controls = [(True, eps, v) for _, v in perts] + [(True, 0.0, None)]
-                *results, replay = _completion_of_squares(sol.K.values, law, model, controls,
-                                                          init, batch, n_se, disc)
+                *results, replay = _completion_of_squares(sol, law, model, controls, init,
+                                                          batch, n_se, disc)
                 arms = {pid: {"residual": res.residual, "tolerance": res.tolerance,
                               "passed": res.passed} for (pid, _), res in zip(perts, results)}
                 worst = max(arm["residual"] for arm in arms.values())

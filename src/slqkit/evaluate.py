@@ -60,7 +60,7 @@ from .problem import (
     coefficient_table,
     delta_grid,
 )
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _gain
 
 __all__ = [
     "CostEstimate",
@@ -483,29 +483,30 @@ def completion_of_squares_check(
     """
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, law.theta.values, sol.P.values)
-    return _completion_of_squares(sol.K.values, law, model, [(False, 1.0, u.values)], init,
+    return _completion_of_squares(sol, law, model, [(False, 1.0, u.values)], init,
                                   batch, n_se, disc_coeff)[0]
 
 
-def _completion_of_squares(Kv: np.ndarray, law, model, controls: list, init, batch,
+def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, init, batch,
                            n_se: float, disc_coeff: float) -> list:
     """:func:`completion_of_squares_check` of each of ``controls`` (arms of
-    :func:`_arm_pass`) with ``K`` given: the controls share ``K``, the
-    :func:`_closed_loop` and one arm pass, which adds each arm's cost and
-    penalty as it goes.  The pass steps the closed loop as its arm 0 only
-    when some control is ``on_fb``."""
+    :func:`_arm_pass`): they share the :func:`_closed_loop` and one arm pass,
+    which adds each arm's cost and penalty as it goes, and the penalty reads
+    ``K`` one node at a time, as a finite ``PathArray``.  The pass steps the
+    closed loop as its arm 0 only when some control is ``on_fb``."""
     J_fb = _closed_loop(model, law, init, batch)
     tab = coefficient_table(model, batch.W)
     N, h = batch.grid.N, batch.grid.h
-    K, gain = _entries(Kv), _entries(law.theta.values)
+    gain = _entries(law.theta.values)
     q, penalty = _Quadrature(tab, h), np.zeros(())
     lead = any(on_fb for on_fb, _, _ in controls)
     for i, x, u in _arm_pass(tab, batch, init.start_index, _start(init, model.n, batch.n_paths),
                              controls, law.theta.values if lead else None):
         q.add(i, x, u, x, u)
         if i < N:
+            K = _entries(PathArray(_gain(sol, "K", slice(i, i + 1))).values)
             gap = [u_j - _dot(row, x, i) for u_j, row in zip(u, gain)]
-            penalty = penalty + h * _form(K, gap, gap, i)
+            penalty = penalty + h * _form(K, gap, gap, 0)
     J_u, penalty = 0.5 * sum(q.parts), 0.5 * penalty
     return [_identity_result("completion_of_squares", J_u[a] - J_fb.per_path - penalty[a],
                              batch, n_se, disc_coeff,

@@ -316,33 +316,9 @@ class PathArray:
         object.__setattr__(self, "values", v)
 
     @property
-    def n_steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
     def n_paths(self) -> int:
         return self.values.shape[1]
 
     @property
     def rows(self) -> int:
         return self.values.shape[2]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[3]
-
-    @staticmethod
-    def from_scalar_field(values: np.ndarray) -> "PathArray":
-        """Wrap a ``(N+1, n_paths)`` scalar field as 1x1 matrices."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 2:
-            raise InvalidArgumentError(f"scalar field must be 2-d, got shape {v.shape}")
-        return PathArray(v[:, :, None, None])
-
-    def scalar_field(self) -> np.ndarray:
-        """View a batch of 1x1 matrices as a ``(N+1, n_paths)`` array."""
-        if self.rows != 1 or self.cols != 1:
-            raise InvalidArgumentError(
-                f"scalar_field() needs 1x1 entries, have {self.rows}x{self.cols}"
-            )
-        return self.values[:, :, 0, 0]

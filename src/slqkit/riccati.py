@@ -7,12 +7,12 @@ The backward equation solved here, written for the scalar case as
 
 is handled by four routes:
 
-* :func:`solve_deterministic` — classic backward Runge-Kutta integration of
-  the matrix ODE (``Lam = 0``) with pointwise solvability checks;
+* :func:`solve_deterministic` — backward Runge-Kutta integration of the matrix ODE (``Lam = 0``);
 * :func:`discrete_recursion_oracle` — the *exact* dynamic-programming
   recursion of the Euler-discretized problem, kept as an independent oracle
   for the ODE solver (both discretize the same continuous problem and must
-  agree at first order in the step);
+  agree at first order in the step).  Each states its one-step map, and one
+  backward sweep, :func:`_sweep`, runs both and judges their solvability;
 * :func:`solve_bsre_regression` — least-squares Monte Carlo backward
   induction for scalar problems, regressing on a Markov state of the
   problem: the model's declared features, or ``W_t`` when its coefficients
@@ -28,7 +28,6 @@ Each returns the pair ``(P, Lam)`` and its coefficient table, from which
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,59 +162,69 @@ def _sym(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
-class _Stages:
-    """The ``(K, L)`` pairs one deterministic solve checks, judged in one batch
-    when :meth:`judging` ends.  If one fails, or the block raised, they are
-    re-checked one at a time in order, so the first failing stage raises the
-    escape, PSD or range error of ``messages`` (or the asymmetry error); the
-    block's own error propagates only if none fails."""
+def _sweep(route: str, model: CoefficientModel, grid: TimeGrid, stages: int,
+           messages: tuple[str, str, str], step: Callable) -> RiccatiSolution:
+    """The deterministic backward sweep of ``route``: ``P_N = sym(G)``, then
+    ``P_i = step(i, P_{i+1}, coeffs_i, record)`` for ``i = N-1 ... 0``, with
+    zero ``Lambda``.  ``record(K, L, t)`` keeps one of at most ``stages``
+    pairs and returns ``K^+``; the pairs are judged in one batch.  If one
+    fails, or a step raised, they are re-checked one at a time in order, so
+    the first failing stage raises the escape, PSD or range error of
+    ``messages`` (or the asymmetry error); a step's own error propagates
+    only if none fails."""
+    if model.kind != "deterministic":
+        raise InvalidArgumentError(f'{route} needs kind="deterministic", got {model.kind!r}')
+    N, n, m = grid.N, model.n, model.m
+    tab = coefficient_table(model, _zero_prefix(grid))
+    Pv = np.empty((N + 1, 1, n, n))
+    Pv[N] = _sym(tab.G)
+    K, Kd = np.empty((2, stages, m, m))
+    L = np.empty((stages, m, n))
+    lam_min, t = np.empty((2, stages))
+    size = 0
+    escape, not_psd, off_range = messages
 
-    def __init__(self, size: int, m: int, n: int, messages: tuple[str, str, str]):
-        self.K, self.Kd = np.empty((2, size, m, m))
-        self.L = np.empty((size, m, n))
-        self.lam_min, self.t = np.empty((2, size))
-        self.size = 0
-        self.escape, self.not_psd, self.off_range = messages
+    def record(K_j: np.ndarray, L_j: np.ndarray, t_j: float) -> np.ndarray:
+        nonlocal size
+        j, size = size, size + 1  # counted before the decomposition, which can raise
+        K[j], L[j], t[j] = K_j, L_j, t_j
+        Kd[j], lam_min[j] = _pseudo_inverse(K_j)
+        return Kd[j]
 
-    def record(self, K: np.ndarray, L: np.ndarray, t: float) -> np.ndarray:
-        j = self.size
-        self.K[j], self.L[j], self.t[j] = K, L, t
-        self.size = j + 1  # before the decomposition, which can raise
-        self.Kd[j], self.lam_min[j] = _pseudo_inverse(K)
-        return self.Kd[j]
+    def replay() -> None:
+        for K_j, L_j, t_j in zip(K[:size], L[:size], t[:size]):
+            if not (np.isfinite(K_j).all() and np.isfinite(L_j).all()):
+                raise FiniteEscapeError(escape.format(t=t_j), time=t_j)
+            _, psd, in_range = solvability(K_j, L_j, SOLVE_TOL)
+            if not (psd and in_range):
+                raise RiccatiSingularError((off_range if psd else not_psd).format(t=t_j), time=t_j)
 
-    @contextmanager
-    def judging(self):
+    # Overflow on escaping instances surfaces as FiniteEscapeError: silence its warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            yield
+            for i in range(N - 1, -1, -1):
+                Pv[i] = step(i, Pv[i + 1][0], tuple(v[0] for v in _node(tab, i)), record)
         except (FiniteEscapeError, np.linalg.LinAlgError):
-            self._replay()
+            replay()
             raise
-        K, L = self.K, self.L  # a completed sweep has recorded every stage
-        if np.isfinite(K).all() and np.isfinite(L).all():
-            with suppress(InvalidArgumentError):  # asymmetry: the replay names the stage
-                if all(v.all() for v in _verdicts(K, self.Kd, self.lam_min, L, SOLVE_TOL)):
-                    return
-        self._replay()
-
-    def _replay(self) -> None:
-        for K, L, t in zip(self.K[:self.size], self.L[:self.size], self.t[:self.size]):
-            if not (np.isfinite(K).all() and np.isfinite(L).all()):
-                raise FiniteEscapeError(self.escape.format(t=t), time=t)
-            _, psd, in_range = solvability(K, L, SOLVE_TOL)
-            if not psd:
-                raise RiccatiSingularError(self.not_psd.format(t=t), time=t)
-            if not in_range:
-                raise RiccatiSingularError(self.off_range.format(t=t), time=t)
+        try:  # a completed sweep has recorded every stage
+            passed = np.isfinite(K).all() and np.isfinite(L).all() and all(
+                v.all() for v in _verdicts(K, Kd, lam_min, L, SOLVE_TOL))
+        except InvalidArgumentError:  # asymmetry: the replay names the stage
+            passed = False
+        if not passed:
+            replay()
+    return RiccatiSolution(grid, PathArray(Pv), PathArray(np.zeros_like(Pv)), tab)
 
 
 def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolution:
     """Integrate the deterministic backward Riccati ODE on ``grid``.
 
-    Fourth-order Runge-Kutta with four internal substeps per grid cell
-    (coefficients held at the cell's left node).  Every stage is judged on
-    the solvability conditions (``K = R + D^T P D`` PSD, the range of ``L``
-    in that of ``K``) in one batched call per solve; the first failing stage raises.
+    Its step is fourth-order Runge-Kutta with four internal substeps per cell
+    (coefficients held at the cell's left node), run from ``G`` by :func:`_sweep`,
+    which judges every stage on the solvability conditions (``K = R + D^T P D``
+    PSD, the range of ``L`` in that of ``K``) in one batched call per solve;
+    the first failing stage raises.
 
     Raises
     ------
@@ -226,48 +235,33 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
     InvalidArgumentError
         If ``model.kind != "deterministic"``.
     """
-    if model.kind != "deterministic":
-        raise InvalidArgumentError(
-            f'solve_deterministic needs kind="deterministic", got {model.kind!r}'
-        )
-    N = grid.N
-    tab = coefficient_table(model, _zero_prefix(grid))
-    n = model.n
-    Pv = np.empty((N + 1, 1, n, n))
-    Pv[N] = _sym(tab.G)
     escape = "Riccati solution blew up near t={t:.6g}"
-    stages = _Stages(16 * N, model.m, n, (
-        escape, "control weight lost positive semidefiniteness at t={t:.6g}",
-        "range condition failed at t={t:.6g}"))
 
-    def rhs(P: np.ndarray, coeffs, t: float) -> np.ndarray:
+    def rhs(P: np.ndarray, coeffs: tuple, t: float, record: Callable) -> np.ndarray:
         if not np.isfinite(P).all():
             raise FiniteEscapeError(escape.format(t=t), time=t)
         A, B, C, D, Q, R = coeffs
         K = R + D.T @ P @ D
         L = B.T @ P + D.T @ (P @ C)
-        Kd = stages.record(K, L, t)
+        Kd = record(K, L, t)
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ (Kd @ L))
 
-    # Overflow inside a stage is expected on escaping instances; it is
-    # detected and re-raised as FiniteEscapeError, so silence the warnings.
-    with np.errstate(over="ignore", invalid="ignore"), stages.judging():
-        for i in range(N - 1, -1, -1):
-            coeffs = tuple(v[0] for v in _node(tab, i))
-            P = Pv[i + 1][0]
-            dt = -grid.h / 4.0
-            t = grid.points[i + 1]
-            for _ in range(4):
-                k1 = rhs(P, coeffs, t)
-                k2 = rhs(_sym(P + 0.5 * dt * k1), coeffs, t + 0.5 * dt)
-                k3 = rhs(_sym(P + 0.5 * dt * k2), coeffs, t + 0.5 * dt)
-                k4 = rhs(_sym(P + dt * k3), coeffs, t + dt)
-                P = _sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                t += dt
-                if not np.isfinite(P).all():
-                    raise FiniteEscapeError(escape.format(t=t), time=t)
-            Pv[i] = P
-    return RiccatiSolution(grid, PathArray(Pv), PathArray(np.zeros_like(Pv)), tab)
+    def step(i: int, P: np.ndarray, coeffs: tuple, record: Callable) -> np.ndarray:
+        dt, t = -grid.h / 4.0, grid.points[i + 1]
+        for _ in range(4):
+            k1 = rhs(P, coeffs, t, record)
+            k2 = rhs(_sym(P + 0.5 * dt * k1), coeffs, t + 0.5 * dt, record)
+            k3 = rhs(_sym(P + 0.5 * dt * k2), coeffs, t + 0.5 * dt, record)
+            k4 = rhs(_sym(P + dt * k3), coeffs, t + dt, record)
+            P = _sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            t += dt
+            if not np.isfinite(P).all():
+                raise FiniteEscapeError(escape.format(t=t), time=t)
+        return P
+
+    return _sweep("solve_deterministic", model, grid, 16 * grid.N, (
+        escape, "control weight lost positive semidefiniteness at t={t:.6g}",
+        "range condition failed at t={t:.6g}"), step)
 
 
 def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolution:
@@ -280,8 +274,9 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
         M   = h (B^T P' Phi + D^T P' C),
         P   = Phi^T P' Phi + h C^T P' C + h Q - M^T H^+ M,
 
-    backward from ``P_N = G``.  Independent of the ODE route; the two agree
-    at ``t = 0`` to first order in ``h``; its steps are judged as the ODE's stages.
+    the step this route states; :func:`_sweep` runs it backward from
+    ``P_N = G``.  Independent of the ODE route; the two agree at ``t = 0``
+    to first order in ``h``; its steps are judged as the ODE's stages.
 
     Raises
     ------
@@ -290,34 +285,24 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
     FiniteEscapeError
         If ``H``, ``M`` or ``P`` blows up before reaching ``t = 0``.
     """
-    if model.kind != "deterministic":
-        raise InvalidArgumentError(
-            f'discrete_recursion_oracle needs kind="deterministic", got {model.kind!r}'
-        )
-    N, h = grid.N, grid.h
-    tab = coefficient_table(model, _zero_prefix(grid))
-    n = model.n
-    Pv = np.empty((N + 1, 1, n, n))
-    Pv[N] = _sym(tab.G)
-    eye = np.eye(n)
+    h, eye = grid.h, np.eye(model.n)
     escape = "discrete recursion blew up at t={t:.6g}"
-    stages = _Stages(N, model.m, n, (escape, "discrete control weight not PSD at t={t:.6g}",
-                                     "discrete range condition failed at t={t:.6g}"))
-    # As in the ODE route: overflow on escaping instances surfaces as
-    # FiniteEscapeError, so the intermediate warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"), stages.judging():
-        for i in range(N - 1, -1, -1):
-            A, B, C, D, Q, R = (v[0] for v in _node(tab, i))
-            Pn = Pv[i + 1][0]
-            Phi = eye + h * A
-            H = h * R + h * h * (B.T @ Pn @ B) + h * (D.T @ Pn @ D)
-            M = h * (B.T @ Pn @ Phi + D.T @ Pn @ C)
-            t = grid.points[i]
-            Hd = stages.record(H, M, t)
-            Pv[i] = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
-            if not np.isfinite(Pv[i]).all():
-                raise FiniteEscapeError(escape.format(t=t), time=t)
-    return RiccatiSolution(grid, PathArray(Pv), PathArray(np.zeros_like(Pv)), tab)
+
+    def step(i: int, Pn: np.ndarray, coeffs: tuple, record: Callable) -> np.ndarray:
+        A, B, C, D, Q, R = coeffs
+        Phi = eye + h * A
+        H = h * R + h * h * (B.T @ Pn @ B) + h * (D.T @ Pn @ D)
+        M = h * (B.T @ Pn @ Phi + D.T @ Pn @ C)
+        t = grid.points[i]
+        Hd = record(H, M, t)
+        P = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
+        if not np.isfinite(P).all():
+            raise FiniteEscapeError(escape.format(t=t), time=t)
+        return P
+
+    return _sweep("discrete_recursion_oracle", model, grid, grid.N, (
+        escape, "discrete control weight not PSD at t={t:.6g}",
+        "discrete range condition failed at t={t:.6g}"), step)
 
 
 def _regression_features(model: CoefficientModel, W: np.ndarray) -> tuple[np.ndarray, ...]:

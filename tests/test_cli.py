@@ -4,6 +4,9 @@ exit codes, reproducibility, and flag handling."""
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -481,6 +484,30 @@ def test_cli_bad_custom_model_import_exits_3(tmp_path, capsys):
                         output_dir=str(out))
     assert main(["--config", cfg]) == 3
     assert "cannot import custom model" in capsys.readouterr().err
+
+
+def test_cli_custom_model_has_no_closed_form_and_exits_3(tmp_path, capsys):
+    out = tmp_path / "custom_closed"
+    cfg = _write_config(tmp_path, scenario="custom-from-file",
+                        custom_model="slqkit.problem:scenario_example1", solver="closed_form",
+                        steps=8, paths=4, output_dir=str(out))
+    assert main(["--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith(
+        "config-error: no closed-form solver for scenario 'custom-from-file'; ")
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed"].startswith("ConfigError:")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "module"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "slqkit", "--scenario", "example1",
+                           "--steps", "8", "--paths", "10", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("riccati.csv", "sweep.csv", "regularity.csv"):
+        assert (out / name).read_text().count("\n") > 1
 
 
 def test_experiment_config_tolerance_rejects_unknown_name():

