@@ -31,7 +31,6 @@ import contextlib
 import dataclasses
 import importlib
 import json
-import math
 import os
 import sys
 import time
@@ -40,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SlqError
+from .errors import ConfigError, InvalidArgumentError, SlqError, _integer, _real
 from .evaluate import (
     DISC_ALLOWANCE,
     N_SE,
@@ -154,13 +153,12 @@ def _expect(cond: bool, fld: str, msg: str) -> None:
         raise ConfigError(f"config field '{fld}': {msg}", field=fld)
 
 
-def _is_finite_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _admit(fld: str, rule, value, name: str | None = None, **bounds):
+    """``rule(value, name or fld, **bounds)``, its refusal re-raised as ``fld``'s ConfigError."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+        return rule(value, name or fld, **bounds)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"config field '{fld}': {exc}", field=fld) from None
 
 
 def _validate_config(raw: dict) -> ExperimentConfig:
@@ -174,22 +172,16 @@ def _validate_config(raw: dict) -> ExperimentConfig:
         setattr(cfg, key, value)
     _expect(cfg.scenario in SCENARIOS, "scenario",
             f"must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    _expect(_is_finite_real(cfg.T) and cfg.T > 0, "T",
-            f"must be a finite positive real, got {cfg.T!r}")
-    cfg.T = float(cfg.T)
-    _expect(isinstance(cfg.steps, int) and not isinstance(cfg.steps, bool)
-            and cfg.steps >= 2, "steps", f"must be an integer >= 2, got {cfg.steps!r}")
-    _expect(isinstance(cfg.paths, int) and not isinstance(cfg.paths, bool)
-            and cfg.paths >= 1, "paths", f"must be a positive integer, got {cfg.paths!r}")
-    _expect(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool),
-            "seed", f"must be an integer, got {cfg.seed!r}")
-    _expect(isinstance(cfg.start_index, int) and not isinstance(cfg.start_index, bool)
-            and 0 <= cfg.start_index < cfg.steps,
-            "start_index", f"must be an integer in [0, steps), got {cfg.start_index!r}")
-    _expect(isinstance(cfg.eta, list) and cfg.eta
-            and all(_is_finite_real(v) for v in cfg.eta),
-            "eta", f"must be a non-empty list of finite reals, got {cfg.eta!r}")
-    cfg.eta = [float(v) for v in cfg.eta]
+    cfg.T = _admit("T", _real, cfg.T, minimum=0.0, strict=True)
+    cfg.steps = _admit("steps", _integer, cfg.steps, minimum=2)
+    cfg.paths = _admit("paths", _integer, cfg.paths, minimum=1)
+    cfg.seed = _admit("seed", _integer, cfg.seed)
+    cfg.start_index = _admit("start_index", _integer, cfg.start_index, minimum=0)
+    _expect(cfg.start_index < cfg.steps, "start_index",
+            f"must be below steps = {cfg.steps}, got {cfg.start_index}")
+    _expect(isinstance(cfg.eta, list) and cfg.eta, "eta",
+            f"must be a non-empty list of finite reals, got {cfg.eta!r}")
+    cfg.eta = [_admit("eta", _real, v, f"eta[{k}]") for k, v in enumerate(cfg.eta)]
     _expect(cfg.solver in SOLVERS, "solver",
             f"must be one of {SOLVERS}, got {cfg.solver!r}")
     if cfg.checks == "all":
@@ -207,17 +199,16 @@ def _validate_config(raw: dict) -> ExperimentConfig:
     for name, value in cfg.tolerances.items():
         _expect(name in TOLERANCE_DEFAULTS, "tolerances",
                 f"unknown tolerance {name!r}; known: {sorted(TOLERANCE_DEFAULTS)}")
-        _expect(_is_finite_real(value) and value >= 0, "tolerances",
-                f"{name} must be a finite real >= 0, got {value!r}")
+        _admit("tolerances", _real, value, name, minimum=0.0)
         _expect(name != "basis_degree" or float(value).is_integer(), "tolerances",
                 f"basis_degree must be an integer, got {value!r}")
     cfg.tolerances = {k: float(v) for k, v in cfg.tolerances.items()}
     _expect(isinstance(cfg.output_dir, str) and cfg.output_dir, "output_dir",
             "must be a non-empty path string")
-    _expect(isinstance(cfg.deterministic, list) and len(cfg.deterministic) == 7
-            and all(_is_finite_real(v) for v in cfg.deterministic),
+    _expect(isinstance(cfg.deterministic, list) and len(cfg.deterministic) == 7,
             "deterministic", "must be a list of 7 finite reals [a,b,c,d,q,r,g]")
-    cfg.deterministic = [float(v) for v in cfg.deterministic]
+    cfg.deterministic = [_admit("deterministic", _real, v, f"deterministic[{k}]")
+                         for k, v in enumerate(cfg.deterministic)]
     if cfg.scenario == "custom-from-file":
         _expect(isinstance(cfg.custom_model, str) and ":" in (cfg.custom_model or ""),
                 "custom_model", "must be 'module:callable' for custom-from-file")

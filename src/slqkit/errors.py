@@ -1,4 +1,5 @@
-"""Shared error taxonomy for the toolkit.
+"""Shared error taxonomy for the toolkit, and the admission rules for scalar
+arguments that every entry point and the CLI's config check read.
 
 Every failure mode raised by the library maps to one of the classes below.
 CLI exit codes: config problems -> 3, solver/check machinery errors -> 4,
@@ -7,6 +8,9 @@ checks that ran but failed -> 2.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class SlqError(Exception):
     """Base class for all toolkit errors."""
@@ -14,6 +18,32 @@ class SlqError(Exception):
 
 class InvalidArgumentError(SlqError, ValueError):
     """A caller-supplied argument violates a documented precondition."""
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int`` by the integer rule: a Python or NumPy integer, never
+    a bool, at least ``minimum`` when given; else :class:`InvalidArgumentError`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        rule = ("an integer" if minimum is None else "a positive integer" if minimum == 1
+                else f"an integer >= {minimum}")
+        raise InvalidArgumentError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, minimum: float | None = None, strict: bool = False) -> float:
+    """``value`` as a ``float`` by the finite-real rule: a Python or NumPy real, never a
+    bool or a string, finite (an ``int`` too large for a float is refused), ``> minimum``
+    if ``strict`` else ``>= minimum`` when given; else :class:`InvalidArgumentError`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.inf
+    if not math.isfinite(x) or minimum is not None and (x <= minimum if strict else x < minimum):
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum:g}"
+        raise InvalidArgumentError(f"{name} must be a finite real{bound}, got {value!r}")
+    return x
 
 
 class FiniteEscapeError(SlqError):

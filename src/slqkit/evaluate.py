@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FiniteEscapeError, InvalidArgumentError
+from .errors import FiniteEscapeError, InvalidArgumentError, _integer, _real
 from .feedback import FeedbackLaw
 from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major_increments,
                    _require_grid, _shared, make_grid)
@@ -423,8 +423,10 @@ def value_identity_check(
     The residual is the absolute mean of the per-path difference between the
     realized cost and the quadratic form in the initial state; the tolerance
     is ``n_se`` standard errors of that difference plus the frozen
-    ``disc_coeff * sqrt(h)`` discretization allowance.
+    ``disc_coeff * sqrt(h)`` discretization allowance.  ``n_se`` and
+    ``disc_coeff`` must be finite reals ``>= 0``, as in every Monte Carlo check.
     """
+    n_se, disc_coeff = _real(n_se, "n_se", 0.0), _real(disc_coeff, "disc_coeff", 0.0)
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, sol.P.values)
     J = _closed_loop(model, law, init, batch)
@@ -481,6 +483,7 @@ def completion_of_squares_check(
     reproduces the closed-loop states bit for bit and the penalty vanishes
     identically.
     """
+    n_se, disc_coeff = _real(n_se, "n_se", 0.0), _real(disc_coeff, "disc_coeff", 0.0)
     _require_grid("solution grid", sol.grid, batch)
     _require_paths(batch.n_paths, law.theta.values, sol.P.values)
     return _completion_of_squares(sol, law, model, [(False, 1.0, u.values)], init,
@@ -526,8 +529,7 @@ def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list
     are ``(N+1, n_paths, m, 1)``.  ``grid`` must be the batch's grid.
     """
     _require_grid("grid", grid, batch)
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidArgumentError(f"m must be a positive integer, got {m!r}")
+    m = _integer(m, "m", 1)
     # Every field is computed at its final width from broadcast views, so no
     # path field is held twice.
     t = np.broadcast_to(grid.points[:, None, None, None], (grid.N + 1, 1, m, 1))
@@ -643,7 +645,8 @@ def optimality_sweep(
     :func:`_arm_pass` that adds their forms as it steps, so no arm's history
     is stored; ``J_fb`` is the memoized :func:`_closed_loop`, read first.
     The superposition needs symmetric weights.  An empty ``perturbations``,
-    a zero or non-finite epsilon, fewer than two distinct ``|eps|``, or a
+    an epsilon that is zero or not a finite real, fewer than two distinct
+    ``|eps|``, a negative or non-finite ``n_se`` or ``disc_coeff``, or a
     model whose coefficient table refuses its data (a non-finite coefficient,
     or a ``Q``, ``R`` or ``G`` that breaks the table's symmetry rule, see
     :class:`slqkit.problem.CoefficientTable`) raises
@@ -651,13 +654,15 @@ def optimality_sweep(
     ``sol`` is not read (``law`` carries the gain); it stays in the
     signature, which the acceptance criteria call.
     """
+    n_se, disc_coeff = _real(n_se, "n_se", 0.0), _real(disc_coeff, "disc_coeff", 0.0)
+    epsilons = tuple(_real(eps, f"epsilons[{k}]") for k, eps in enumerate(epsilons))
     grid = batch.grid
     if perturbations is None:
         perturbations = make_perturbations(grid, batch, model.m)
     if len(perturbations) == 0:
         raise InvalidArgumentError("perturbations must be non-empty")
-    if not all(math.isfinite(eps) and eps != 0.0 for eps in epsilons):
-        raise InvalidArgumentError(f"epsilons must be finite and non-zero, got {epsilons!r}")
+    if 0.0 in epsilons:
+        raise InvalidArgumentError(f"epsilons must be non-zero, got {epsilons!r}")
     mags = sorted({abs(eps) for eps in epsilons})
     if len(mags) < 2:
         raise InvalidArgumentError(
@@ -815,24 +820,17 @@ def counterexample_divergence_probe(
     _PATH_BLOCK_ENTRIES`` whatever ``P`` or ``chunk_size``.  Blocks are joined
     in path order: the worker count and block sizes change no bit of the rows.
     """
-    steps_seq, paths_seq = list(steps_seq), list(paths_seq)
-    for name, seq in (("steps_seq", steps_seq), ("paths_seq", paths_seq)):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in seq):
-            raise InvalidArgumentError(f"{name} must hold integers, got {seq!r}")
-    steps_seq, paths_seq = [int(v) for v in steps_seq], [int(v) for v in paths_seq]
+    steps_seq = [_integer(v, f"steps_seq[{k}]") for k, v in enumerate(steps_seq)]
+    paths_seq = [_integer(v, f"paths_seq[{k}]", 1) for k, v in enumerate(paths_seq)]
     if len(steps_seq) != len(paths_seq):
         raise InvalidArgumentError("steps_seq and paths_seq must have equal length")
     if not steps_seq:
         raise InvalidArgumentError("probe needs at least one configuration")
     if any(b <= a for a, b in zip(steps_seq, steps_seq[1:])):
         raise InvalidArgumentError("steps_seq must be strictly increasing")
-    if paths_seq[0] < 1 or any(b <= a for a, b in zip(paths_seq, paths_seq[1:])):
-        raise InvalidArgumentError("paths_seq must be positive and strictly increasing")
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer)) \
-            or chunk_size < 1:
-        raise InvalidArgumentError(f"chunk_size must be a positive integer, got {chunk_size!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
+    if any(b <= a for a, b in zip(paths_seq, paths_seq[1:])):
+        raise InvalidArgumentError("paths_seq must be strictly increasing")
+    chunk_size, seed = _integer(chunk_size, "chunk_size", 1), _integer(seed, "seed")
     grids = [make_grid(T, N) for N in steps_seq]
     workers = min(_PROBE_WORKERS, chunk_size)
     blocks = [_path_blocks(P, N, -(-min(chunk_size, P) // workers))
@@ -880,6 +878,6 @@ def counterexample_divergence_probe(
     )
     bounds_ok = all(r.ito_violations == 0 and r.y_violations == 0 for r in rows)
     return ProbeResult(
-        rows=rows, seed=int(seed), growth_ratio=float(growth_ratio),
+        rows=rows, seed=seed, growth_ratio=float(growth_ratio),
         growth_monotone=growth_monotone, bounds_ok=bounds_ok,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SynthesisInfeasibleError
+from .errors import InvalidArgumentError, SynthesisInfeasibleError, _real
 from .grid import PathArray, TimeGrid, _time_blocks
 from .pinv import solvability
 from .problem import CoefficientModel, _table_for
@@ -156,7 +156,7 @@ def regularity_diagnostics(
         Threshold for the ``qualified`` verdict.  Default:
         ``10 * median(pathwise_sqnorm)`` of this run — callers comparing runs
         across grids should calibrate it once on the coarsest run and pass it
-        explicitly.
+        explicitly; else a finite real ``>= 0``.
 
     The report is also attached to ``law.diagnostics``.
     """
@@ -168,15 +168,15 @@ def regularity_diagnostics(
     for rows in [slice(None)] if th.shape[1] == 1 else _time_blocks(th[:-1]):
         sq = np.concatenate((sq, np.sum(th[:-1][rows] ** 2, axis=(2, 3)))).sum(0, keepdims=True)
     sq = grid.h * sq[0]
-    if bound_threshold is None:
-        bound_threshold = 10.0 * float(np.median(sq))
+    bound_threshold = (10.0 * float(np.median(sq)) if bound_threshold is None
+                       else _real(bound_threshold, "bound_threshold", 0.0))
     qs = np.quantile(sq, [0.5, 0.9, 0.99])
     report = RegularityReport(
         pathwise_sqnorm=sq,
         max=float(sq.max()),
         mean=float(sq.mean()),
         quantiles={0.5: float(qs[0]), 0.9: float(qs[1]), 0.99: float(qs[2])},
-        bound_threshold=float(bound_threshold),
+        bound_threshold=bound_threshold,
         qualified=bool(sq.max() <= bound_threshold),
     )
     law.diagnostics = report

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integer, _real
 
 __all__ = [
     "TimeGrid",
@@ -81,14 +81,7 @@ def make_grid(T: float, N: int) -> TimeGrid:
         If ``T`` is not a positive finite real or ``N < 2`` or ``N`` is not
         integral.
     """
-    T = float(T)
-    if not math.isfinite(T) or T <= 0.0:
-        raise InvalidArgumentError(f"horizon T must be finite and > 0, got {T!r}")
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise InvalidArgumentError(f"step count N must be an integer, got {N!r}")
-    if N < 2:
-        raise InvalidArgumentError(f"step count N must be >= 2, got {N}")
-    N = int(N)
+    T, N = _real(T, "horizon T", 0.0, strict=True), _integer(N, "step count N", 2)
     h = T / N
     points = h * np.arange(N + 1, dtype=np.float64)
     points[N] = T  # pin the endpoint exactly
@@ -140,21 +133,19 @@ class BrownianBatch:
         cumulative sums are kept, so the batch's increments are read back as
         the exact differences of ``W``.
         """
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
+        seed = _integer(seed, "seed")
         inc = np.asarray(increments, dtype=np.float64)
         if inc.ndim != 2 or inc.shape[0] != grid.N:
             raise InvalidArgumentError(
                 f"increments must have shape ({grid.N}, n_paths), got {inc.shape}"
             )
-        if inc.shape[1] < 1:
-            raise InvalidArgumentError(f"n_paths must be a positive integer, got {inc.shape[1]}")
+        _integer(inc.shape[1], "n_paths", 1)
         if not np.isfinite(inc).all():
             raise InvalidArgumentError("increments contain non-finite entries")
         W = np.zeros((grid.N + 1, inc.shape[1]), dtype=np.float64)
         np.cumsum(inc, axis=0, out=W[1:])
         W.setflags(write=False)
-        return BrownianBatch(grid=grid, seed=int(seed), W=W)
+        return BrownianBatch(grid=grid, seed=seed, W=W)
 
 
 # The arrays' ids -> (one finalizer per array, {key: (pin, value)}).
@@ -280,19 +271,12 @@ def sample_brownian(
         On a non-positive ``n_paths``, a bool or non-integer ``seed``, or a
         negative or non-integer ``path_offset``.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise InvalidArgumentError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
-    if (isinstance(path_offset, bool) or not isinstance(path_offset, (int, np.integer))
-            or path_offset < 0):
-        raise InvalidArgumentError(f"path_offset must be an integer >= 0, got {path_offset!r}")
-    n_paths = int(n_paths)
-    rows = _scaled_normals(grid, n_paths, seed, path_offset)
+    n_paths, seed = _integer(n_paths, "n_paths", 1), _integer(seed, "seed")
+    rows = _scaled_normals(grid, n_paths, seed, _integer(path_offset, "path_offset", 0))
     W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
     np.cumsum(rows.T, axis=0, out=W[1:])
     W.setflags(write=False)
-    return BrownianBatch(grid=grid, seed=int(seed), W=W)
+    return BrownianBatch(grid=grid, seed=seed, W=W)
 
 
 @dataclass(frozen=True)

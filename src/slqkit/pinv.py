@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SlqError
+from .errors import InvalidArgumentError, SlqError, _real
 
 __all__ = ["PinvResult", "pinv", "pinv_limit", "solvability", "range_inclusion", "psd_check"]
 
@@ -84,10 +84,7 @@ def pinv(M, tol: float | None = None) -> PinvResult:
     PinvResult
     """
     A = _as_matrix(M, "M")
-    if tol is not None:
-        tol = float(tol)
-        if not np.isfinite(tol) or tol < 0:
-            raise InvalidArgumentError(f"tol must be a finite non-negative real, got {tol!r}")
+    tol = None if tol is None else _real(tol, "tol", 0.0)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s.size else 0.0
     tol_used = tol if tol is not None else max(A.shape) * np.finfo(np.float64).eps * smax
@@ -107,9 +104,7 @@ def pinv_limit(M, delta: float) -> np.ndarray:
     to factorize numerically.
     """
     A = _as_matrix(M, "M")
-    delta = float(delta)
-    if not np.isfinite(delta) or delta <= 0:
-        raise InvalidArgumentError(f"delta must be a finite positive real, got {delta!r}")
+    delta = _real(delta, "delta", 0.0, strict=True)
     n = A.shape[1]
     G = A.T @ A + delta * np.eye(n)
     try:
@@ -132,9 +127,7 @@ def solvability(K, L, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.nda
     Raises :class:`InvalidArgumentError` on a ``tol`` that is not finite and
     non-negative, on empty or non-finite input, and on mismatched shapes.
     """
-    tol = float(tol)
-    if not np.isfinite(tol) or tol < 0:
-        raise InvalidArgumentError(f"tol must be a finite non-negative real, got {tol!r}")
+    tol = _real(tol, "tol", 0.0)
     K = _as_stack(K, "K")
     L = _as_stack(L, "L")
     m = K.shape[-1]

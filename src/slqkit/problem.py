@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integer, _real
 from .grid import (BrownianBatch, TimeGrid, _path_blocks, _require_grid, _shared, _time_blocks,
                    make_grid)
 
@@ -93,7 +93,7 @@ class CoefficientModel:
     Attributes
     ----------
     n, m : int
-        State and control dimensions.
+        State and control dimensions, each a positive integer (not a bool).
     A, C, Q : callable
         ``(i, W_prefix) -> (n, n)`` (or ``(n_paths, n, n)``) evaluators.
     B, D : callable
@@ -132,8 +132,8 @@ class CoefficientModel:
                "G": ("n", "n")}
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise InvalidArgumentError(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
+        _integer(self.n, "n", 1)
+        _integer(self.m, "m", 1)
         if self.kind not in ("deterministic", "markov_in_W", "path_dependent"):
             raise InvalidArgumentError(f"unknown model kind {self.kind!r}")
 
@@ -310,9 +310,7 @@ class InitialCondition:
             raise InvalidArgumentError(f"eta must be a vector or (n_paths, n) array, got shape {eta.shape}")
         if not np.isfinite(eta).all():
             raise InvalidArgumentError("eta contains non-finite entries")
-        s = self.start_index
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
-            raise InvalidArgumentError(f"start_index must be an integer >= 0, got {s!r}")
+        _integer(self.start_index, "start_index", 0)
         object.__setattr__(self, "eta", eta)
 
     def eta_column(self, n: int, n_paths: int) -> np.ndarray:
@@ -379,8 +377,7 @@ def scenario_example1(T: float) -> CoefficientModel:
     sin W over [0, t])`` are a Markov state of the problem (``P`` is a
     function of them).
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidArgumentError(f"T must be finite and > 0, got {T!r}")
+    T = _real(T, "T", 0.0, strict=True)
     R = 1.0 / (2.0 * (3.0 + T))
 
     def G(W: np.ndarray) -> np.ndarray:
@@ -491,8 +488,7 @@ def scenario_counterexample(T: float) -> CoefficientModel:
     L2 norm grows without bound as the grid refines — the divergence probe in
     :mod:`slqkit.evaluate` quantifies this.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidArgumentError(f"T must be finite and > 0, got {T!r}")
+    T = _real(T, "T", 0.0, strict=True)
 
     def G(W: np.ndarray) -> np.ndarray:
         grid, P = make_grid(T, W.shape[0] - 1), W.shape[1]
@@ -510,12 +506,10 @@ def scenario_counterexample(T: float) -> CoefficientModel:
 def scenario_deterministic(a: float, b: float, c: float, d: float,
                            q: float, r: float, g: float, T: float) -> CoefficientModel:
     """Constant-coefficient scalar model (used by the ODE solvers/oracles)."""
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidArgumentError(f"T must be finite and > 0, got {T!r}")
-    for name, v in (("a", a), ("b", b), ("c", c), ("d", d), ("q", q), ("r", r), ("g", g)):
-        if not math.isfinite(float(v)):
-            raise InvalidArgumentError(f"coefficient {name} must be finite, got {v!r}")
-    gmat = np.array([[float(g)]])
+    _real(T, "T", 0.0, strict=True)
+    a, b, c, d, q, r, g = (_real(v, f"coefficient {k}")
+                           for k, v in zip("abcdqrg", (a, b, c, d, q, r, g)))
+    gmat = np.array([[g]])
     return CoefficientModel(
         n=1, m=1,
         A=_const(a), B=_const(b), C=_const(c), D=_const(d),

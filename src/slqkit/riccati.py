@@ -38,6 +38,7 @@ from .errors import (
     InvalidArgumentError,
     RegressionSingularError,
     RiccatiSingularError,
+    _integer,
 )
 from .grid import BrownianBatch, PathArray, TimeGrid, _require_grid
 from .pinv import _pseudo_inverse, _verdicts, solvability
@@ -123,10 +124,7 @@ class RegressionBasis:
     degree: int = 3
 
     def __post_init__(self):
-        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
-            raise InvalidArgumentError(f"basis degree must be an integer, got {self.degree!r}")
-        if self.degree < 0:
-            raise InvalidArgumentError(f"basis degree must be >= 0, got {self.degree}")
+        _integer(self.degree, "basis degree", 0)
 
 
 def _gains(sol: RiccatiSolution, rows: slice = slice(None), paths: slice = slice(None)) -> tuple:

@@ -421,6 +421,27 @@ def test_cli_custom_model_scenario(tmp_path, monkeypatch):
     assert main(["--scenario", "custom-from-file", "--out", str(out)]) == 3
 
 
+def test_cli_custom_model_of_a_bool_dimension_exits_4(tmp_path, monkeypatch, capsys):
+    # n = True used to pass the model and end the run in a bare TypeError
+    # (exit 1) when the first table was allocated.
+    (tmp_path / "bool_dim.py").write_text(
+        "import dataclasses\n"
+        "from slqkit.problem import scenario_deterministic\n\n"
+        "def make_model(T):\n"
+        "    return dataclasses.replace(scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=T), n=True)\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    out = tmp_path / "bool_dim"
+    cfg = _write_config(tmp_path, scenario="custom-from-file", custom_model="bool_dim:make_model",
+                        solver="deterministic_ode", steps=16, paths=8, output_dir=str(out))
+    assert main(["--config", cfg]) == 4
+    assert "runtime-error: InvalidArgumentError: n must be a positive integer, got True" \
+        in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed"] == "InvalidArgumentError: n must be a positive integer, got True"
+    assert report["manifest"] == ["report.json"] and report["timings"] == {}
+
+
 def test_cli_asymmetric_custom_weight_exits_4_at_the_solve(tmp_path, monkeypatch, capsys):
     (tmp_path / "skew_q.py").write_text(
         "import numpy as np\n"

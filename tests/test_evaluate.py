@@ -578,6 +578,27 @@ def test_checks_refuse_a_solution_of_another_grid_before_simulating(monkeypatch)
     assert calls == [1]
 
 
+@pytest.mark.parametrize("n_se,disc_coeff,name", [
+    (math.inf, 0.5, "n_se"), (math.nan, 0.5, "n_se"), (-1.0, 0.5, "n_se"),
+    (3.0, math.inf, "disc_coeff"), (3.0, -0.5, "disc_coeff"),
+])
+def test_checks_refuse_a_non_finite_or_negative_pass_line_before_simulating(
+        monkeypatch, n_se, disc_coeff, name):
+    # An infinite n_se made every tolerance infinite, so any gain passed.
+    grid, batch, model, sol, law = _example1_setup(N=32, n_paths=200)
+    u = _zero_control(grid, 200)
+    calls = []
+    monkeypatch.setattr(evaluate, "_arm_pass", lambda *args, **kwargs: calls.append(1))
+    for run in (
+            lambda: value_identity_check(sol, law, model, INIT, batch, n_se, disc_coeff),
+            lambda: completion_of_squares_check(sol, law, model, u, INIT, batch, n_se, disc_coeff),
+            lambda: optimality_sweep(sol, law, model, INIT, batch, n_se=n_se,
+                                     disc_coeff=disc_coeff)):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a finite real >= 0"):
+            run()
+    assert calls == []
+
+
 def test_a_deterministic_model_whose_weight_moves_with_the_path_is_refused():
     # Q = 1 + W_i^2 declared "deterministic": solved on the zero path it
     # looks constant, but costing or checking it on a batch refuses it.
@@ -802,6 +823,7 @@ def test_sweep_example1_feedback_is_a_minimum():
     ({"epsilons": (0.1, float("inf"))}, "epsilons"),
     ({"epsilons": (1.0,)}, "epsilons"),
     ({"epsilons": (0.5, -0.5)}, "epsilons"),
+    ({"epsilons": (True, 0.1)}, "epsilons"),
 ])
 def test_sweep_rejects_degenerate_inputs(kwargs, name):
     # Each of these used to pass vacuously (no arm, or odd_fd = nan).

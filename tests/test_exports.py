@@ -1,8 +1,10 @@
 """Every exported name resolves, so ``from slqkit import *`` and its
 per-module forms never break on a stale entry of an ``__all__`` list."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,20 @@ def test_every_name_in_all_resolves(module_name):
     namespace = {}
     exec(f"from {module_name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_only_errors_tests_for_a_bool():
+    # The integer and finite-real rules live in slqkit.errors; a module that
+    # tests isinstance(..., bool) itself restates one of them.
+    offenders = []
+    for path in sorted(Path(slqkit.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

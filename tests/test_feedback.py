@@ -309,7 +309,7 @@ def test_synthesize_guards():
     Kv = np.broadcast_to(np.eye(2), (5, 3, 2, 2)).copy()
     matrix = _matrix_problem(make_grid(1.0, 4), Kv, np.ones((5, 3, 2, 2)))
     for sol, model in ((cex, scenario_counterexample(1.0)), matrix):
-        for tol in (np.nan, np.inf, -1.0):
+        for tol in (np.nan, np.inf, -1.0, True):
             with pytest.raises(InvalidArgumentError, match="tol"):
                 synthesize(sol, model, tol=tol)
     Kv[2, 1] = [[1.0, 1.0], [0.0, 1.0]]
@@ -391,6 +391,16 @@ def test_regularity_explicit_threshold_can_fail():
     tight = regularity_diagnostics(law, grid, bound_threshold=0.5 * report.max)
     assert not tight.qualified
     assert isinstance(tight, RegularityReport)
+
+
+def test_regularity_refuses_a_non_finite_or_negative_threshold():
+    # An infinite threshold marked any gain qualified.
+    grid, batch, sol, model = _example1_setup(N=8, n_paths=4)
+    law = synthesize(sol, model)
+    for bad in (np.inf, np.nan, -1.0, True):
+        with pytest.raises(InvalidArgumentError, match="^bound_threshold must be a finite real"):
+            regularity_diagnostics(law, grid, bound_threshold=bad)
+    assert not regularity_diagnostics(law, grid, bound_threshold=0).qualified
 
 
 def test_regularity_step_count_guard():

@@ -47,6 +47,10 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(1.0, 2.5)
     with pytest.raises(InvalidArgumentError):
         make_grid(1.0, True)
+    # A bool or a string horizon is refused, not read as T = 1.0 or T = 2.0.
+    for T in (True, "2"):
+        with pytest.raises(InvalidArgumentError, match="horizon T"):
+            make_grid(T, 4)
 
 
 def test_sample_brownian_shapes_and_start():

@@ -87,6 +87,9 @@ def test_pinv_guards():
         pinv(np.zeros((0, 2)))
     with pytest.raises(InvalidArgumentError):
         pinv(np.eye(2), tol=-1.0)
+    # A bool cutoff is refused, not read as tol = 1.0.
+    with pytest.raises(InvalidArgumentError, match="tol"):
+        pinv(np.eye(2), tol=True)
 
 
 def test_pinv_limit_converges_monotonically():
@@ -114,6 +117,8 @@ def test_pinv_limit_guards():
         pinv_limit(np.eye(2), -1e-3)
     with pytest.raises(InvalidArgumentError):
         pinv_limit(np.eye(2), np.inf)
+    with pytest.raises(InvalidArgumentError, match="delta"):
+        pinv_limit(np.eye(2), True)
 
 
 def test_range_inclusion_basic_cases():

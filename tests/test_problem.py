@@ -44,6 +44,13 @@ def test_model_guards():
     with pytest.raises(InvalidArgumentError):
         CoefficientModel(n=1, m=1, A=model.A, B=model.B, C=model.C, D=model.D,
                          Q=model.Q, R=model.R, G=model.G, kind="mystery")
+    # A bool or non-integer dimension is refused here, not by a bare
+    # TypeError when the first table is allocated.
+    for dims, name in (({"n": True}, "n"), ({"m": True}, "m"), ({"n": 1.0}, "n"),
+                       ({"m": "1"}, "m")):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a positive integer"):
+            dataclasses.replace(model, **dims)
+    assert dataclasses.replace(model, n=np.int64(1)).n == 1
 
 
 def test_coeff_normalizes_shapes():
@@ -312,8 +319,9 @@ def test_example1_coefficients():
     np.testing.assert_array_equal(model.coeff("D", 0, W, 2), 1.0)
     # R = 1/(2(3+T)) for general T.
     assert scenario_example1(2.0).coeff("R", 0, W, 2)[0, 0, 0] == pytest.approx(0.1)
-    with pytest.raises(InvalidArgumentError):
-        scenario_example1(0.0)
+    for T in (0.0, True, "1"):
+        with pytest.raises(InvalidArgumentError, match="^T must be a finite real > 0"):
+            scenario_example1(T)
 
 
 def test_example1_features_are_sin_and_its_integral():
