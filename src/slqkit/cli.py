@@ -221,7 +221,7 @@ def _read_config(path: str) -> dict:
         raise FileNotFoundError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, malformed, or an integer beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}", field="json") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object", field="json")

@@ -27,7 +27,7 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
             or minimum is not None and value < minimum):
         rule = ("an integer" if minimum is None else "a positive integer" if minimum == 1
                 else f"an integer >= {minimum}")
-        raise InvalidArgumentError(f"{name} must be {rule}, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be {rule}, got {_shown(value)}")
     return int(value)
 
 
@@ -42,8 +42,17 @@ def _real(value, name: str, minimum: float | None = None, strict: bool = False) 
         x = math.inf
     if not math.isfinite(x) or minimum is not None and (x <= minimum if strict else x < minimum):
         bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum:g}"
-        raise InvalidArgumentError(f"{name} must be a finite real{bound}, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be a finite real{bound}, got {_shown(value)}")
     return x
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or an ``int`` too long for Python to print by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits(); Decimal is not bound by it
+        import decimal  # here, not at module level, to keep it off the package's import
+        return f"an integer of {decimal.Decimal(value).adjusted() + 1} digits"
 
 
 class FiniteEscapeError(SlqError):

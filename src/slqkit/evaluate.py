@@ -48,7 +48,7 @@ import numpy as np
 from .errors import FiniteEscapeError, InvalidArgumentError, _integer, _real
 from .feedback import FeedbackLaw
 from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major_increments,
-                   _require_grid, _shared, make_grid)
+                   _require_grid, _require_process, _shared, make_grid)
 from .problem import (
     CoefficientModel,
     InitialCondition,
@@ -125,14 +125,6 @@ class CheckResult:
     tolerance: float
     passed: bool
     details: dict
-
-
-def _require_paths(n_paths: int, *arrays: np.ndarray) -> None:
-    """Each ``(N+1, k, r, c)`` array must have ``k`` 1 or ``n_paths``."""
-    for arr in arrays:
-        if arr.shape[1] not in (1, n_paths):
-            raise InvalidArgumentError(
-                f"path dimension mismatch: have {arr.shape[1]}, batch has {n_paths}")
 
 
 def _entries(a: np.ndarray) -> list:
@@ -221,17 +213,6 @@ def simulate_open_loop(
     return PathArray(x)
 
 
-def _require_process(what: str, entries: tuple, batch: BrownianBatch, v: np.ndarray) -> None:
-    """A gain or a control is ``(N+1, k, r, c)`` on ``batch`` with ``(r, c)``
-    its ``entries``, ``k`` 1 or the batch's path count."""
-    if v.shape[0] != batch.grid.N + 1:
-        raise InvalidArgumentError(f"{what} and batch have inconsistent step counts")
-    if v.shape[2:] != entries:
-        raise InvalidArgumentError(
-            f"{what} entries must be {entries} for the model, got {v.shape[2:]}")
-    _require_paths(batch.n_paths, v)
-
-
 def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
               theta: np.ndarray | None = None):
     """Step a stack of ``A`` arms on ``batch`` from index ``s``, yielding
@@ -257,10 +238,10 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
     N, h, P = batch.grid.N, batch.grid.h, batch.n_paths
     n, m = tab.model.n, tab.model.m
     if theta is not None:
-        _require_process("gain", (m, n), batch, theta)
+        _require_process("gain", theta, N, P, (m, n))
     for _, _, v in arms:
         if v is not None:
-            _require_process("control", (m, 1), batch, v)
+            _require_process("control", v, N, P, (m, 1))
     if s >= N:
         raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
     coeffs = [_entries(c) for c in (tab.A, tab.B, tab.C, tab.D)]
@@ -351,7 +332,8 @@ def cost(
 
     ``batch`` supplies the Brownian paths to the coefficient table; only a
     ``"deterministic"`` model may omit it, and is then tabulated on a
-    one-path zero prefix.
+    one-path zero prefix.  The state and the control each have 1 path or the
+    batch's count (the state's without a batch): a control row broadcasts.
 
     Raises
     ------
@@ -360,18 +342,14 @@ def cost(
         kind is not ``"deterministic"``.
     """
     xv, uv = x.values, u.values
-    N = grid.N
-    if xv.shape[0] != N + 1 or uv.shape[0] != N + 1:
-        raise InvalidArgumentError("state/control arrays do not span the grid")
-    if xv.shape[1] != uv.shape[1]:
-        raise InvalidArgumentError("state and control have different path counts")
-    P = xv.shape[1]
+    P = xv.shape[1] if batch is None else batch.n_paths
     if batch is not None:
         _require_grid("grid", grid, batch)
-        if batch.n_paths != P:
-            raise InvalidArgumentError(f"state arrays have {P} paths, the batch {batch.n_paths}")
+    _require_process("state", xv, grid.N, P, (model.n, 1))
+    _require_process("control", uv, grid.N, P, (model.m, 1))
     tab = _table_for("cost", model, grid, None if batch is None else batch.W)
-    return _estimate(*_bilinear(tab, init.start_index, grid.h, xv, uv, xv, uv))
+    parts = _bilinear(tab, init.start_index, grid.h, xv, uv, xv, uv)
+    return _estimate(*(np.broadcast_to(part, (P,)) for part in parts))
 
 
 def _estimate(run_state: np.ndarray, run_ctrl: np.ndarray, term: np.ndarray) -> CostEstimate:
@@ -428,7 +406,7 @@ def value_identity_check(
     """
     n_se, disc_coeff = _real(n_se, "n_se", 0.0), _real(disc_coeff, "disc_coeff", 0.0)
     _require_grid("solution grid", sol.grid, batch)
-    _require_paths(batch.n_paths, sol.P.values)
+    _require_process("solution", sol.P.values, batch.grid.N, batch.n_paths, (model.n, model.n))
     J = _closed_loop(model, law, init, batch)
     eta = _start(init, model.n, batch.n_paths)[:, 0]
     quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
@@ -485,7 +463,7 @@ def completion_of_squares_check(
     """
     n_se, disc_coeff = _real(n_se, "n_se", 0.0), _real(disc_coeff, "disc_coeff", 0.0)
     _require_grid("solution grid", sol.grid, batch)
-    _require_paths(batch.n_paths, law.theta.values, sol.P.values)
+    _require_process("solution", sol.P.values, batch.grid.N, batch.n_paths, (model.n, model.n))
     return _completion_of_squares(sol, law, model, [(False, 1.0, u.values)], init,
                                   batch, n_se, disc_coeff)[0]
 

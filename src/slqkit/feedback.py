@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SynthesisInfeasibleError, _real
-from .grid import PathArray, TimeGrid, _time_blocks
+from .grid import PathArray, TimeGrid, _require_grid, _require_process, _time_blocks
 from .pinv import solvability
 from .problem import CoefficientModel, _table_for
 from .riccati import RiccatiSolution, _gains
@@ -158,11 +158,13 @@ def regularity_diagnostics(
         across grids should calibrate it once on the coarsest run and pass it
         explicitly; else a finite real ``>= 0``.
 
-    The report is also attached to ``law.diagnostics``.
+    The gain must span ``grid``, and so must the law's solution, in ``N`` and
+    ``T``.  The report is also attached to ``law.diagnostics``.
     """
     th = law.theta.values
-    if th.shape[0] != grid.N + 1:
-        raise InvalidArgumentError("law and grid have inconsistent step counts")
+    if law.source is not None:
+        _require_grid("grid", grid, law.source, "the law's solution")
+    _require_process("gain", th, grid.N, th.shape[1], th.shape[2:])
     # NumPy sums the rows of one path pairwise, and of several in time order.
     sq = np.empty((0, th.shape[1]))
     for rows in [slice(None)] if th.shape[1] == 1 else _time_blocks(th[:-1]):
@@ -210,12 +212,19 @@ def stationarity_residual(
     derived one block of time rows at a time.  A model adds the identity's
     adjoint-process form, read on the batch's ``W``; only a ``"deterministic"``
     model may omit ``W``, and is then tabulated on a one-path zero prefix.
+    The gain, the solution and ``W`` span its grid, on paths that broadcast.
     """
-    if W is not None and (np.ndim(W) != 2 or np.shape(W)[0] != sol.grid.N + 1):
-        raise InvalidArgumentError(f"W must be 2-D with {sol.grid.N + 1} rows, got {np.shape(W)}")
-    th = law.theta.values
+    N, m, n = sol.grid.N, sol.table.model.m, sol.table.model.n
+    if W is not None and (np.ndim(W) != 2 or np.shape(W)[0] != N + 1):
+        raise InvalidArgumentError(f"W must be 2-D with {N + 1} rows, got {np.shape(W)}")
+    th, Pv = law.theta.values, sol.P.values
+    processes = [("gain", th, (m, n)), ("solution", Pv, (n, n))] + (
+        [] if W is None else [("W", np.asarray(W)[:, :, None, None], (1, 1))])
+    widest = max(v.shape[1] for _, v, _ in processes)
+    for what, v, entries in processes:
+        _require_process(what, v, N, widest, entries)
     block_max = []
-    for rows in _time_blocks(th, sol.P.values):
+    for rows in _time_blocks(th, Pv):
         K, L = _gains(sol, rows)
         resid = L + np.einsum("tpij,tpjk->tpik", K, th[rows])
         block_max.append(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max())
@@ -223,10 +232,9 @@ def stationarity_residual(
     pi_resid = None
     if model is not None:
         worst = 0.0
-        Pv = sol.P.values
         Lam = sol.Lambda.values
         tab = _table_for("stationarity_residual", model, sol.grid, W)
-        for i in range(sol.grid.N + 1):
+        for i in range(N + 1):
             B, C, D, R = (getattr(tab, name)[i] for name in ("B", "C", "D", "R"))
             Pi = Lam[i] + Pv[i] @ (C + D @ th[i])
             r = (np.einsum("...nm,...nk->...mk", B, Pv[i])

@@ -176,11 +176,23 @@ def _drop(ids: tuple) -> None:
         f.detach()
 
 
-def _require_grid(what: str, grid: TimeGrid, batch: BrownianBatch) -> None:
-    """``grid`` must have the batch's step count and horizon."""
+def _require_grid(what: str, grid: TimeGrid, batch, of: str = "the batch") -> None:
+    """``grid`` must have the step count and horizon of ``batch.grid``, ``of``'s grid."""
     if grid.N != batch.grid.N or grid.T != batch.grid.T:
-        raise InvalidArgumentError(f"{what} has {grid.N} steps to T = {grid.T}, the batch "
+        raise InvalidArgumentError(f"{what} has {grid.N} steps to T = {grid.T}, {of} "
                                    f"{batch.grid.N} steps to T = {batch.grid.T}")
+
+
+def _require_process(what: str, v: np.ndarray, N: int, n_paths: int, entries: tuple) -> None:
+    """A process on an ``N``-step grid is ``(N+1, k, r, c)``, with ``(r, c)`` its
+    ``entries`` and ``k`` 1 or ``n_paths``; else :class:`InvalidArgumentError` naming ``what``."""
+    if v.shape[0] != N + 1:
+        raise InvalidArgumentError(f"{what} has {v.shape[0]} time rows, expected {N + 1}")
+    if v.shape[2:] != entries:
+        raise InvalidArgumentError(
+            f"{what} entries must be {entries} for the model, got {v.shape[2:]}")
+    if v.shape[1] not in (1, n_paths):
+        raise InvalidArgumentError(f"{what} has {v.shape[1]} paths, expected 1 or {n_paths}")
 
 
 _BLOCK_ENTRIES = 1 << 14  # entries per array in one block of _time_blocks (128 KB of float64)

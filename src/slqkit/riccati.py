@@ -40,7 +40,7 @@ from .errors import (
     RiccatiSingularError,
     _integer,
 )
-from .grid import BrownianBatch, PathArray, TimeGrid, _require_grid
+from .grid import BrownianBatch, PathArray, TimeGrid, _require_grid, _require_process
 from .pinv import _pseudo_inverse, _verdicts, solvability
 from .problem import (
     CoefficientModel,
@@ -103,11 +103,12 @@ class RiccatiSolution:
     solver_tag: str = "deterministic_ode"
 
     def __post_init__(self):
-        for what, have, need in (("time rows", self.table.A.shape[0], [self.grid.N + 1]),
-                                 ("path rows", self.table.n_paths, [1, self.P.n_paths]),
-                                 ("state dimensions", self.table.model.n, [self.P.rows])):
-            if have not in need:
-                raise InvalidArgumentError(f"coefficient table has {have} {what}; expected {need}")
+        # The table is read as its A at the table's path count.
+        A, n = self.table.A, (self.table.model.n,) * 2
+        table = np.broadcast_to(A, A.shape[:1] + (self.table.n_paths,) + n)
+        for what, v in (("P", self.P.values), ("Lambda", self.Lambda.values),
+                        ("coefficient table", table)):
+            _require_process(what, v, self.grid.N, self.P.n_paths, n)
 
     K = property(lambda self: PathArray(_gain(self, "K")))
     L = property(lambda self: PathArray(_gain(self, "L")))

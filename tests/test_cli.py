@@ -355,6 +355,14 @@ def test_cli_config_and_input_errors_exit_3(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == 3
     assert "config-error" in capsys.readouterr().err
+    # An integer beyond Python's digit limit is refused by json.loads itself,
+    # and a file that is not UTF-8 by its decoding.
+    bad.write_text('{"scenario": "example1", "T": 1' + "0" * 5000 + "}")
+    assert main(["--config", str(bad)]) == 3
+    assert "config-error: config is not valid JSON" in capsys.readouterr().err
+    bad.write_bytes(b'{"scenario": "ex\xff"}')
+    assert main(["--config", str(bad)]) == 3
+    assert "config-error: config is not valid JSON" in capsys.readouterr().err
     assert main([]) == 3  # no scenario anywhere
     assert main(["--scenario", "example1", "--steps", "1"]) == 3
     assert main(["--scenario", "example1", "--tol", "n_se"]) == 3

@@ -274,9 +274,16 @@ def test_cost_refusal_names_both_grids_and_path_counts():
         cost(model, x, _zero_control(grid, 4), INIT, grid,
              batch=sample_brownian(make_grid(3.0, 16), 4, seed=1))
     assert str(exc.value) == "grid has 8 steps to T = 1.0, the batch 16 steps to T = 3.0"
-    with pytest.raises(InvalidArgumentError, match="state arrays have 4 paths, the batch 5"):
+    with pytest.raises(InvalidArgumentError, match="state has 4 paths, expected 1 or 5"):
         cost(model, x, _zero_control(grid, 4), INIT, grid,
              batch=sample_brownian(grid, 5, seed=1))
+    # Entries beyond the model's (1, 1) used to be dropped: both costs read 1.5.
+    u = _zero_control(grid, 4)
+    for what, x_, u_, shape in (("state", PathArray(np.ones((9, 4, 2, 1))), u, (2, 1)),
+                                ("control", x, PathArray(np.ones((9, 4, 1, 3))), (1, 3))):
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                f"{what} entries must be {(1, 1)} for the model, got {shape}")):
+            cost(model, x_, u_, INIT, grid)
 
 
 def test_cost_without_batch_needs_a_deterministic_model():
@@ -538,10 +545,10 @@ def test_checks_reject_a_solution_of_another_path_count():
     grid, batch, model, sol, law = _example1_setup(N=16, n_paths=50)
     three = dataclasses.replace(sol, P=PathArray(sol.P.values[:, :3]),
                                 Lambda=PathArray(sol.Lambda.values[:, :3]))
-    with pytest.raises(InvalidArgumentError, match="path dimension mismatch"):
+    with pytest.raises(InvalidArgumentError, match="solution has 3 paths, expected 1 or 50"):
         value_identity_check(three, law, model, INIT, batch)
     _, u_fb = simulate_closed_loop(model, law, INIT, batch)
-    with pytest.raises(InvalidArgumentError, match="path dimension mismatch"):
+    with pytest.raises(InvalidArgumentError, match="solution has 3 paths, expected 1 or 50"):
         completion_of_squares_check(three, law, model, u_fb, INIT, batch)
     # A solution on another grid would be read at the wrong times.
     finer = make_grid(1.0, 32)

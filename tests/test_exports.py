@@ -40,3 +40,19 @@ def test_only_errors_tests_for_a_bool():
                 if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_grid_states_the_process_path_rule():
+    # "k is 1 or the batch's path count" lives in slqkit.grid._require_process;
+    # a literal (1, n_paths) or [1, self.P.n_paths] elsewhere restates it.
+    offenders = []
+    for path in sorted(Path(slqkit.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) >= 2:
+                first, second = node.elts[:2]
+                if isinstance(first, ast.Constant) and first.value == 1 \
+                        and "paths" in ast.unparse(second):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

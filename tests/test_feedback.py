@@ -407,8 +407,13 @@ def test_regularity_step_count_guard():
     grid = make_grid(1.0, 4)
     theta = PathArray(np.zeros((3, 2, 1, 1)))
     law = FeedbackLaw(theta=theta, source=None)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="gain has 3 time rows, expected 5"):
         regularity_diagnostics(law, grid)
+    # The same step count to another horizon used to rescale every pathwise norm.
+    grid, batch, sol, model = _example1_setup(N=32, n_paths=50)
+    law = synthesize(sol, model)
+    with pytest.raises(InvalidArgumentError, match="the law's solution 32 steps to T = 1.0"):
+        regularity_diagnostics(law, make_grid(2.0, 32))
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +469,12 @@ def test_stationarity_refuses_a_path_array_of_another_shape():
     for W in (finer.W, batch.W[:9], batch.W[:, 0], batch.W[..., None]):
         with pytest.raises(InvalidArgumentError, match="W must be 2-D with 17 rows"):
             stationarity_residual(law, sol, model, W)
+    # A law, a solution or W of another grid or path count used to raise a bare NumPy error.
+    finer_law = synthesize(closed_form_example1(finer.grid, finer), model)
+    with pytest.raises(InvalidArgumentError, match="gain has 33 time rows, expected 17"):
+        stationarity_residual(finer_law, sol, model, batch.W)
+    with pytest.raises(InvalidArgumentError, match="W has 3 paths, expected 1 or 20"):
+        stationarity_residual(law, sol, model, batch.W[:, :3])
+    few = closed_form_example1(grid, sample_brownian(grid, 3, seed=1))
+    with pytest.raises(InvalidArgumentError, match="solution has 3 paths, expected 1 or 20"):
+        stationarity_residual(law, few, model, batch.W)

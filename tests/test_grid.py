@@ -47,6 +47,9 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(1.0, 2.5)
     with pytest.raises(InvalidArgumentError):
         make_grid(1.0, True)
+    # Too long for repr, which used to raise a plain ValueError from the message.
+    with pytest.raises(InvalidArgumentError, match="got an integer of 5001 digits$"):
+        make_grid(10**5000, 4)
     # A bool or a string horizon is refused, not read as T = 1.0 or T = 2.0.
     for T in (True, "2"):
         with pytest.raises(InvalidArgumentError, match="horizon T"):

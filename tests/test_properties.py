@@ -671,7 +671,8 @@ def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n
 def test_open_loop_on_a_broadcast_row_equals_its_dense_copy(n, path_dependent, N, n_paths,
                                                             start, seed):
     # The open loop steps on the given control as it is; a time-only row
-    # must give the states of its materialized per-path copy, bit for bit.
+    # must give the states of its materialized per-path copy, bit for bit,
+    # and cost the same.
     rng = np.random.default_rng(seed)
     model = _random_model(rng, n, path_dependent)
     if path_dependent:  # B and D per path as well, so B u broadcasts both ways
@@ -687,6 +688,11 @@ def test_open_loop_on_a_broadcast_row_equals_its_dense_copy(n, path_dependent, N
     x_row, x_dense = (simulate_open_loop(model, PathArray(u), init, batch).values
                       for u in (row, dense))
     np.testing.assert_array_equal(x_row, x_dense)
+    J_row, J_dense = (cost(model, PathArray(x_row), PathArray(u), init, grid, batch)
+                      for u in (row, dense))
+    np.testing.assert_array_equal(J_row.per_path, J_dense.per_path)
+    assert (J_row.mean, J_row.std_error, J_row.n_paths, J_row.components) == (
+        J_dense.mean, J_dense.std_error, J_dense.n_paths, J_dense.components)
 
 
 @SETTINGS

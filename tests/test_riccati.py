@@ -1,6 +1,7 @@
 """Tests for the four backward-Riccati solution routes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from slqkit.errors import (
     RegressionSingularError,
     RiccatiSingularError,
 )
-from slqkit.grid import make_grid, sample_brownian
+from slqkit.grid import PathArray, make_grid, sample_brownian
 from slqkit.problem import (
     Y_SHIFT,
     ZETA_SCALE,
@@ -548,16 +549,21 @@ def test_solution_refuses_a_table_of_another_step_count():
     sol = _example1_solution()
     table = CoefficientTable(scenario_example1(1.0), np.zeros((17, 1)))
     with pytest.raises(InvalidArgumentError,
-                       match=r"coefficient table has 17 time rows; expected \[9\]"):
+                       match="coefficient table has 17 time rows, expected 9"):
         dataclasses.replace(sol, table=table)
+    # A pair of another step count used to be admitted, and synthesis raised IndexError.
+    with pytest.raises(InvalidArgumentError, match="P has 5 time rows, expected 9"):
+        dataclasses.replace(sol, P=PathArray(sol.P.values[:5]))
 
 
 def test_solution_refuses_a_table_of_another_path_count():
     sol = _example1_solution()
     table = CoefficientTable(scenario_example1(1.0), np.zeros((9, 3)))
     with pytest.raises(InvalidArgumentError,
-                       match=r"coefficient table has 3 path rows; expected \[1, 5\]"):
+                       match="coefficient table has 3 paths, expected 1 or 5"):
         dataclasses.replace(sol, table=table)
+    with pytest.raises(InvalidArgumentError, match="Lambda has 2 paths, expected 1 or 5"):
+        dataclasses.replace(sol, Lambda=PathArray(sol.Lambda.values[:, :2]))
     # One path row, or one per path of P, is accepted.
     for k in (1, 5):
         dataclasses.replace(sol, table=CoefficientTable(scenario_example1(1.0), np.zeros((9, k))))
@@ -571,5 +577,5 @@ def test_solution_refuses_a_table_of_another_state_dimension():
         C=lambda i, W: np.zeros((2, 2)), D=lambda i, W: np.zeros((2, 1)),
         Q=lambda i, W: np.zeros((2, 2)), G=lambda W: np.zeros((2, 2)))
     with pytest.raises(InvalidArgumentError,
-                       match=r"coefficient table has 2 state dimensions; expected \[1\]"):
+                       match=re.escape("P entries must be (2, 2) for the model, got (1, 1)")):
         dataclasses.replace(sol, table=CoefficientTable(two, np.zeros((9, 1))))
