@@ -19,7 +19,7 @@ completion of squares or the sweep is enabled.  The run writes:
 
 Floats in CSVs are written with 17 significant digits, and identical configs
 reproduce every CSV byte for byte.  Exit status: 0 all enabled checks passed,
-2 a check failed, 3 configuration/input error, 4 runtime/numerical error.
+2 a check ran and failed, and a failure by its row of ``_EXITS``.
 The output directory may be overridden with the ``OUTPUT_DIR`` environment
 variable.
 """
@@ -50,8 +50,9 @@ from .evaluate import (
     value_identity_check,
 )
 from .feedback import regularity_diagnostics, stationarity_residual, synthesize
-from .grid import make_grid, sample_brownian
+from .grid import _path_count, _step_count, make_grid, sample_brownian
 from .problem import (
+    CoefficientModel,
     InitialCondition,
     scenario_counterexample,
     scenario_deterministic,
@@ -76,7 +77,11 @@ def _custom_model(cfg: ExperimentConfig):
     except (ImportError, AttributeError) as exc:
         raise ConfigError(f"cannot import custom model {cfg.custom_model!r}: {exc}",
                           field="custom_model") from exc
-    return factory(cfg.T)
+    model = factory(cfg.T)
+    if not isinstance(model, CoefficientModel):
+        raise ConfigError(f"custom model {cfg.custom_model!r} returned a "
+                          f"{type(model).__name__}, not a CoefficientModel", field="custom_model")
+    return model
 
 
 # scenario -> (model factory of the config, the solver "closed_form" names for it,
@@ -173,8 +178,8 @@ def _validate_config(raw: dict) -> ExperimentConfig:
     _expect(cfg.scenario in SCENARIOS, "scenario",
             f"must be one of {SCENARIOS}, got {cfg.scenario!r}")
     cfg.T = _admit("T", _real, cfg.T, minimum=0.0, strict=True)
-    cfg.steps = _admit("steps", _integer, cfg.steps, minimum=2)
-    cfg.paths = _admit("paths", _integer, cfg.paths, minimum=1)
+    cfg.steps = _admit("steps", _step_count, cfg.steps)
+    cfg.paths = _admit("paths", _path_count, cfg.paths, N=cfg.steps)
     cfg.seed = _admit("seed", _integer, cfg.seed)
     cfg.start_index = _admit("start_index", _integer, cfg.start_index, minimum=0)
     _expect(cfg.start_index < cfg.steps, "start_index",
@@ -216,11 +221,8 @@ def _validate_config(raw: dict) -> ExperimentConfig:
 
 
 def _read_config(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, malformed, or an integer beyond Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}", field="json") from exc
     if not isinstance(raw, dict):
@@ -233,8 +235,8 @@ def load_config(path: str) -> ExperimentConfig:
 
     Raises
     ------
-    FileNotFoundError
-        Missing file (io-error; exit code 3 from the CLI).
+    OSError
+        Missing or unreadable file (io-error; exit code 3 from the CLI).
     ConfigError
         Malformed JSON or schema violation; names the offending field.
     """
@@ -300,10 +302,10 @@ def _echo(config: ExperimentConfig) -> dict:
 def run(config: ExperimentConfig) -> RunReport:
     """Execute one experiment; write artifacts; return the report.
 
-    Module errors (solver failures, finite escape, ...) propagate to the
-    caller after a partial ``report.json`` with a ``failed`` marker has been
-    written; check *failures* do not raise — they are recorded in the report
-    and reflected in the exit code by :func:`main`.
+    Module errors (solver failures, finite escape, ...) and a MemoryError
+    propagate to the caller after a partial ``report.json`` with a ``failed``
+    marker has been written; check *failures* do not raise — they are
+    recorded in the report and reflected in the exit code by :func:`main`.
     """
     out_dir = Path(os.environ.get("OUTPUT_DIR") or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -434,7 +436,7 @@ def run(config: ExperimentConfig) -> RunReport:
         )
         _emit_report(report)
         return report
-    except SlqError as exc:
+    except (SlqError, MemoryError) as exc:
         report = RunReport(
             config=_echo(config),
             riccati_summary={}, regularity={}, verification={},
@@ -445,67 +447,66 @@ def run(config: ExperimentConfig) -> RunReport:
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own exit 2 would read as a failed check
+        raise ConfigError(message)
+
+
+def tolerance(text: str) -> tuple:
+    """``--tol NAME=VAL`` as ``(NAME, float(VAL))``, admitted with the config; argparse
+    reports the ValueError of a text without ``=`` or a real as an invalid tolerance."""
+    name, value = text.split("=", 1)
+    return name, float(value)
+
+
 def _apply_flag_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    for flag in ("scenario", "T", "steps", "paths", "seed", "out", "solver"):
-        if getattr(args, flag) is not None:
-            raw["output_dir" if flag == "out" else flag] = getattr(args, flag)
-    if args.check:
-        raw["checks"] = list(args.check)
-    if args.tol:
-        tols = dict(raw.get("tolerances", {}))
-        for spec_str in args.tol:
-            name, sep, value = spec_str.partition("=")
-            if not sep:
-                raise ConfigError(
-                    f"--tol expects NAME=VALUE, got {spec_str!r}", field="tolerances")
-            try:
-                tols[name] = float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"--tol {name}: not a real number: {value!r}",
-                    field="tolerances") from exc
-        raw["tolerances"] = tols
-    return raw
+    """``raw`` with the given flags laid over it, left for :func:`_validate_config`
+    to admit: a ``tolerances`` that is not a map stays as it is, to be refused."""
+    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    tols = flags.pop("tolerances", None)
+    if tols and isinstance(raw.get("tolerances", {}), dict):
+        flags["tolerances"] = {**raw.get("tolerances", {}), **dict(tols)}
+    return {**raw, **flags}
+
+
+# A failure's exit code and stderr label, by the first class of its MRO in the table.
+_EXITS = {
+    ConfigError: (3, "config-error"),
+    OSError: (3, "io-error"),  # a config file or an output directory
+    SlqError: (4, "runtime-error: {}"),
+    MemoryError: (4, "runtime-error: {}"),
+}
 
 
 def main(argv: list | None = None) -> int:
-    """Entry point: parse flags, run the experiment, map outcomes to exit
-    codes (0 pass / 2 check failed / 3 config or input error / 4 runtime)."""
-    parser = argparse.ArgumentParser(
+    """Entry point: parse flags, run the experiment, and map its outcome to an exit
+    code: 0 all enabled checks passed, 2 a check failed, a failure by ``_EXITS``."""
+    parser = _Parser(
         prog="slqkit",
         description="Run a stochastic linear-quadratic control experiment "
                     "and write verification artifacts.",
     )
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--scenario", choices=SCENARIOS)
+    parser.add_argument("--scenario", help=f"one of {', '.join(SCENARIOS)}")
     parser.add_argument("--T", type=float, help="horizon")
     parser.add_argument("--steps", type=int, help="grid steps")
     parser.add_argument("--paths", type=int, help="Monte Carlo paths")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory (overrides output_dir)")
-    parser.add_argument("--solver", choices=SOLVERS)
-    parser.add_argument("--check", action="append", metavar="NAME",
+    parser.add_argument("--out", dest="output_dir", help="output directory")
+    parser.add_argument("--solver", help=f"one of {', '.join(SOLVERS)}")
+    parser.add_argument("--check", action="append", dest="checks", metavar="NAME",
                         help="enable a specific check (repeatable)")
-    parser.add_argument("--tol", action="append", metavar="NAME=VAL",
-                        help="override a tolerance (repeatable)")
-    args = parser.parse_args(argv)
+    parser.add_argument("--tol", action="append", dest="tolerances", metavar="NAME=VAL",
+                        type=tolerance, help="override a tolerance (repeatable)")
     try:
+        args = parser.parse_args(argv)
         raw = _read_config(args.config) if args.config else {}
         config = _validate_config(_apply_flag_overrides(raw, args))
-    except FileNotFoundError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 3
-    try:
         report = run(config)
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 3
-    except SlqError as exc:
-        print(f"runtime-error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as exc:
+        code, label = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        print(f"{label.format(type(exc).__name__)}: {exc}", file=sys.stderr)
+        return code
     out_dir = os.environ.get("OUTPUT_DIR") or config.output_dir
     for name, info in report.verification["pass_flags"].items():
         print(f"{name}: {'PASS' if info['passed'] else 'FAIL'}")

@@ -1,9 +1,8 @@
 """Shared error taxonomy for the toolkit, and the admission rules for scalar
 arguments that every entry point and the CLI's config check read.
 
-Every failure mode raised by the library maps to one of the classes below.
-CLI exit codes: config problems -> 3, solver/check machinery errors -> 4,
-checks that ran but failed -> 2.
+Every failure mode raised by the library maps to one of the classes below;
+the CLI's exit code for each is read from one table, ``slqkit.cli._EXITS``.
 """
 
 from __future__ import annotations
@@ -20,14 +19,17 @@ class InvalidArgumentError(SlqError, ValueError):
     """A caller-supplied argument violates a documented precondition."""
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
+def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """``value`` as an ``int`` by the integer rule: a Python or NumPy integer, never
-    a bool, at least ``minimum`` when given; else :class:`InvalidArgumentError`."""
+    a bool, at least ``minimum`` and at most ``maximum`` when given; else
+    :class:`InvalidArgumentError`."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or minimum is not None and value < minimum):
         rule = ("an integer" if minimum is None else "a positive integer" if minimum == 1
                 else f"an integer >= {minimum}")
         raise InvalidArgumentError(f"{name} must be {rule}, got {_shown(value)}")
+    if maximum is not None and value > maximum:
+        raise InvalidArgumentError(f"{name} must be an integer <= {maximum}, got {_shown(value)}")
     return int(value)
 
 

@@ -61,6 +61,22 @@ class TimeGrid:
     points: np.ndarray = field(repr=False)
 
 
+# The most float64 entries NumPy can size in one array (its byte count must fit an intp):
+# a grid's N + 1 nodes and a batch's (N + 1) * n_paths path entries are held to it.
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _step_count(N, name: str = "step count N") -> int:
+    """``N`` by the integer rule, ``>= 2``, with its ``N + 1`` nodes within ``_MAX_ENTRIES``."""
+    return _integer(N, name, 2, _MAX_ENTRIES - 1)
+
+
+def _path_count(n_paths, name: str, N: int) -> int:
+    """``n_paths`` by the integer rule, ``>= 1``, with the ``(N + 1) * n_paths`` entries
+    of a batch on an ``N``-step grid within ``_MAX_ENTRIES``."""
+    return _integer(n_paths, name, 1, _MAX_ENTRIES // (N + 1))
+
+
 def make_grid(T: float, N: int) -> TimeGrid:
     """Build the uniform grid with ``N`` steps on ``[0, T]``.
 
@@ -79,9 +95,9 @@ def make_grid(T: float, N: int) -> TimeGrid:
     ------
     InvalidArgumentError
         If ``T`` is not a positive finite real or ``N < 2`` or ``N`` is not
-        integral.
+        integral, or if ``N + 1`` nodes exceed ``_MAX_ENTRIES``.
     """
-    T, N = _real(T, "horizon T", 0.0, strict=True), _integer(N, "step count N", 2)
+    T, N = _real(T, "horizon T", 0.0, strict=True), _step_count(N)
     h = T / N
     points = h * np.arange(N + 1, dtype=np.float64)
     points[N] = T  # pin the endpoint exactly
@@ -105,12 +121,27 @@ class BrownianBatch:
     ``n_paths`` and ``increments`` are derived from ``W`` on read.  Batches
     built by :func:`sample_brownian` and :meth:`from_increments` are
     immutable: ``W`` is read-only, which lets its coefficient tables and
-    closed loops be shared per batch (:func:`_shared`).
+    closed loops be shared per batch (:func:`_shared`).  Every batch is
+    admitted where it is built: ``seed`` by the integer rule, and ``W`` as
+    stated above, finite, read in place and never copied, since the shared
+    entries key on its identity.
     """
 
     grid: TimeGrid
     seed: int
     W: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        W, N = self.W, self.grid.N
+        if not isinstance(W, np.ndarray) or W.ndim != 2 or len(W) != N + 1:
+            raise InvalidArgumentError(f"W must be an array of shape ({N + 1}, n_paths), "
+                                       f"got {getattr(W, 'shape', type(W).__name__)}")
+        _integer(W.shape[1], "n_paths", 1)
+        if not all(np.isfinite(W[b]).all() for b in _time_blocks(W)):
+            raise InvalidArgumentError("W contains non-finite entries")
+        if W[0].any():
+            raise InvalidArgumentError("W[0] must be 0 on every path")
 
     @property
     def n_paths(self) -> int:
@@ -128,18 +159,16 @@ class BrownianBatch:
     def from_increments(grid: TimeGrid, increments: np.ndarray, seed: int = 0) -> "BrownianBatch":
         """Wrap externally supplied increments (e.g. forced test paths).
 
-        ``increments`` must have shape ``(grid.N, n_paths)`` with
-        ``n_paths >= 1`` and be finite, and ``seed`` an integer.  Only their
+        ``increments`` must have shape ``(grid.N, n_paths)`` and be finite;
+        the batch itself admits ``n_paths >= 1`` and ``seed``.  Only their
         cumulative sums are kept, so the batch's increments are read back as
         the exact differences of ``W``.
         """
-        seed = _integer(seed, "seed")
         inc = np.asarray(increments, dtype=np.float64)
         if inc.ndim != 2 or inc.shape[0] != grid.N:
             raise InvalidArgumentError(
                 f"increments must have shape ({grid.N}, n_paths), got {inc.shape}"
             )
-        _integer(inc.shape[1], "n_paths", 1)
         if not np.isfinite(inc).all():
             raise InvalidArgumentError("increments contain non-finite entries")
         W = np.zeros((grid.N + 1, inc.shape[1]), dtype=np.float64)
@@ -280,10 +309,11 @@ def sample_brownian(
     Raises
     ------
     InvalidArgumentError
-        On a non-positive ``n_paths``, a bool or non-integer ``seed``, or a
+        On a non-positive ``n_paths`` or one whose ``(N + 1) * n_paths``
+        entries exceed ``_MAX_ENTRIES``, a bool or non-integer ``seed``, or a
         negative or non-integer ``path_offset``.
     """
-    n_paths, seed = _integer(n_paths, "n_paths", 1), _integer(seed, "seed")
+    n_paths, seed = _path_count(n_paths, "n_paths", grid.N), _integer(seed, "seed")
     rows = _scaled_normals(grid, n_paths, seed, _integer(path_offset, "path_offset", 0))
     W = np.zeros((grid.N + 1, n_paths), dtype=np.float64)
     np.cumsum(rows.T, axis=0, out=W[1:])

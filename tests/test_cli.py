@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,63 @@ def test_cli_solver_scenario_mismatch_exits_3(tmp_path, capsys):
                "--steps", "16", "--paths", "8", "--out", str(out)])
     assert rc == 3
     assert "config-error" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """``main(argv)``'s exit as the interpreter gives it: a SystemExit's code, and
+    1 with a printed traceback for an exception that escapes."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+    except Exception:
+        traceback.print_exc()
+        return 1
+
+
+@pytest.mark.parametrize("argv,code,label", [
+    (["--scenario", "bogus"], 3, "config-error"),
+    (["--scenario", "example1", "--solver", "nope"], 3, "config-error"),
+    (["--scenario", "example1", "--steps", "abc"], 3, "config-error"),
+    (["--scenario", "example1", "--T", "x"], 3, "config-error"),
+    (["--scenario", "example1", "--bogus", "1"], 3, "config-error"),
+    (["--scenario", "example1", "--steps"], 3, "config-error"),
+    (["--config", "{tmp}/list_tolerances.json", "--tol", "n_se=1"], 3, "config-error"),
+    (["--config", "{tmp}/huge_steps.json"], 3, "config-error"),
+    (["--config", "{tmp}/huge_paths.json"], 3, "config-error"),
+    (["--config", "{tmp}/sqrt_model.json"], 3, "config-error"),
+    (["--scenario", "example1", "--out", "{tmp}/a_file"], 3, "io-error"),
+    (["--scenario", "example1", "--out", "{tmp}/a_file/sub"], 3, "io-error"),
+    (["--scenario", "example1", "--steps", "8", "--paths", "4", "--out", "{tmp}/oom"],
+     4, "runtime-error"),
+], ids=["scenario", "solver", "steps-text", "T-text", "unknown-flag", "steps-no-value",
+        "tolerances-list-and-tol", "steps-beyond-numpy", "paths-beyond-numpy",
+        "factory-returns-a-float", "out-is-a-file", "out-under-a-file", "memory"])
+def test_every_failure_exits_through_the_exit_table(tmp_path, monkeypatch, capsys,
+                                                    argv, code, label):
+    # Exit 2 is a check that ran and failed, and exit 1 a crash: a flag argparse
+    # cannot read, a config value the flags used to read before admission, an
+    # unusable output directory and an allocation that fails each exit by its
+    # row of the table instead, with its label and no traceback.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+    _write_config(tmp_path, "list_tolerances.json", scenario="example1", tolerances=[1, 2])
+    _write_config(tmp_path, "huge_steps.json", scenario="example1", steps=10**20)
+    _write_config(tmp_path, "huge_paths.json", scenario="example1", steps=2, paths=10**20)
+    _write_config(tmp_path, "sqrt_model.json", scenario="custom-from-file",
+                  custom_model="math:sqrt", solver="deterministic_ode", steps=8, paths=4,
+                  output_dir=str(tmp_path / "sqrt"))
+    (tmp_path / "a_file").write_text("")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the batch")
+
+    monkeypatch.setattr(cli, "sample_brownian", out_of_memory)
+    rc = _exit_code([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc not in (1, 2)
+    assert (rc, err.partition(":")[0]) == (code, label), err
+    assert "Traceback" not in err
 
 
 def test_cli_flags_override_config_file(tmp_path):

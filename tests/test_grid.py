@@ -50,6 +50,11 @@ def test_make_grid_rejects_bad_arguments():
     # Too long for repr, which used to raise a plain ValueError from the message.
     with pytest.raises(InvalidArgumentError, match="got an integer of 5001 digits$"):
         make_grid(10**5000, 4)
+    # More nodes than a NumPy array can size: refused before anything is allocated,
+    # not a bare ValueError from np.arange or an OverflowError from T / N.
+    for N in (10**20, 10**400):
+        with pytest.raises(InvalidArgumentError, match="^step count N must be an integer <= "):
+            make_grid(1.0, N)
     # A bool or a string horizon is refused, not read as T = 1.0 or T = 2.0.
     for T in (True, "2"):
         with pytest.raises(InvalidArgumentError, match="horizon T"):
@@ -120,6 +125,10 @@ def test_sample_brownian_argument_guards():
             sample_brownian(grid, 4, seed=1, path_offset=offset)
     np.testing.assert_array_equal(sample_brownian(grid, 4, seed=1, path_offset=np.int64(2)).W,
                                   sample_brownian(grid, 4, seed=1, path_offset=2).W)
+    # More path entries than a NumPy array can size: refused before anything is
+    # allocated, not a bare ValueError from the buffer of normals.
+    with pytest.raises(InvalidArgumentError, match="^n_paths must be an integer <= "):
+        sample_brownian(make_grid(1.0, 2), 10**20, seed=1)
 
 
 def test_sample_brownian_moment_sanity():
@@ -193,6 +202,33 @@ def test_from_increments_guards():
         with pytest.raises(InvalidArgumentError, match="seed"):
             BrownianBatch.from_increments(grid, np.zeros((4, 2)), seed=seed)
     assert BrownianBatch.from_increments(grid, np.zeros((4, 2)), seed=np.int64(3)).seed == 3
+
+
+def test_brownian_batch_admits_W_as_documented():
+    # A hand-built batch is admitted where it is built.  Each of these used to pass
+    # and end a value identity check in a bare IndexError or, for NaN paths, in a
+    # FiniteEscapeError blaming the state.
+    grid = make_grid(1.0, 8)
+    for W, match in ((np.zeros((5, 3)), r"shape \(9, n_paths\), got \(5, 3\)$"),
+                     (np.zeros(9), r"shape \(9, n_paths\), got \(9,\)$"),
+                     (np.full((9, 2), np.nan), "W contains non-finite entries"),
+                     (np.ones((9, 2)), r"W\[0\] must be 0"),
+                     (np.zeros((9, 0)), "n_paths must be a positive integer"),
+                     ([[0.0]] * 9, "got list")):
+        with pytest.raises(InvalidArgumentError, match=match):
+            BrownianBatch(grid, 0, W)
+    W = np.zeros((9, 2))
+    W[5, 1] = np.inf
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        BrownianBatch(grid, 0, W)
+    with pytest.raises(InvalidArgumentError, match="^seed must be an integer, got True"):
+        BrownianBatch(grid, True, np.zeros((9, 2)))
+    # Batches from both constructors are admitted as before, and W is read in
+    # place: the memo keys on its identity.
+    for batch in (sample_brownian(grid, 3, seed=2),
+                  BrownianBatch.from_increments(grid, np.ones((8, 3)), seed=np.int64(2))):
+        again = BrownianBatch(grid, batch.seed, batch.W)
+        assert again.W is batch.W and type(again.seed) is int and again.seed == 2
 
 
 def test_path_array_shape_and_accessors():
