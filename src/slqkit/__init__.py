@@ -28,7 +28,7 @@ from .errors import (
     SynthesisInfeasibleError,
 )
 from .grid import BrownianBatch, PathArray, TimeGrid, make_grid, sample_brownian
-from .pinv import PinvResult, pinv, pinv_limit, psd_check, range_inclusion
+from .pinv import SOLVE_TOL, PinvResult, pinv, pinv_limit, psd_check, range_inclusion
 from .problem import (
     ZETA_SCALE,
     Y_UPPER,
@@ -45,8 +45,6 @@ from .problem import (
     scenario_example1,
 )
 from .riccati import (
-    EPS_CLAMP,
-    SOLVE_TOL,
     RegressionBasis,
     RiccatiSolution,
     closed_form_counterexample,
@@ -94,7 +92,6 @@ __all__ = [
     "CounterexamplePaths",
     "DISC_ALLOWANCE",
     "DriverSingularError",
-    "EPS_CLAMP",
     "ExperimentConfig",
     "FeedbackLaw",
     "FiniteEscapeError",

@@ -51,6 +51,7 @@ from .evaluate import (
 )
 from .feedback import regularity_diagnostics, stationarity_residual, synthesize
 from .grid import _path_count, _step_count, make_grid, sample_brownian
+from .pinv import SOLVE_TOL
 from .problem import (
     CoefficientModel,
     InitialCondition,
@@ -71,13 +72,25 @@ __all__ = ["ExperimentConfig", "RunReport", "load_config", "run", "main"]
 
 
 def _custom_model(cfg: ExperimentConfig):
+    """The model of ``cfg.custom_model``'s factory at ``cfg.T``.  A factory that cannot
+    be imported or called, or whose call raises what is not an ``SlqError`` (nor a
+    ``MemoryError``), is a config error on ``custom_model``."""
     mod_name, _, attr = cfg.custom_model.partition(":")
     try:
         factory = getattr(importlib.import_module(mod_name), attr)
     except (ImportError, AttributeError) as exc:
         raise ConfigError(f"cannot import custom model {cfg.custom_model!r}: {exc}",
                           field="custom_model") from exc
-    model = factory(cfg.T)
+    if not callable(factory):
+        raise ConfigError(f"custom model {cfg.custom_model!r} is a {type(factory).__name__}, "
+                          "not a callable", field="custom_model")
+    try:
+        model = factory(cfg.T)
+    except (SlqError, MemoryError):
+        raise
+    except Exception as exc:
+        raise ConfigError(f"custom model {cfg.custom_model!r} failed: {type(exc).__name__}: "
+                          f"{exc}", field="custom_model") from exc
     if not isinstance(model, CoefficientModel):
         raise ConfigError(f"custom model {cfg.custom_model!r} returned a "
                           f"{type(model).__name__}, not a CoefficientModel", field="custom_model")
@@ -103,7 +116,7 @@ TOLERANCE_DEFAULTS = {
     "n_se": N_SE,           # standard-error multiplier of all MC checks
     "disc_coeff": DISC_ALLOWANCE,  # coefficient of the sqrt(h) allowance
     "stationarity": 1e-8,   # max ||L + K Theta|| line
-    "synthesis": 1e-8,      # pointwise PSD/range tolerance
+    "synthesis": SOLVE_TOL,  # pointwise PSD/range tolerance
     "regularity_bound": 0.0,  # 0 = auto (10x median of this run)
     "basis_degree": float(RegressionBasis.degree),  # total degree of the regression basis
     "cos_epsilon": 0.1,     # perturbation size of the CLI's cos check
@@ -215,8 +228,10 @@ def _validate_config(raw: dict) -> ExperimentConfig:
     cfg.deterministic = [_admit("deterministic", _real, v, f"deterministic[{k}]")
                          for k, v in enumerate(cfg.deterministic)]
     if cfg.scenario == "custom-from-file":
-        _expect(isinstance(cfg.custom_model, str) and ":" in (cfg.custom_model or ""),
-                "custom_model", "must be 'module:callable' for custom-from-file")
+        spec = cfg.custom_model if isinstance(cfg.custom_model, str) else ""
+        mod_name, colon, attr = spec.partition(":")
+        _expect(mod_name and colon and attr, "custom_model",
+                f"must be 'module:callable' for custom-from-file, got {cfg.custom_model!r}")
     return cfg
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 
 class SlqError(Exception):
     """Base class for all toolkit errors."""
@@ -65,6 +67,16 @@ class FiniteEscapeError(SlqError):
         self.time = time
 
 
+def _finite(what: str, v, time: float | None = None) -> None:
+    """Raise :class:`FiniteEscapeError` at ``time`` naming ``what`` and the first path
+    (the last axis of ``v``) with a non-finite entry, if one has; the callers
+    silence the overflow warnings of what they check."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        first = int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))
+        raise FiniteEscapeError(f"{what} became non-finite, first path {first}", time=time)
+
+
 class RiccatiSingularError(SlqError):
     """The control-weight operator lost definiteness / range solvability."""
 
@@ -82,7 +94,7 @@ class RegressionSingularError(SlqError):
 
 
 class DriverSingularError(SlqError):
-    """The regression solver's control weight fell below the clamp floor."""
+    """The regression solver's ``K`` or ``L`` failed the solvability rule at a step."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)

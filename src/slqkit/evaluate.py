@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FiniteEscapeError, InvalidArgumentError, _integer, _real
+from .errors import FiniteEscapeError, InvalidArgumentError, _finite, _integer, _real
 from .feedback import FeedbackLaw
 from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major_increments,
                    _require_grid, _require_process, _shared, make_grid)
@@ -293,7 +293,8 @@ class _Quadrature:
     """The cost's bilinear form ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q_i
     x_i, y_i> + <R_i u_i, w_i>) + <G x_N, y_N>`` per path, taken one index at
     a time by :meth:`add` (left point, in time order, from zero) into
-    ``parts``: its state, control and terminal terms."""
+    ``parts``: its state, control and terminal terms.  A form that overflows
+    raises :class:`FiniteEscapeError` at the terminal index (:func:`_finite`)."""
 
     def __init__(self, tab, h: float):
         self.Q, self.R, self.G = (_entries(v) for v in (tab.Q, tab.R, tab.G[None]))
@@ -302,11 +303,13 @@ class _Quadrature:
 
     def add(self, i: int, x: list, u: list, y: list, w: list) -> None:
         """Add index ``i``'s term of the entries ``(x, u)`` and ``(y, w)``."""
-        if i < self.N:
-            self.parts[0] = self.parts[0] + self.h * _form(self.Q, x, y, i)
-            self.parts[1] = self.parts[1] + self.h * _form(self.R, u, w, i)
-        else:
-            self.parts[2] = _form(self.G, x, y, 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+            if i < self.N:
+                self.parts[0] = self.parts[0] + self.h * _form(self.Q, x, y, i)
+                self.parts[1] = self.parts[1] + self.h * _form(self.R, u, w, i)
+            else:
+                self.parts[2] = _form(self.G, x, y, 0)
+                _finite("cost", sum(self.parts))
 
 
 def _bilinear(tab, s: int, h: float, x, u, y, w) -> list:
@@ -340,6 +343,8 @@ def cost(
     InvalidArgumentError
         On mismatched shapes, or on a missing ``batch`` for a model whose
         kind is not ``"deterministic"``.
+    FiniteEscapeError
+        If the cost of some path overflows.
     """
     xv, uv = x.values, u.values
     P = xv.shape[1] if batch is None else batch.n_paths
@@ -486,8 +491,11 @@ def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, ini
         q.add(i, x, u, x, u)
         if i < N:
             K = _entries(PathArray(_gain(sol, "K", slice(i, i + 1))).values)
-            gap = [u_j - _dot(row, x, i) for u_j, row in zip(u, gain)]
-            penalty = penalty + h * _form(K, gap, gap, 0)
+            with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+                gap = [u_j - _dot(row, x, i) for u_j, row in zip(u, gain)]
+                penalty = penalty + h * _form(K, gap, gap, 0)
+        else:
+            _finite("completion-of-squares penalty", penalty)
     J_u, penalty = 0.5 * sum(q.parts), 0.5 * penalty
     return [_identity_result("completion_of_squares", J_u[a] - J_fb.per_path - penalty[a],
                              batch, n_se, disc_coeff,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SynthesisInfeasibleError, _real
 from .grid import PathArray, TimeGrid, _require_grid, _require_process, _time_blocks
-from .pinv import solvability
+from .pinv import SOLVE_TOL, solvability
 from .problem import CoefficientModel, _table_for
 from .riccati import RiccatiSolution, _gains
 
@@ -78,7 +78,7 @@ def synthesize(
     sol: RiccatiSolution,
     model: CoefficientModel,
     theta_free: PathArray | np.ndarray | None = None,
-    tol: float = 1e-8,
+    tol: float = SOLVE_TOL,
 ) -> FeedbackLaw:
     """Build the gain ``-K^+ L + (I - K^+ K) theta_free`` from a solution.
 

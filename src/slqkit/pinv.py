@@ -21,6 +21,8 @@ from .errors import InvalidArgumentError, SlqError, _real
 
 __all__ = ["PinvResult", "pinv", "pinv_limit", "solvability", "range_inclusion", "psd_check"]
 
+SOLVE_TOL = 1e-8  # the tolerance of solvability(), read by every route and by synthesis
+
 
 @dataclass(frozen=True)
 class PinvResult:
@@ -113,7 +115,7 @@ def pinv_limit(M, delta: float) -> np.ndarray:
         raise SlqError(f"regularized normal equations failed to factorize: {exc}") from exc
 
 
-def solvability(K, L, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def solvability(K, L, tol: float = SOLVE_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(K^+, psd, in_range)`` for stacks ``K (..., m, m)`` and ``L (..., m, n)``.
 
     ``K^+`` is the pseudoinverse of the symmetrized ``K``; ``K`` whose
@@ -176,13 +178,13 @@ def _frobenius(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", M, M))
 
 
-def range_inclusion(K, L, tol: float = 1e-8) -> bool:
+def range_inclusion(K, L, tol: float = SOLVE_TOL) -> bool:
     """Whether the columns of ``L`` lie in the range of symmetric ``K``
     within ``tol``: the single-matrix ``in_range`` of :func:`solvability`."""
     return bool(solvability(_as_matrix(K, "K"), _as_matrix(L, "L"), tol)[2])
 
 
-def psd_check(K, tol: float = 1e-8) -> bool:
+def psd_check(K, tol: float = SOLVE_TOL) -> bool:
     """Whether symmetric ``K`` is positive semidefinite within ``tol``: the
     single-matrix ``psd`` of :func:`solvability`."""
     K = _as_matrix(K, "K")

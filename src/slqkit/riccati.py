@@ -14,9 +14,8 @@ is handled by four routes:
   agree at first order in the step).  Each states its one-step map, and one
   backward sweep, :func:`_sweep`, runs both and judges their solvability;
 * :func:`solve_bsre_regression` — least-squares Monte Carlo backward
-  induction for scalar problems, regressing on a Markov state of the
-  problem: the model's declared features, or ``W_t`` when its coefficients
-  are functions of ``(t, W_t)``;
+  induction for scalar problems, regressing on a Markov state (the model's
+  declared features, else ``W_t``), each step judged as a sweep's stage;
 * :func:`closed_form_example1` / :func:`closed_form_counterexample` — direct
   evaluation of the two known closed-form solution pairs, used as ground
   truth everywhere else.
@@ -27,6 +26,7 @@ Each returns the pair ``(P, Lam)`` and its coefficient table, from which
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -38,10 +38,11 @@ from .errors import (
     InvalidArgumentError,
     RegressionSingularError,
     RiccatiSingularError,
+    _finite,
     _integer,
 )
 from .grid import BrownianBatch, PathArray, TimeGrid, _require_grid, _require_process
-from .pinv import _pseudo_inverse, _verdicts, solvability
+from .pinv import SOLVE_TOL, _pseudo_inverse, _verdicts, solvability
 from .problem import (
     CoefficientModel,
     CoefficientTable,
@@ -63,13 +64,6 @@ __all__ = [
     "closed_form_counterexample",
 ]
 
-# Floor on the control weight K inside the regression driver; breaching it
-# means the fitted solution left the region where the driver's inverse is
-# trustworthy.
-EPS_CLAMP = 1e-6
-# Solvability tolerance used during deterministic integration (the
-# ``tol`` of :func:`slqkit.pinv.solvability`).
-SOLVE_TOL = 1e-8
 # Rank thresholds of the regression fit (see _whiten and _projector).
 SPREAD_FLOOR = 1e-12
 WHITEN_TOL = 1e-10
@@ -436,9 +430,13 @@ def solve_bsre_regression(
     ------
     RegressionSingularError
         Rank-deficient design at some interior slice (thresholds in
-        :func:`_whiten` and :func:`_projector`).
+        :func:`_whiten` and :func:`_projector`), or a basis with more
+        functions than the batch has paths, refused before it is built.
+    FiniteEscapeError
+        ``K`` or ``L`` (judged first) or the fitted ``P_i`` is non-finite; carries ``t_i``.
     DriverSingularError
-        The control weight ``R + D^2 P`` fell below ``1e-6`` somewhere.
+        ``K = R + D^2 P`` not PSD, or ``L`` off its range, by :func:`slqkit.pinv.solvability`
+        (read where some ``K <= 0``); carries the step.  ``K^+`` is ``1/K``, ``0`` at 0.
     InvalidArgumentError
         Non-scalar model, incompatible batch, a ``path_dependent`` model
         without declared features, or malformed features.
@@ -459,22 +457,30 @@ def solve_bsre_regression(
     Lv = np.zeros((N + 1, n_paths))
     Pv[N] = tab.G[:, 0, 0]
     for i in range(N - 1, -1, -1):
-        fit = _projector(_design_matrix(_whiten([f[i] for f in feats]), basis.degree), i)
-        p_next = Pv[i + 1]
-        m_hat = fit(p_next)
-        lam = fit((p_next - m_hat) * (W[i + 1] - W[i]) / h)
-        a, b, c, d, q, r = (v[:, 0, 0] for v in _node(tab, i))
-        K = r + d * d * p_next
-        if np.any(K < EPS_CLAMP):
-            bad = int(np.argmax(K < EPS_CLAMP))
-            raise DriverSingularError(
-                f"control weight fell below clamp at step {i} "
-                f"(path {bad}, K={K[bad]:.3e})",
-                step=i,
-            )
-        L = b * p_next + d * (p_next * c + lam)
-        drift = 2.0 * a * p_next + 2.0 * c * lam + c * c * p_next + q - L * L / K
-        Pv[i] = fit(p_next + h * drift)
+        Z = _whiten([f[i] for f in feats])
+        if math.comb(len(Z) + basis.degree, basis.degree) > n_paths:  # rank-deficient, unbuilt
+            raise RegressionSingularError(
+                f"regression design matrix rank-deficient at step {i} (a degree-{basis.degree} "
+                f"basis in {len(Z)} features outnumbers {n_paths} paths)", step=i)
+        fit = _projector(_design_matrix(Z, basis.degree), i)
+        p_next, t = Pv[i + 1], grid.points[i]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow escapes below
+            m_hat = fit(p_next)
+            lam = fit((p_next - m_hat) * (W[i + 1] - W[i]) / h)
+            a, b, c, d, q, r = (v[:, 0, 0] for v in _node(tab, i))
+            K = r + d * d * p_next
+            L = b * p_next + d * (p_next * c + lam)
+            _finite(f"regression K or L at step {i}", np.stack((K, L)), t)
+            if np.any(K <= 0.0):  # a positive 1x1 K passes both verdicts
+                _, psd, in_range = solvability(K[:, None, None], L[:, None, None])
+                if not (psd & in_range).all():
+                    bad = int(np.argmin(psd & in_range))
+                    failed = "range condition failed" if psd[bad] else "control weight not PSD"
+                    raise DriverSingularError(
+                        f"regression {failed} at step {i} (path {bad}, K={K[bad]:.3e})", step=i)
+            LKL = np.divide(L * L, K, out=np.zeros_like(K), where=K != 0.0)  # K^+ = 1/K, 0 at 0
+            Pv[i] = fit(p_next + h * (2.0 * a * p_next + 2.0 * c * lam + c * c * p_next + q - LKL))
+            _finite(f"regression solution at step {i}", Pv[i], t)
         Lv[i] = lam
     return RiccatiSolution(grid, PathArray(Pv[:, :, None, None]), PathArray(Lv[:, :, None, None]),
                            tab, "regression_mc")

@@ -97,6 +97,8 @@ def test_load_config_rejects_malformed_json(tmp_path):
       "deterministic": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, float("nan")]}, "deterministic"),
     ({"scenario": "example1", "tolerances": {"basis_degree": 2.5}}, "tolerances"),
     ({"scenario": "example1", "start_index": True}, "start_index"),
+    ({"scenario": "custom-from-file", "custom_model": ":make_model"}, "custom_model"),
+    ({"scenario": "custom-from-file", "custom_model": "mymod:"}, "custom_model"),
 ])
 def test_config_schema_violations_name_the_field(tmp_path, fields, bad_field):
     with pytest.raises(ConfigError) as err:
@@ -420,15 +422,25 @@ def _exit_code(argv):
     (["--scenario", "example1", "--out", "{tmp}/a_file/sub"], 3, "io-error"),
     (["--scenario", "example1", "--steps", "8", "--paths", "4", "--out", "{tmp}/oom"],
      4, "runtime-error"),
+    (["--config", "{tmp}/pi_model.json"], 3, "config-error"),
+    (["--config", "{tmp}/boom_model.json"], 3, "config-error"),
+    (["--config", "{tmp}/no_argument_model.json"], 3, "config-error"),
+    (["--config", "{tmp}/no_module_model.json"], 3, "config-error"),
+    (["--config", "{tmp}/eta_overflow.json"], 4, "runtime-error"),
+    (["--scenario", "example1", "--solver", "regression", "--steps", "8", "--paths", "40",
+      "--tol", "basis_degree=1e9", "--out", "{tmp}/degree"], 4, "runtime-error"),
 ], ids=["scenario", "solver", "steps-text", "T-text", "unknown-flag", "steps-no-value",
         "tolerances-list-and-tol", "steps-beyond-numpy", "paths-beyond-numpy",
-        "factory-returns-a-float", "out-is-a-file", "out-under-a-file", "memory"])
-def test_every_failure_exits_through_the_exit_table(tmp_path, monkeypatch, capsys,
+        "factory-returns-a-float", "out-is-a-file", "out-under-a-file", "memory",
+        "factory-is-a-float", "factory-raises", "factory-takes-no-argument",
+        "factory-of-no-module", "cost-overflows", "basis-beyond-the-batch"])
+def test_every_failure_exits_through_the_exit_table(tmp_path, monkeypatch, capsys, request,
                                                     argv, code, label):
     # Exit 2 is a check that ran and failed, and exit 1 a crash: a flag argparse
     # cannot read, a config value the flags used to read before admission, an
-    # unusable output directory and an allocation that fails each exit by its
-    # row of the table instead, with its label and no traceback.
+    # unusable output directory, an allocation that fails, a custom factory that
+    # cannot be called or raises, and a cost that overflows each exit by its row
+    # of the table instead, with its label and no traceback.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("OUTPUT_DIR", raising=False)
     _write_config(tmp_path, "list_tolerances.json", scenario="example1", tolerances=[1, 2])
@@ -437,12 +449,23 @@ def test_every_failure_exits_through_the_exit_table(tmp_path, monkeypatch, capsy
     _write_config(tmp_path, "sqrt_model.json", scenario="custom-from-file",
                   custom_model="math:sqrt", solver="deterministic_ode", steps=8, paths=4,
                   output_dir=str(tmp_path / "sqrt"))
+    (tmp_path / "exit_table_factories.py").write_text(
+        "def boom(T):\n    raise ValueError('boom')\n\n\ndef no_argument():\n    return None\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name, factory in (("pi", "math:pi"), ("boom", "exit_table_factories:boom"),
+                          ("no_argument", "exit_table_factories:no_argument"),
+                          ("no_module", ":x")):
+        _write_config(tmp_path, f"{name}_model.json", scenario="custom-from-file",
+                      custom_model=factory, solver="deterministic_ode", steps=8, paths=4)
+    _write_config(tmp_path, "eta_overflow.json", scenario="example1", steps=16, paths=50,
+                  eta=[1e200])
     (tmp_path / "a_file").write_text("")
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("cannot allocate the batch")
 
-    monkeypatch.setattr(cli, "sample_brownian", out_of_memory)
+    if request.node.callspec.id == "memory":  # the other runs need their batch
+        monkeypatch.setattr(cli, "sample_brownian", out_of_memory)
     rc = _exit_code([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err
     assert rc not in (1, 2)

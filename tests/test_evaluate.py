@@ -541,6 +541,25 @@ def test_value_identity_example1_passes_at_unit_scale():
     assert res.details["value_quadratic_form"] == pytest.approx(0.1375, abs=1e-12)
 
 
+def test_an_overflowing_cost_is_an_escape_not_a_failed_identity():
+    # At eta = 1e200 the states stay finite but every quadratic form
+    # overflows; the identities used to fail with a NaN residual, as if the
+    # paper's identities did not hold.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=50)
+    huge = InitialCondition(0, np.array([1e200]))
+    with pytest.raises(FiniteEscapeError, match="cost became non-finite, first path 0"):
+        value_identity_check(sol, law, model, huge, batch)
+    x, u = simulate_closed_loop(model, law, huge, batch)
+    assert np.isfinite(x.values).all()
+    with pytest.raises(FiniteEscapeError, match="cost became non-finite"):
+        completion_of_squares_check(sol, law, model, u, huge, batch)
+    with pytest.raises(FiniteEscapeError, match="cost became non-finite"):
+        cost(model, x, u, huge, grid, batch)
+    # The first path is named across arms, on the last axis.
+    with pytest.raises(FiniteEscapeError, match="penalty became non-finite, first path 2"):
+        evaluate._finite("penalty", np.array([[0.0, 1.0, 2.0], [0.0, 1.0, np.inf]]))
+
+
 def test_checks_reject_a_solution_of_another_path_count():
     grid, batch, model, sol, law = _example1_setup(N=16, n_paths=50)
     three = dataclasses.replace(sol, P=PathArray(sol.P.values[:, :3]),

@@ -56,3 +56,24 @@ def test_only_grid_states_the_process_path_rule():
                         and "paths" in ast.unparse(second):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_the_solvability_tolerance_is_stated_once():
+    # pinv.SOLVE_TOL is the rule's tolerance; a numeric literal default for a
+    # parameter named tol restates it, and can drift from it.
+    offenders = []
+    for path in sorted(Path(slqkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg, default in pairs:
+                if isinstance(default, ast.UnaryOp):
+                    default = default.operand
+                if arg.arg == "tol" and isinstance(default, ast.Constant) \
+                        and type(default.value) in (int, float):
+                    offenders.append(f"{path.name}:{default.lineno}")
+    assert offenders == []

@@ -498,13 +498,74 @@ def test_regression_rank_deficient_design_raises():
 
 
 def test_regression_driver_clamp_breach_raises():
-    # r below the clamp with a zero terminal weight leaves K = r < 1e-6 at
-    # the first backward step; the solver must refuse rather than divide.
+    # A negative r with a zero terminal weight leaves K = r < 0 at the first
+    # backward step, which fails the kernel's PSD verdict; the solver must
+    # refuse rather than divide.  (K = 1e-7 is solvable under the paper's rule.)
     grid = make_grid(1.0, 8)
     batch = sample_brownian(grid, 50, seed=1)
-    model = scenario_deterministic(0, 0, 0, 1, 0, 1e-7, 0, T=1.0)
+    model = scenario_deterministic(0, 0, 0, 1, 0, -1e-7, 0, T=1.0)
     with pytest.raises(DriverSingularError) as exc:
         solve_bsre_regression(model, grid, batch)
+    assert exc.value.step == 7
+
+
+def _condition(route, model, grid, batch):
+    """``route``'s solution on ``model``, or the condition it failed: "escape",
+    "range" or "psd", read from the error its route documents (else its message)."""
+    try:
+        return route(model, grid, batch)
+    except FiniteEscapeError:
+        return "escape"
+    except (RiccatiSingularError, DriverSingularError) as exc:
+        named = [c for c, words in (("range", ("range",)), ("psd", ("PSD", "semidefinit")))
+                 if any(w in str(exc) for w in words)]
+        return named[0] if len(named) == 1 else str(exc)
+
+
+@pytest.mark.parametrize("coeffs,verdict", [
+    ((0, 1, 0, 0, 0, 0, 0), None),        # K = 0 and L = 0 everywhere: P = 0
+    ((0, 0, 0, 1, 0, 1e-7, 0), None),     # K = 1e-7 > 0: solvable, however small
+    ((0, 1, 0, 0, 0, 0, 1), "range"),     # K = 0, L = 1
+    ((0, 0, 0, 1, 0, -1e-7, 0), "psd"),   # K = -1e-7
+    ((1e300, 1, 1, 1, 1, 1, 1), "escape"),
+], ids=["K-and-L-zero", "K-tiny", "L-off-range", "K-negative", "escape"])
+def test_ode_and_regression_routes_judge_a_step_by_one_rule(coeffs, verdict):
+    # The regression route used to floor K at 1e-6, refusing the first two
+    # rows, and to end the last in an InvalidArgumentError on its output.
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 50, seed=1)
+    model = scenario_deterministic(*coeffs, T=1.0)
+    routes = (lambda m, g, b: solve_deterministic(m, g), solve_bsre_regression)
+    outcomes = [_condition(route, model, grid, batch) for route in routes]
+    if verdict is not None:
+        assert outcomes == [verdict, verdict]
+        return
+    for sol in outcomes:  # q = g = 0 and no L: P stays exactly 0
+        assert isinstance(sol, RiccatiSolution) and (sol.P.values == 0.0).all()
+
+
+def test_regression_driver_failures_name_step_path_and_verdict():
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 50, seed=1)
+    for coeffs, message in (
+            ((0, 1, 0, 0, 0, 0, 1), "regression range condition failed at step 7 (path 0, K=0"),
+            ((0, 0, 0, 1, 0, -1e-7, 0), "regression control weight not PSD at step 7 (path 0, "
+                                        "K=-1.000e-07)")):
+        with pytest.raises(DriverSingularError, match=re.escape(message)):
+            solve_bsre_regression(scenario_deterministic(*coeffs, T=1.0), grid, batch)
+    with pytest.raises(FiniteEscapeError,
+                       match="regression solution at step 6 became non-finite, first path 0") as exc:
+        solve_bsre_regression(scenario_deterministic(1e300, 1, 1, 1, 1, 1, 1, T=1.0), grid, batch)
+    assert exc.value.time == grid.points[6]
+
+
+def test_regression_basis_larger_than_the_batch_is_refused_before_it_is_built():
+    # A degree-1e9 basis in one feature has 1e9 + 1 columns, far more than 40
+    # paths can identify: the step is refused at once, as the rank rule would.
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 40, seed=1)
+    with pytest.raises(RegressionSingularError, match="outnumbers 40 paths") as exc:
+        solve_bsre_regression(scenario_example1(1.0), grid, batch, RegressionBasis(10**9))
     assert exc.value.step == 7
 
 
