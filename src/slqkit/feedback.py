@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SynthesisInfeasibleError, _real
 from .grid import PathArray, TimeGrid, _require_grid, _require_process, _time_blocks
-from .pinv import SOLVE_TOL, solvability
+from .pinv import SOLVE_TOL, _frobenius, solvability
 from .problem import CoefficientModel, _table_for
 from .riccati import RiccatiSolution, _gains
 
@@ -213,6 +213,8 @@ def stationarity_residual(
     adjoint-process form, read on the batch's ``W``; only a ``"deterministic"``
     model may omit ``W``, and is then tabulated on a one-path zero prefix.
     The gain, the solution and ``W`` span its grid, on paths that broadcast.
+    Both norms are taken by :func:`slqkit.pinv._frobenius`, so a residual
+    whose squares overflow is still finite.
     """
     N, m, n = sol.grid.N, sol.table.model.m, sol.table.model.n
     if W is not None and (np.ndim(W) != 2 or np.shape(W)[0] != N + 1):
@@ -227,7 +229,7 @@ def stationarity_residual(
     for rows in _time_blocks(th, Pv):
         K, L = _gains(sol, rows)
         resid = L + np.einsum("tpij,tpjk->tpik", K, th[rows])
-        block_max.append(np.sqrt(np.sum(resid * resid, axis=(2, 3))).max())
+        block_max.append(_frobenius(resid).max())
     max_resid = float(np.max(block_max))
     pi_resid = None
     if model is not None:
@@ -240,6 +242,6 @@ def stationarity_residual(
             r = (np.einsum("...nm,...nk->...mk", B, Pv[i])
                  + np.einsum("...nm,...nk->...mk", D, Pi)
                  + R @ th[i])
-            worst = max(worst, float(np.sqrt(np.sum(r * r, axis=(1, 2))).max()))
+            worst = max(worst, float(_frobenius(r).max()))
         pi_resid = worst
     return StationarityResult(max_residual=max_resid, pi_form_residual=pi_resid)

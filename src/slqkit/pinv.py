@@ -22,6 +22,7 @@ from .errors import InvalidArgumentError, SlqError, _real
 __all__ = ["PinvResult", "pinv", "pinv_limit", "solvability", "range_inclusion", "psd_check"]
 
 SOLVE_TOL = 1e-8  # the tolerance of solvability(), read by every route and by synthesis
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def pinv(M, tol: float | None = None) -> PinvResult:
     tol = None if tol is None else _real(tol, "tol", 0.0)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    tol_used = tol if tol is not None else max(A.shape) * np.finfo(np.float64).eps * smax
+    tol_used = tol if tol is not None else max(A.shape) * _EPS * smax
     keep = s > tol_used
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
@@ -141,15 +142,25 @@ def solvability(K, L, tol: float = SOLVE_TOL) -> tuple[np.ndarray, np.ndarray, n
     return (Kd, *_verdicts(K, Kd, lam_min, L, tol))
 
 
-def _pseudo_inverse(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pseudo_inverse(K: float | np.ndarray) -> tuple:
     """``(K^+, lambda_min)`` of the symmetrized stack of finite ``K``, from one
-    decomposition: the cutoff and closed form of :func:`solvability`."""
+    decomposition: the cutoff and closed form of :func:`solvability`.
+
+    A Python float is a 1x1 ``K`` and gets float results by the same closed
+    form.  One 2-D ``K`` reads its cutoff on Python floats; its results equal
+    those of the stack ``K[None]``, bit for bit."""
+    if isinstance(K, float):
+        return (1.0 / K if K != 0.0 else 0.0), K
     m = K.shape[-1]
     if m == 1:
         return np.divide(1.0, K, out=np.zeros_like(K), where=K != 0.0), K[..., 0, 0]
     lam, V = np.linalg.eigh(0.5 * (K + K.swapaxes(-1, -2)))
+    if K.ndim == 2:
+        lam = lam.tolist()
+        cut = m * _EPS * max(map(abs, lam))
+        return (V * [1.0 / x if abs(x) > cut else 0.0 for x in lam]).dot(V.T), lam[0]
     lam_abs = np.abs(lam)
-    keep = lam_abs > m * np.finfo(np.float64).eps * lam_abs.max(axis=-1, keepdims=True)
+    keep = lam_abs > m * _EPS * lam_abs.max(axis=-1, keepdims=True)
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return (V * inv[..., None, :]) @ V.swapaxes(-1, -2), lam[..., 0]
 
@@ -175,7 +186,17 @@ def _verdicts(K, Kd, lam_min, L, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frobenius(M: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...ij,...ij->...", M, M))
+    """Frobenius norms of the stack ``M (..., i, j)``.  Where the sum of squares
+    overflows on finite entries, the norm is taken on ``M / max|M|`` and scaled
+    back; every other norm is the plain one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(np.einsum("...ij,...ij->...", M, M))
+        if not np.isfinite(norm.max(initial=0.0)):  # a reduction: no mask of the stack's size
+            scale = np.abs(M).max(axis=(-2, -1))
+            S = M / scale[..., None, None]
+            norm = np.where(np.isinf(norm) & np.isfinite(scale),
+                            scale * np.sqrt(np.einsum("...ij,...ij->...", S, S)), norm)
+    return norm
 
 
 def range_inclusion(K, L, tol: float = SOLVE_TOL) -> bool:

@@ -11,8 +11,10 @@ is handled by four routes:
 * :func:`discrete_recursion_oracle` — the *exact* dynamic-programming
   recursion of the Euler-discretized problem, kept as an independent oracle
   for the ODE solver (both discretize the same continuous problem and must
-  agree at first order in the step).  Each states its one-step map, and one
-  backward sweep, :func:`_sweep`, runs both and judges their solvability;
+  agree at first order in the step).  Each states its one-step map once,
+  over the product, transpose, finiteness test and identity of its stage,
+  and one backward sweep, :func:`_sweep`, runs both (on Python floats for a
+  1x1 model, on 2-D arrays otherwise) and judges their solvability;
 * :func:`solve_bsre_regression` — least-squares Monte Carlo backward
   induction for scalar problems, regressing on a Markov state (the model's
   declared features, else ``W_t``), each step judged as a sweep's stage;
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -158,31 +161,46 @@ def _sym(P: np.ndarray) -> np.ndarray:
 def _sweep(route: str, model: CoefficientModel, grid: TimeGrid, stages: int,
            messages: tuple[str, str, str], step: Callable) -> RiccatiSolution:
     """The deterministic backward sweep of ``route``: ``P_N = sym(G)``, then
-    ``P_i = step(i, P_{i+1}, coeffs_i, record)`` for ``i = N-1 ... 0``, with
-    zero ``Lambda``.  ``record(K, L, t)`` keeps one of at most ``stages``
-    pairs and returns ``K^+``; the pairs are judged in one batch.  If one
-    fails, or a step raised, they are re-checked one at a time in order, so
-    the first failing stage raises the escape, PSD or range error of
-    ``messages`` (or the asymmetry error); a step's own error propagates
-    only if none fails."""
+    ``P_i = step(i, P_{i+1}, coeffs_i, record, ops)`` for ``i = N-1 ... 0``,
+    with zero ``Lambda``.  ``coeffs_i`` is the table's ``(A, B, C, D, Q, R)``
+    at node ``i``, and ``ops = (dot, T, finite, eye)`` the algebra the step is
+    written in: the matrix product, the transpose, the finiteness test and
+    the identity.  A 1x1 model steps on Python floats (``dot`` is
+    ``a * b + 0.0``, since NumPy's 1x1 ``matmul`` sums from ``+0.0``), any
+    other on 2-D arrays (``ndarray.dot``, ``.T``), with the same bits.
+    ``record(K, L, t)`` keeps one of at most ``stages`` pairs and returns
+    ``K^+``; the pairs are judged in one batch.  If one fails, or a step
+    raised, they are re-checked one at a time in order, so the first failing
+    stage raises the escape, PSD or range error of ``messages`` (or the
+    asymmetry error); a step's own error propagates only if none fails."""
     if model.kind != "deterministic":
         raise InvalidArgumentError(f'{route} needs kind="deterministic", got {model.kind!r}')
     N, n, m = grid.N, model.n, model.m
     tab = coefficient_table(model, _zero_prefix(grid))
     Pv = np.empty((N + 1, 1, n, n))
     Pv[N] = _sym(tab.G)
+    rows = [getattr(tab, name)[:, 0] for name in ("A", "B", "C", "D", "Q", "R")]
+    if n == m == 1:
+        rows = [v[:, 0, 0].tolist() for v in rows]
+        ops = (lambda a, b: a * b + 0.0), (lambda a: a), math.isfinite, 1.0
+        P = float(Pv[N, 0, 0, 0])
+    else:
+        ops = np.ndarray.dot, attrgetter("T"), lambda M: np.isfinite(M).all(), np.eye(n)
+        P = Pv[N, 0]
+    rows = list(zip(*rows))
     K, Kd = np.empty((2, stages, m, m))
     L = np.empty((stages, m, n))
     lam_min, t = np.empty((2, stages))
     size = 0
     escape, not_psd, off_range = messages
 
-    def record(K_j: np.ndarray, L_j: np.ndarray, t_j: float) -> np.ndarray:
+    def record(K_j, L_j, t_j: float):
         nonlocal size
         j, size = size, size + 1  # counted before the decomposition, which can raise
         K[j], L[j], t[j] = K_j, L_j, t_j
-        Kd[j], lam_min[j] = _pseudo_inverse(K_j)
-        return Kd[j]
+        K_d, lam_min[j] = _pseudo_inverse(K_j)
+        Kd[j] = K_d
+        return K_d
 
     def replay() -> None:
         for K_j, L_j, t_j in zip(K[:size], L[:size], t[:size]):
@@ -196,7 +214,7 @@ def _sweep(route: str, model: CoefficientModel, grid: TimeGrid, stages: int,
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i in range(N - 1, -1, -1):
-                Pv[i] = step(i, Pv[i + 1][0], tuple(v[0] for v in _node(tab, i)), record)
+                P = Pv[i] = step(i, P, rows[i], record, ops)
         except (FiniteEscapeError, np.linalg.LinAlgError):
             replay()
             raise
@@ -230,25 +248,32 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
     """
     escape = "Riccati solution blew up near t={t:.6g}"
 
-    def rhs(P: np.ndarray, coeffs: tuple, t: float, record: Callable) -> np.ndarray:
-        if not np.isfinite(P).all():
+    def rhs(P, coeffs: tuple, t: float, record: Callable, ops: tuple):
+        dot, T, finite, _ = ops
+        if not finite(P):
             raise FiniteEscapeError(escape.format(t=t), time=t)
-        A, B, C, D, Q, R = coeffs
-        K = R + D.T @ P @ D
-        L = B.T @ P + D.T @ (P @ C)
+        A, B, C, D, Q, R, At, Bt, Ct, Dt = coeffs
+        K = R + dot(dot(Dt, P), D)
+        L = dot(Bt, P) + dot(Dt, dot(P, C))
         Kd = record(K, L, t)
-        return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ (Kd @ L))
+        return -(dot(P, A) + dot(At, P) + dot(dot(Ct, P), C) + Q - dot(T(L), dot(Kd, L)))
 
-    def step(i: int, P: np.ndarray, coeffs: tuple, record: Callable) -> np.ndarray:
+    def step(i: int, P, coeffs: tuple, record: Callable, ops: tuple):
+        _, T, finite, _ = ops
+        coeffs += tuple(map(T, coeffs[:4]))  # transposed once per node
+
+        def sym(X):
+            return 0.5 * (X + T(X))
+
         dt, t = -grid.h / 4.0, grid.points[i + 1]
         for _ in range(4):
-            k1 = rhs(P, coeffs, t, record)
-            k2 = rhs(_sym(P + 0.5 * dt * k1), coeffs, t + 0.5 * dt, record)
-            k3 = rhs(_sym(P + 0.5 * dt * k2), coeffs, t + 0.5 * dt, record)
-            k4 = rhs(_sym(P + dt * k3), coeffs, t + dt, record)
-            P = _sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            k1 = rhs(P, coeffs, t, record, ops)
+            k2 = rhs(sym(P + 0.5 * dt * k1), coeffs, t + 0.5 * dt, record, ops)
+            k3 = rhs(sym(P + 0.5 * dt * k2), coeffs, t + 0.5 * dt, record, ops)
+            k4 = rhs(sym(P + dt * k3), coeffs, t + dt, record, ops)
+            P = sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
             t += dt
-            if not np.isfinite(P).all():
+            if not finite(P):
                 raise FiniteEscapeError(escape.format(t=t), time=t)
         return P
 
@@ -278,18 +303,21 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
     FiniteEscapeError
         If ``H``, ``M`` or ``P`` blows up before reaching ``t = 0``.
     """
-    h, eye = grid.h, np.eye(model.n)
+    h = grid.h
     escape = "discrete recursion blew up at t={t:.6g}"
 
-    def step(i: int, Pn: np.ndarray, coeffs: tuple, record: Callable) -> np.ndarray:
+    def step(i: int, Pn, coeffs: tuple, record: Callable, ops: tuple):
+        dot, T, finite, eye = ops
         A, B, C, D, Q, R = coeffs
         Phi = eye + h * A
-        H = h * R + h * h * (B.T @ Pn @ B) + h * (D.T @ Pn @ D)
-        M = h * (B.T @ Pn @ Phi + D.T @ Pn @ C)
+        BtPn, DtPn = dot(T(B), Pn), dot(T(D), Pn)
+        H = h * R + h * h * dot(BtPn, B) + h * dot(DtPn, D)
+        M = h * (dot(BtPn, Phi) + dot(DtPn, C))
         t = grid.points[i]
         Hd = record(H, M, t)
-        P = _sym(Phi.T @ Pn @ Phi + h * (C.T @ Pn @ C) + h * Q - M.T @ (Hd @ M))
-        if not np.isfinite(P).all():
+        P = dot(dot(T(Phi), Pn), Phi) + h * dot(dot(T(C), Pn), C) + h * Q - dot(T(M), dot(Hd, M))
+        P = 0.5 * (P + T(P))
+        if not finite(P):
             raise FiniteEscapeError(escape.format(t=t), time=t)
         return P
 

@@ -160,6 +160,23 @@ def test_synthesize_range_violation():
     assert exc.value.total_offenders == (grid.N + 1)
 
 
+def _constant_solution(model, grid, p):
+    """A one-path solution of ``model`` with ``P = p`` and ``Lambda = 0`` everywhere."""
+    P = np.full((grid.N + 1, 1, model.n, model.n), p)
+    return RiccatiSolution(grid=grid, P=PathArray(P), Lambda=PathArray(np.zeros_like(P)),
+                           table=CoefficientTable(model, np.zeros((grid.N + 1, 1))))
+
+
+def test_synthesize_range_violation_is_seen_at_any_scale():
+    # K = 0 and L = P: L is off K's range also where ||L||^2 overflows.
+    model = scenario_deterministic(0, 1, 0, 0, 0, 0, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    for p in (1.0, 1e160):
+        with pytest.raises(SynthesisInfeasibleError) as exc:
+            synthesize(_constant_solution(model, grid, p), model)
+        assert exc.value.reason == "range"
+
+
 def test_synthesize_matrix_branch_solves_normal_equations():
     # 2x2 SPD K with L in range: K Theta = -L at every sample.
     rng = np.random.default_rng(6)
@@ -447,6 +464,16 @@ def test_stationarity_example1_roundoff_scale():
     res = stationarity_residual(law, sol, model, batch.W)
     assert res.max_residual <= 1e-12
     assert res.pi_form_residual <= 1e-12
+
+
+def test_stationarity_residual_whose_squares_overflow_is_finite():
+    # A zero gain leaves both forms at L = B P = 1e200, whose square overflows.
+    model = scenario_deterministic(0, 1, 0, 2, 1, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    sol = _constant_solution(model, grid, 1e200)
+    law = FeedbackLaw(theta=PathArray(np.zeros((grid.N + 1, 1, 1, 1))), source=sol)
+    res = stationarity_residual(law, sol, model)
+    assert res.max_residual == res.pi_form_residual == 1e200
 
 
 def test_stationarity_form_of_a_random_model_needs_its_batch():

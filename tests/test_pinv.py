@@ -130,6 +130,11 @@ def test_range_inclusion_basic_cases():
     # The zero operator only contains the zero vector.
     assert range_inclusion(np.zeros((2, 2)), np.zeros((2, 1)))
     assert not range_inclusion(np.zeros((2, 2)), np.ones((2, 1)))
+    # At any scale: squares that overflow must not pass as inf <= inf.
+    for s in (1e150, 1e160, 1e200):
+        assert range_inclusion(K, np.array([[s], [0.0]]))
+        assert not range_inclusion(K, np.array([[0.0], [s]]))
+    assert not range_inclusion(np.zeros((1, 1)), np.array([[1e160]]))
 
 
 def test_range_inclusion_random_sweep():

@@ -5,6 +5,7 @@ per-stage reference loop, the sweep's superposition, the simulator's entry
 kernel against batched matrix products, and the CLI's config round trip."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slqkit import evaluate
+from slqkit import evaluate, riccati
 from slqkit import grid as grid_module
 from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, load_config, main
 from slqkit.errors import FiniteEscapeError, InvalidArgumentError, RiccatiSingularError, SlqError
@@ -32,7 +33,7 @@ from slqkit.evaluate import (
 from slqkit.feedback import FeedbackLaw
 from slqkit.grid import PathArray
 from slqkit.grid import _path_major_increments, _time_blocks, make_grid, sample_brownian
-from slqkit.pinv import _verdicts, pinv, solvability
+from slqkit.pinv import _pseudo_inverse, _verdicts, pinv, solvability
 from slqkit.problem import (
     Y_SHIFT,
     Y_UPPER,
@@ -402,6 +403,30 @@ def test_solvability_kernel_matches_svd_references(m, n, specs, seed, k_exp, l_e
         assert in_range[j] == (resid <= range_bound)
 
 
+@SETTINGS
+@given(
+    m=st.integers(1, 3),
+    rank=st.integers(0, 3),
+    negatives=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-150, 1.0, 1e150]),
+    negative_zeros=st.integers(0, 2**9 - 1),
+)
+def test_one_matrix_decomposes_as_its_stack(m, rank, negatives, seed, scale, negative_zeros):
+    # PSD (no negatives), indefinite, rank-deficient and zero K; the zero
+    # entries of K take the sign given by the bits of negative_zeros.
+    r = min(rank, m)
+    K = _solvability_pair(np.random.default_rng(seed), m, 1, r, min(negatives, r), True)[0]
+    K = K * scale
+    signs = (negative_zeros >> np.arange(m * m).reshape(m, m)) & 1
+    K[(K == 0.0) & (signs == 1)] = -0.0
+    stack_Kd, stack_lam = _pseudo_inverse(K[None])
+    one = [_pseudo_inverse(K)] + ([_pseudo_inverse(float(K[0, 0]))] if m == 1 else [])
+    for Kd, lam_min in one:
+        assert np.asarray(Kd, dtype=np.float64).tobytes() == stack_Kd[0].tobytes()
+        assert np.float64(lam_min).tobytes() == stack_lam[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Deterministic solvers against a per-stage reference loop
 # ---------------------------------------------------------------------------
@@ -541,6 +566,38 @@ def test_deterministic_solvers_equal_the_per_stage_reference(n, m, N, dead, dead
     assert _outcome(solve_deterministic, model, grid) == _outcome(_reference_ode, model, grid)
     assert (_outcome(discrete_recursion_oracle, model, grid)
             == _outcome(_reference_recursion, model, grid))
+
+
+@pytest.mark.parametrize("r", [1.0, 0.0, -0.0])
+def test_1x1_solvers_equal_the_per_stage_reference_on_signed_zeros(r):
+    # A 1x1 model steps on Python floats; the reference steps on 1x1 arrays,
+    # whose products sum from +0.0.  _outcome compares bytes, so the sign of
+    # every zero counts.
+    grid = make_grid(1.0, 4)
+    for a, c, d, q, g in itertools.product(*((0.0, -0.0, v) for v in (0.3, -0.4, 0.7, 0.5, 1.0))):
+        model = scenario_deterministic(a, 1.0, c, d, q, r, g, T=1.0)
+        assert (_outcome(solve_deterministic, model, grid)
+                == _outcome(_reference_ode, model, grid))
+        assert (_outcome(discrete_recursion_oracle, model, grid)
+                == _outcome(_reference_recursion, model, grid))
+
+
+def test_a_1x1_sweep_records_python_floats_and_a_matrix_sweep_2d_arrays(monkeypatch):
+    seen = []
+    pseudo_inverse = riccati._pseudo_inverse
+
+    def noting(K):
+        seen.append((type(K), np.ndim(K)))
+        return pseudo_inverse(K)
+
+    monkeypatch.setattr(riccati, "_pseudo_inverse", noting)
+    scalar = scenario_deterministic(0.1, 1.0, 0.2, 0.3, 1.0, 1.0, 1.0, T=1.0)
+    matrix = _singular_constant_model(np.random.default_rng(5), 2, 2, set(), False, 2, 0.1)
+    for model, kind in ((scalar, (float, 0)), (matrix, (np.ndarray, 2))):
+        for solve in (solve_deterministic, discrete_recursion_oracle):
+            seen.clear()
+            solve(model, make_grid(1.0, 4))
+            assert set(seen) == {kind}
 
 
 @pytest.mark.parametrize("coeffs,message,escapes", [

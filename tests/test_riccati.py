@@ -131,6 +131,15 @@ def test_ode_indefinite_weight_raises_with_time():
     assert exc.value.time == pytest.approx(1.0)
 
 
+def test_ode_range_failure_is_seen_at_any_scale():
+    # K = 0 and L = P: L leaves K's range at the first stage, also where
+    # ||L||^2 overflows.
+    for g in (1.0, 1e160):
+        model = scenario_deterministic(0, 1, 0, 0, 0, 0, g, T=1.0)
+        with pytest.raises(RiccatiSingularError, match="range condition failed at t=1$"):
+            solve_deterministic(model, make_grid(1.0, 8))
+
+
 def test_ode_finite_escape():
     # Unstable drift with no stabilizing control: the backward solution
     # overflows before reaching t = 0 and must surface as FiniteEscapeError,
