@@ -363,10 +363,8 @@ def run(config: ExperimentConfig) -> RunReport:
         with stage("checks_s"):
             if "completion_of_squares" in enabled or "optimality" in enabled:
                 perts = make_perturbations(grid, batch, model.m)
-            if "value_identity" in enabled:
-                res = value_identity_check(sol, law, model, init, batch, n_se, disc)
-                pass_flags["value_identity"] = {
-                    k: getattr(res, k) for k in ("passed", "residual", "tolerance", "details")}
+            # Completion of squares goes first: its arm pass steps the closed
+            # loop as arm 0, whose cost the value identity and the sweep read.
             if "completion_of_squares" in enabled:
                 eps = config.tolerance("cos_epsilon")
                 # Ten perturbed arms and the replay, in one arm pass with the closed loop.
@@ -382,6 +380,10 @@ def run(config: ExperimentConfig) -> RunReport:
                     "passed": all(arm["passed"] for arm in arms.values()), "residual": worst,
                     "tolerance": None, "arms": arms,
                 }
+            if "value_identity" in enabled:
+                res = value_identity_check(sol, law, model, init, batch, n_se, disc)
+                pass_flags["value_identity"] = {
+                    k: getattr(res, k) for k in ("passed", "residual", "tolerance", "details")}
             if "optimality" in enabled:
                 sweep = optimality_sweep(sol, law, model, init, batch, perts, n_se=n_se,
                                          disc_coeff=disc)
@@ -408,6 +410,8 @@ def run(config: ExperimentConfig) -> RunReport:
                     "growth_ratio": probe.growth_ratio,
                     "rows": [dataclasses.asdict(r) for r in probe.rows],
                 }
+        # The report lists the checks in CHECKS order, whatever order they ran in.
+        pass_flags = {name: pass_flags[name] for name in CHECKS if name in pass_flags}
         verification = {
             "value_identity_residual": pass_flags.get("value_identity", {}).get("residual"),
             "cos_identity_residual": pass_flags.get("completion_of_squares", {}).get("residual"),
@@ -421,8 +425,10 @@ def run(config: ExperimentConfig) -> RunReport:
             fields = [v[..., 0, 0] if v.shape[2:] == (1, 1) else np.linalg.norm(v, axis=(2, 3))
                       for v in (sol.P.values, sol.Lambda.values,
                                 *_gains(sol, paths=slice(n_export)))]
+            # Python floats format faster than NumPy scalars, to the same text.
+            points, columns = grid.points.tolist(), [f[:, :n_export].tolist() for f in fields]
             riccati_rows = (
-                [_fmt(grid.points[i]), str(p)] + [_fmt(f[i, p]) for f in fields]
+                [_fmt(points[i]), str(p)] + [_fmt(f[i][p]) for f in columns]
                 for p in range(n_export) for i in range(grid.N + 1)
             )
             _write_csv(out_dir / "riccati.csv",
@@ -431,7 +437,7 @@ def run(config: ExperimentConfig) -> RunReport:
                        ([row["perturbation_id"]] + [_fmt(row[k]) for k in _SWEEP_COLUMNS[1:]]
                         for row in sweep_rows))
             _write_csv(out_dir / "regularity.csv", ["path_id", "sqnorm_theta"],
-                       ([str(p), _fmt(v)] for p, v in enumerate(reg.pathwise_sqnorm)))
+                       ([str(p), _fmt(v)] for p, v in enumerate(reg.pathwise_sqnorm.tolist())))
 
         p_start = fields[0][config.start_index]
         report = RunReport(

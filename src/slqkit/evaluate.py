@@ -15,18 +15,21 @@ step and the cost quadrature read the model's coefficient table
 (:func:`slqkit.problem.coefficient_table`), built once per (model, batch)
 and shared by every check on that batch.  The three Monte Carlo checks read
 one closed-loop cost: :func:`_closed_loop` takes it from a one-arm pass,
-memoized like the table with one float per path, so the checks on a
-synthesized gain read one closed loop whoever calls them.  Every other run
-of a check is an arm of one arm pass, with the closed loop as arm 0 where an
-arm steps on it: all completion-of-squares controls in one, and all the
-sweep's arms in another.  One quadrature (:class:`_Quadrature`, left point,
-in time order) takes every quadratic form one index at a time: the cost, the
-sweep's cross terms and the completion-of-squares penalty, as the arm pass
-yields each index.  Path-constant data (coefficient rows, a one-path solution,
+or from arm 0 of a completion-of-squares pass, memoized like the table with
+one float per path, so the checks on a synthesized gain read one closed loop
+whoever calls them.  Every other run of a check is an arm of one arm pass,
+with the closed loop as arm 0 where an arm steps on it: all
+completion-of-squares controls in one, and all the sweep's arms in another.
+One quadrature (:class:`_Quadrature`, left point, in time order) takes every
+quadratic form one index at a time: the cost, the sweep's cross terms and the
+completion-of-squares penalty, as the arm pass yields each index.  Path-constant data (coefficient rows, a one-path solution,
 time-only perturbations) stay ``(1, r, c)`` rows that broadcast.
 One Euler step and one quadratic form (:func:`_form`) serve every dimension,
 on per-entry views (:func:`_entries`), with each sum in index order, so
 results do not depend on the BLAS build or on the number of arms in a pass.
+An entry that is ``+-0`` at every index is absent and its terms skipped:
+adding ``+-0`` to a nonzero value is exact, so every nonzero result keeps
+its bits, and the sign of a zero sum is kept for the terms that remain.
 The Euler step is linear in ``(x, u)`` and the cost is one bilinear
 quadrature ``B`` taken on ``(x, u), (x, u)``, so ``J(u_fb + eps v) = J_fb +
 eps B((x_fb, u_fb), (x_v, v)) + eps^2 B((x_v, v), (x_v, v)) / 2`` per path
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -129,27 +133,43 @@ class CheckResult:
 
 def _entries(a: np.ndarray) -> list:
     """Views ``E[j][l][i] = a[i, ..., j, l]`` of an ``(I, ..., r, c)`` array,
-    listed once so that loops over ``i`` only look them up."""
-    return [[list(a[..., j, l]) for l in range(a.shape[-1])] for j in range(a.shape[-2])]
+    listed once so that loops over ``i`` only look them up.  An entry that is
+    ``+-0`` at every index is ``None``, absent: every sum skips its terms."""
+    return [[list(v) if v.any() else None for v in (a[..., j, l] for l in range(a.shape[-1]))]
+            for j in range(a.shape[-2])]
 
 
-def _dot(row: list, v: list, i: int) -> np.ndarray:
-    """``sum_l row_l v_l`` of the entry lists ``row`` at index ``i`` and one
-    index's entries ``v``, in index order from its first term."""
-    total = row[0][i] * v[0]
-    for l in range(1, len(v)):
-        total = total + row[l][i] * v[l]
+def _sum(terms) -> np.ndarray | None:
+    """The sum of the ``terms`` that are not ``None``, in order from the first;
+    ``None`` if there is none."""
+    total = None
+    for term in terms:
+        if term is not None:
+            total = term if total is None else total + term
     return total
+
+
+def _dot(row: list, v: list, i: int) -> np.ndarray | None:
+    """``sum_l row_l v_l`` of the entry list ``row`` at index ``i`` and one
+    index's entries ``v``, over the present entries of ``row`` (:func:`_sum`)."""
+    return _sum(r_l[i] * v_l for r_l, v_l in zip(row, v) if r_l is not None)
 
 
 def _step(coeffs: list, i: int, h: float, dw: np.ndarray, x: list, u: list) -> list:
     """The Euler step from index ``i``: the new entries ``x_j + h (sum_l A_jl
     x_l + sum_l B_jl u_l) + (sum_l C_jl x_l + sum_l D_jl u_l) dW`` of the
     ``(A, P)`` entries ``x`` and ``u`` of a stack of arms, with ``coeffs`` the
-    entry lists of ``A, B, C, D`` (:func:`_dot`)."""
+    entry lists of ``A, B, C, D`` (:func:`_dot`).  A term with no present
+    coefficient is not added."""
     A, B, C, D = coeffs
-    return [x_j + h * (_dot(A[j], x, i) + _dot(B[j], u, i))
-            + (_dot(C[j], x, i) + _dot(D[j], u, i)) * dw for j, x_j in enumerate(x)]
+    x_next = []
+    for j, x_j in enumerate(x):
+        for on_x, on_u, scale in ((A, B, h), (C, D, dw)):
+            total = _sum((_dot(on_x[j], x, i), _dot(on_u[j], u, i)))
+            if total is not None:
+                x_j = x_j + scale * total
+        x_next.append(x_j)
+    return x_next
 
 
 def _start(init: InitialCondition, n: int, P: int) -> np.ndarray:
@@ -247,6 +267,7 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
     coeffs = [_entries(c) for c in (tab.A, tab.B, tab.C, tab.D)]
     gain = None if theta is None else _entries(theta)
     lead = int(gain is not None)
+    runs = _runs(arms, lead)
     W = batch.W
     x = list(np.broadcast_to(x0, (n, lead + len(arms), P)))
     for i in range(s, N + 1):
@@ -256,15 +277,17 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
         with np.errstate(over="ignore", invalid="ignore"):
             if gain is not None:
                 x_fb = [x_j[0] for x_j in x]
-                u[:, 0] = [_dot(row, x_fb, i) for row in gain]
-            for a, (on_fb, eps, v) in enumerate(arms, lead):
-                u_a = u[:, a]
-                if v is None:
-                    u_a[...] = u[:, 0]
+                for u_k, row in zip(u, gain):
+                    total = _dot(row, x_fb, i)
+                    u_k[0] = 0.0 if total is None else total
+            for on_fb, eps, rows, at in runs:
+                u_run = u[:, at]
+                if rows is None:
+                    u_run[...] = u[:, :1]
                     continue
-                np.multiply(v[i, :, :, 0].T, eps, out=u_a)
+                np.multiply(rows[i], eps, out=u_run)
                 if on_fb:
-                    np.add(u[:, 0], u_a, out=u_a)
+                    np.add(u[:, :1], u_run, out=u_run)
             u = list(u)
             # Index i is yielded once the step from it is known finite, so no
             # caller reads the control of an escaping step.
@@ -277,39 +300,68 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
         x = x_next
 
 
-def _form(M: list, x: list, y: list, i: int) -> np.ndarray:
+def _runs(arms: list, lead: int) -> list:
+    """The arms of :func:`_arm_pass` as runs ``(on_fb, eps, rows, at)`` of
+    consecutive arms, the slice ``at`` of the stack, whose controls are
+    ``rows[i]``, broadcasting to ``(m, A_run, P)``.  The time-only controls of
+    neighbouring arms with one ``(on_fb, eps)`` (``eps`` by its bits, so
+    ``0.0`` and ``-0.0`` stay apart) are one stacked ``(N+1, m, A_run, 1)``
+    row; a path-dependent control is a run of one, read as an ``(N+1, m, 1,
+    P)`` view, and so is a replay (``rows`` is ``None``)."""
+    def key(arm):
+        on_fb, eps, v = arm
+        return ((on_fb, np.float64(eps).tobytes()) if v is not None and v.shape[1] == 1
+                else object())  # equal to no other key
+
+    runs, start = [], lead
+    for _, group in groupby(arms, key):
+        (on_fb, eps, v), *rest = group
+        rows = None if v is None else v.transpose(0, 2, 3, 1)
+        if rest:
+            rows = np.concatenate([rows] + [w.transpose(0, 2, 3, 1) for _, _, w in rest], axis=2)
+        runs.append((on_fb, eps, rows, slice(start, start + 1 + len(rest))))
+        start += 1 + len(rest)
+    return runs
+
+
+def _form(M: list, x: list, y: list, i: int) -> np.ndarray | None:
     """Per-path ``<M_i x, y> = sum_j sum_l (x_j M_jl) y_l`` of the entry lists
     ``M`` at index ``i`` and one index's entries ``x`` and ``y``, summed over
-    ``(j, l)`` in index order from the first term."""
-    total = None
-    for x_j, row in zip(x, M):
-        for M_jl, y_l in zip(row, y):
-            term = x_j * M_jl[i] * y_l
-            total = term if total is None else total + term
-    return total
+    ``(j, l)`` in index order, over the terms whose factors are all present
+    (:func:`_sum`)."""
+    return _sum(x_j * M_jl[i] * y_l for x_j, row in zip(x, M) if x_j is not None
+                for M_jl, y_l in zip(row, y) if M_jl is not None and y_l is not None)
 
 
 class _Quadrature:
     """The cost's bilinear form ``B((x, u), (y, w)) = sum_{i=s}^{N-1} h (<Q_i
     x_i, y_i> + <R_i u_i, w_i>) + <G x_N, y_N>`` per path, taken one index at
     a time by :meth:`add` (left point, in time order, from zero) into
-    ``parts``: its state, control and terminal terms.  A form that overflows
-    raises :class:`FiniteEscapeError` at the terminal index (:func:`_finite`)."""
+    ``parts``: its state, control and terminal terms.  A part that receives
+    no term is ``+0.0``; at the terminal index every part is broadcast to the
+    shape of the forms' operands.  A form that overflows raises
+    :class:`FiniteEscapeError` at the terminal index (:func:`_finite`)."""
 
     def __init__(self, tab, h: float):
         self.Q, self.R, self.G = (_entries(v) for v in (tab.Q, tab.R, tab.G[None]))
         self.N, self.h = tab.Q.shape[0] - 1, h
-        self.parts = [np.zeros(()), np.zeros(()), None]
+        self.parts = [np.zeros(()), np.zeros(()), np.zeros(())]
 
     def add(self, i: int, x: list, u: list, y: list, w: list) -> None:
         """Add index ``i``'s term of the entries ``(x, u)`` and ``(y, w)``."""
         with np.errstate(over="ignore", invalid="ignore"):  # see _finite
             if i < self.N:
-                self.parts[0] = self.parts[0] + self.h * _form(self.Q, x, y, i)
-                self.parts[1] = self.parts[1] + self.h * _form(self.R, u, w, i)
-            else:
-                self.parts[2] = _form(self.G, x, y, 0)
-                _finite("cost", sum(self.parts))
+                for k, form in enumerate((_form(self.Q, x, y, i), _form(self.R, u, w, i))):
+                    if form is not None:
+                        self.parts[k] = self.parts[k] + self.h * form
+                return
+            form = _form(self.G, x, y, 0)
+            if form is not None:
+                self.parts[2] = form
+            shape = np.broadcast_shapes(*(v.shape for v in (*self.parts, *x, *u, *y, *w)
+                                          if v is not None))
+            self.parts = [np.broadcast_to(part, shape) for part in self.parts]
+            _finite("cost", sum(self.parts))
 
 
 def _bilinear(tab, s: int, h: float, x, u, y, w) -> list:
@@ -317,7 +369,7 @@ def _bilinear(tab, s: int, h: float, x, u, y, w) -> list:
     q = _Quadrature(tab, h)
     cols = [[row[0] for row in _entries(v)] for v in (x, u, y, w)]
     for i in range(s, len(x)):
-        q.add(i, *([e[i] for e in c] for c in cols))
+        q.add(i, *([None if e is None else e[i] for e in c] for c in cols))
     return q.parts
 
 
@@ -414,13 +466,14 @@ def value_identity_check(
     _require_process("solution", sol.P.values, batch.grid.N, batch.n_paths, (model.n, model.n))
     J = _closed_loop(model, law, init, batch)
     eta = _start(init, model.n, batch.n_paths)[:, 0]
-    quad = 0.5 * _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
+    form = _form(_entries(sol.P.values[init.start_index][None]), eta, eta, 0)
+    quad = 0.5 * (np.zeros(batch.n_paths) if form is None else form)
     return _identity_result("value_identity", J.per_path - quad, batch, n_se, disc_coeff,
                             {"closed_loop_cost": J.mean,
                              "value_quadratic_form": float(quad.mean())})
 
 
-def _closed_loop(model, law, init, batch) -> CostEstimate:
+def _closed_loop(model, law, init, batch, parts: list | None = None) -> CostEstimate:
     """The cost ``J_fb`` of the closed loop ``u = Theta x`` under ``law`` on
     ``batch``, which the three Monte Carlo checks read: a one-arm feedback
     pass of :func:`_arm_pass` that adds its :class:`_Quadrature` as it steps,
@@ -428,16 +481,21 @@ def _closed_loop(model, law, init, batch) -> CostEstimate:
     shared by :func:`slqkit.grid._shared` on ``(batch.W, law.theta.values)``
     and the model, grid and start, so a synthesized gain is simulated once per
     batch and start; the entry holds ``P`` floats, its read-only
-    ``per_path``."""
+    ``per_path``.  Where the entry is empty, the quadrature ``parts`` of a
+    pass whose arm 0 is this closed loop fill it without a pass of its own:
+    arm 0's parts equal the one-arm pass's bit for bit."""
     grid, eta = batch.grid, init.eta
 
     def build():
-        tab = coefficient_table(model, batch.W)
-        q = _Quadrature(tab, grid.h)
-        for i, x, u in _arm_pass(tab, batch, init.start_index,
-                                 _start(init, model.n, batch.n_paths), [], law.theta.values):
-            q.add(i, x, u, x, u)
-        J = _estimate(*(part[0] for part in q.parts))
+        q = parts
+        if q is None:
+            tab = coefficient_table(model, batch.W)
+            quad = _Quadrature(tab, grid.h)
+            for i, x, u in _arm_pass(tab, batch, init.start_index,
+                                     _start(init, model.n, batch.n_paths), [], law.theta.values):
+                quad.add(i, x, u, x, u)
+            q = quad.parts
+        J = _estimate(*(part[0] for part in q))
         J.per_path.setflags(write=False)
         return J
 
@@ -479,24 +537,33 @@ def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, ini
     :func:`_arm_pass`): they share the :func:`_closed_loop` and one arm pass,
     which adds each arm's cost and penalty as it goes, and the penalty reads
     ``K`` one node at a time, as a finite ``PathArray``.  The pass steps the
-    closed loop as its arm 0 only when some control is ``on_fb``."""
-    J_fb = _closed_loop(model, law, init, batch)
+    closed loop as its arm 0 only when some control is ``on_fb``, and then
+    its arm-0 parts fill an empty memo entry of :func:`_closed_loop`."""
     tab = coefficient_table(model, batch.W)
     N, h = batch.grid.N, batch.grid.h
     gain = _entries(law.theta.values)
     q, penalty = _Quadrature(tab, h), np.zeros(())
     lead = any(on_fb for on_fb, _, _ in controls)
+    # Without arm 0 the closed loop is a pass of its own, read first, so an
+    # escape of the closed loop is the one raised.
+    J_fb = None if lead else _closed_loop(model, law, init, batch)
     for i, x, u in _arm_pass(tab, batch, init.start_index, _start(init, model.n, batch.n_paths),
                              controls, law.theta.values if lead else None):
         q.add(i, x, u, x, u)
         if i < N:
             K = _entries(PathArray(_gain(sol, "K", slice(i, i + 1))).values)
             with np.errstate(over="ignore", invalid="ignore"):  # see _finite
-                gap = [u_j - _dot(row, x, i) for u_j, row in zip(u, gain)]
-                penalty = penalty + h * _form(K, gap, gap, 0)
+                gap = [u_j if fb is None else u_j - fb
+                       for u_j, fb in zip(u, (_dot(row, x, i) for row in gain))]
+                form = _form(K, gap, gap, 0)
+                if form is not None:
+                    penalty = penalty + h * form
         else:
             _finite("completion-of-squares penalty", penalty)
-    J_u, penalty = 0.5 * sum(q.parts), 0.5 * penalty
+    if J_fb is None:
+        J_fb = _closed_loop(model, law, init, batch, q.parts)
+    J_u = 0.5 * sum(q.parts)
+    penalty = 0.5 * np.broadcast_to(penalty, J_u.shape)
     return [_identity_result("completion_of_squares", J_u[a] - J_fb.per_path - penalty[a],
                              batch, n_se, disc_coeff,
                              {"J_u": float(J_u[a].mean()), "J_feedback": J_fb.mean,

@@ -18,14 +18,15 @@ and the report quantifies its sampled distribution and flags the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SynthesisInfeasibleError, _real
 from .grid import PathArray, TimeGrid, _require_grid, _require_process, _time_blocks
-from .pinv import SOLVE_TOL, _frobenius, solvability
+from .pinv import SOLVE_TOL, _frobenius, _product, solvability
 from .problem import CoefficientModel, _table_for
-from .riccati import RiccatiSolution, _gains
+from .riccati import _AT_B, RiccatiSolution, _gains, _product_rows
 
 __all__ = [
     "FeedbackLaw",
@@ -123,8 +124,7 @@ def synthesize(
                 offenders[reason] += zip(sol.grid.points[rows][idx_t[:100]].tolist(),
                                          idx_p[:100].tolist())
             if not any(counts.values()):  # else synthesis fails: no gain is formed
-                gain = np.matmul(Kd, L, out=theta[rows])
-                np.negative(gain, out=gain)
+                gain = np.negative(_product(np.matmul, Kd, L), out=theta[rows])
                 if theta_free is not None:
                     gain += (np.eye(m) - Kd @ K) @ free[rows]
     except InvalidArgumentError:
@@ -228,7 +228,7 @@ def stationarity_residual(
     block_max = []
     for rows in _time_blocks(th, Pv):
         K, L = _gains(sol, rows)
-        resid = L + np.einsum("tpij,tpjk->tpik", K, th[rows])
+        resid = L + _product(partial(np.einsum, "tpij,tpjk->tpik"), K, th[rows])
         block_max.append(_frobenius(resid).max())
     max_resid = float(np.max(block_max))
     pi_resid = None
@@ -236,12 +236,11 @@ def stationarity_residual(
         worst = 0.0
         Lam = sol.Lambda.values
         tab = _table_for("stationarity_residual", model, sol.grid, W)
-        for i in range(N + 1):
+        for i in _product_rows(model, th, Pv, Lam, tab.B):
             B, C, D, R = (getattr(tab, name)[i] for name in ("B", "C", "D", "R"))
-            Pi = Lam[i] + Pv[i] @ (C + D @ th[i])
-            r = (np.einsum("...nm,...nk->...mk", B, Pv[i])
-                 + np.einsum("...nm,...nk->...mk", D, Pi)
-                 + R @ th[i])
+            Pi = Lam[i] + _product(np.matmul, Pv[i], C + _product(np.matmul, D, th[i]))
+            r = (_product(_AT_B, B, Pv[i]) + _product(_AT_B, D, Pi)
+                 + _product(np.matmul, R, th[i]))
             worst = max(worst, float(_frobenius(r).max()))
         pi_resid = worst
     return StationarityResult(max_residual=max_resid, pi_form_residual=pi_resid)

@@ -8,12 +8,16 @@ treated as exact zeros.  ``pinv_limit`` computes the Tikhonov approximation
 :func:`solvability` is the one statement of the pointwise conditions (``K``
 PSD, ``L`` in its range) and of ``K^+`` used by the solvers and synthesis,
 batched over stacks; ``psd_check`` and ``range_inclusion`` are its
-single-matrix views.
+single-matrix views.  Its range residual ``(K K^+) L - L`` is taken through
+the projector ``K K^+``, so a tiny ``K`` with a large ``L`` in its range does
+not overflow in ``K^+ L``.  :func:`_product` is the one matrix-product rule of
+1x1 readers: the elementwise product, bit for bit NumPy's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -170,7 +174,6 @@ def _verdicts(K, Kd, lam_min, L, tol: float) -> tuple[np.ndarray, np.ndarray]:
     and ``lambda_min`` given; decomposes nothing, and raises on asymmetry."""
     if K.shape[-1] == 1:
         k_max = np.abs(lam_min)
-        product = np.multiply  # equals matmul on 1x1 matrices, and is faster
     else:
         asym = np.abs(K - K.swapaxes(-1, -2)).max(axis=(-2, -1))
         if np.any(asym > tol * (1.0 + np.abs(K).max(axis=(-2, -1)))):
@@ -179,10 +182,23 @@ def _verdicts(K, Kd, lam_min, L, tol: float) -> tuple[np.ndarray, np.ndarray]:
             )
         K = 0.5 * (K + K.swapaxes(-1, -2))
         k_max = np.abs(K).max(axis=(-2, -1))
-        product = np.matmul
     psd = lam_min >= -tol * (1.0 + k_max)
-    in_range = _frobenius(product(K, product(Kd, L)) - L) <= tol * (1.0 + _frobenius(L))
-    return psd, in_range
+    residual = _product(np.matmul, _product(np.matmul, K, Kd), L) - L
+    return psd, _frobenius(residual) <= tol * (1.0 + _frobenius(L))
+
+
+def _product(general, *factors):
+    """The matrix product ``general(*factors)`` (``np.matmul`` or an
+    ``np.einsum`` contraction) of stacks of matrices, by one rule: where every
+    factor is 1x1 it is their elementwise product, left to right, plus
+    ``0.0``, since both sum from ``+0.0``.  That equals NumPy's product bit for
+    bit, signed zeros too, at a fraction of its cost.  Overflow to ``inf`` is
+    left unreported there, as einsum leaves it."""
+    if all(f.shape[-2:] == (1, 1) for f in factors):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = reduce(np.multiply, factors)
+            return np.add(out, 0.0, out=out)
+    return general(*factors)
 
 
 def _frobenius(M: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -44,8 +45,9 @@ from .errors import (
     _finite,
     _integer,
 )
-from .grid import BrownianBatch, PathArray, TimeGrid, _require_grid, _require_process
-from .pinv import SOLVE_TOL, _pseudo_inverse, _verdicts, solvability
+from .grid import (BrownianBatch, PathArray, TimeGrid, _require_grid, _require_process,
+                   _time_blocks)
+from .pinv import SOLVE_TOL, _product, _pseudo_inverse, _verdicts, solvability
 from .problem import (
     CoefficientModel,
     CoefficientTable,
@@ -133,20 +135,37 @@ def _gains(sol: RiccatiSolution, rows: slice = slice(None), paths: slice = slice
 def _gain(sol: RiccatiSolution, name: str, rows: slice = slice(None),
           paths: slice = slice(None)) -> np.ndarray:
     """``K = R + D^T P D`` or ``L = B^T P + D^T (P C + Lambda)`` (``name``) of
-    ``sol`` on time rows ``rows`` and paths ``paths``, node by node, as a
-    read-only array."""
+    ``sol`` on time rows ``rows`` and paths ``paths``, as a read-only array,
+    each product by :func:`slqkit.pinv._product` on the rows of
+    :func:`_product_rows`."""
     Pv, Lv = sol.P.values[rows, paths], sol.Lambda.values[rows, paths]
-    m = sol.table.model.m
-    out = np.empty(Pv.shape[:2] + ((m, m) if name == "K" else (m, Pv.shape[3])))
-    for j, i in enumerate(range(sol.grid.N + 1)[rows]):
-        _, B, C, D, _, R = (v if len(v) == 1 else v[paths] for v in _node(sol.table, i))
+    model = sol.table.model
+    out = np.empty(Pv.shape[:2] + ((model.m, model.m) if name == "K" else (model.m, model.n)))
+    B, C, D, R = (v if v.shape[1] == 1 else v[:, paths]
+                  for v in (getattr(sol.table, c)[rows] for c in "BCDR"))
+    for j in _product_rows(model, out, Pv):
         if name == "K":
-            out[j] = R + np.einsum("...nm,...nk,...kl->...ml", D, Pv[j], D)
+            out[j] = R[j] + _product(_DT_P_D, D[j], Pv[j], D[j])
         else:
-            out[j] = (np.einsum("...nm,...nk->...mk", B, Pv[j])
-                      + np.einsum("...nm,...nk->...mk", D, Pv[j] @ C + Lv[j]))
+            out[j] = (_product(_AT_B, B[j], Pv[j])
+                      + _product(_AT_B, D[j], _product(np.matmul, Pv[j], C[j]) + Lv[j]))
     out.setflags(write=False)
     return out
+
+
+def _product_rows(model: CoefficientModel, *arrays: np.ndarray):
+    """The time rows on which :func:`slqkit.pinv._product` takes ``arrays``: a
+    1x1 model's products are elementwise, so a block of rows of
+    :func:`slqkit.grid._time_blocks` at a time; a matrix model's einsum rounds
+    a stack by its shape, so one node index at a time."""
+    if model.n == model.m == 1:
+        return _time_blocks(*arrays)
+    return range(max(map(len, arrays)))
+
+
+# The contractions D^T P D and A^T B of stacks, each summed as one einsum.
+_DT_P_D = partial(np.einsum, "...nm,...nk,...kl->...ml")
+_AT_B = partial(np.einsum, "...nm,...nk->...mk")
 
 
 def _node(tab: CoefficientTable, i: int) -> tuple:

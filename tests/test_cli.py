@@ -210,7 +210,7 @@ def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monk
     out = tmp_path / "counted"
     assert main(["--scenario", "example1", "--steps", "16", "--paths", "20",
                  "--out", str(out)]) == 0
-    assert calls == {"closed": 0, "open": 0, "cost": 0, "library": 1, "arm_pass": 3}
+    assert calls == {"closed": 0, "open": 0, "cost": 0, "library": 1, "arm_pass": 2}
     flags = json.loads((out / "report.json").read_text())["verification"]["pass_flags"]
     assert flags["optimality"]["superposition_ok"] is True
     assert 0.0 <= flags["optimality"]["superposition_error"] <= evaluate.SUPERPOSITION_RTOL

@@ -1013,6 +1013,32 @@ def test_completion_of_squares_refuses_a_non_finite_K():
                                     _zero_control(grid, 1), INIT, batch)
 
 
+def test_closed_loop_cost_from_arm_0_equals_the_one_arm_pass(monkeypatch):
+    # A completion-of-squares pass with feedback arms steps the closed loop as
+    # its arm 0 and fills the empty memo entry from arm 0's parts: byte for
+    # byte the one-arm pass, and the value identity then reads it, no pass.
+    model = scenario_example1(1.0)
+    grid = make_grid(1.0, 16)
+    batch = sample_brownian(grid, 50, seed=2)
+    sol = closed_form_example1(grid, batch)
+    law = synthesize(sol, model)
+    controls = [(True, 0.1, v) for _, v in make_perturbations(grid, batch)] + [(True, 0.0, None)]
+    evaluate._completion_of_squares(sol, law, model, controls, INIT, batch, 3.0, 0.5)
+    passes = []
+    arm_pass = evaluate._arm_pass
+    monkeypatch.setattr(evaluate, "_arm_pass", lambda *args: passes.append(1) or arm_pass(*args))
+    shared = evaluate._closed_loop(model, law, INIT, batch)
+    value_identity_check(sol, law, model, INIT, batch)
+    assert passes == []
+    # A writable gain is never memoized: this is a one-arm pass of its own.
+    own = evaluate._closed_loop(model, FeedbackLaw(PathArray(law.theta.values.copy()), sol),
+                                INIT, batch)
+    assert passes == [1]
+    assert shared.per_path.tobytes() == own.per_path.tobytes()
+    assert (shared.mean, shared.std_error, shared.components) == (
+        own.mean, own.std_error, own.components)
+
+
 # ---------------------------------------------------------------------------
 # Divergence probe
 # ---------------------------------------------------------------------------

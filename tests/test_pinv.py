@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slqkit.errors import InvalidArgumentError
-from slqkit.pinv import PinvResult, pinv, pinv_limit, psd_check, range_inclusion
+from slqkit.pinv import PinvResult, pinv, pinv_limit, psd_check, range_inclusion, solvability
 
 
 def _penrose_residuals(A, Ad):
@@ -135,6 +135,15 @@ def test_range_inclusion_basic_cases():
         assert range_inclusion(K, np.array([[s], [0.0]]))
         assert not range_inclusion(K, np.array([[0.0], [s]]))
     assert not range_inclusion(np.zeros((1, 1)), np.array([[1e160]]))
+
+
+def test_range_residual_does_not_overflow_on_a_tiny_K_with_a_large_L():
+    # (K K^+) L - L takes the projector first: K^+ L = 1e350 would overflow
+    # although L lies in the range of K, and no RuntimeWarning may leak.
+    assert range_inclusion([[1e-100]], [[1e250]])
+    assert solvability(np.diag([1e-10, 1.0]), [[1e300], [1.0]])[2]
+    Kd, psd, in_range = solvability([[1.65e-66]], [[2e250]])
+    assert psd and in_range and Kd[0, 0] == 1.0 / 1.65e-66
 
 
 def test_range_inclusion_random_sweep():

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slqkit import evaluate, riccati
@@ -30,10 +30,10 @@ from slqkit.evaluate import (
     simulate_closed_loop,
     simulate_open_loop,
 )
-from slqkit.feedback import FeedbackLaw
+from slqkit.feedback import FeedbackLaw, stationarity_residual, synthesize
 from slqkit.grid import PathArray
 from slqkit.grid import _path_major_increments, _time_blocks, make_grid, sample_brownian
-from slqkit.pinv import _pseudo_inverse, _verdicts, pinv, solvability
+from slqkit.pinv import _frobenius, _pseudo_inverse, _verdicts, pinv, solvability
 from slqkit.problem import (
     Y_SHIFT,
     Y_UPPER,
@@ -225,9 +225,9 @@ def test_output_buffers_change_no_bit(N, n_paths, seed, offset):
 
 
 # How an evaluator may depend on the path: a constant matrix, a constant
-# matrix broadcast to every path, per-path scalars, per-path matrices, or
-# constant early and per-path later.
-FORMS = ("const", "broadcast", "scalars", "matrices", "switch")
+# matrix broadcast to every path, per-path scalars, per-path matrices,
+# constant early and per-path later, or +0, -0 and a matrix on alternate paths.
+FORMS = ("const", "broadcast", "scalars", "matrices", "switch", "signed_zeros")
 
 
 def _evaluator(form, rows, cols, k, symmetric=False):
@@ -242,6 +242,8 @@ def _evaluator(form, rows, cols, k, symmetric=False):
         return lambda i, W: np.sin(W[i] + k)
     if form == "switch":
         return lambda i, W: M if i < 2 else M * np.cos(W[i])[:, None, None]
+    if form == "signed_zeros":
+        return lambda i, W: M * np.resize([0.0, -0.0, 1.0], W.shape[1])[:, None, None]
     return lambda i, W: M * (1.0 + W[i] ** 2)[:, None, None]
 
 
@@ -296,6 +298,10 @@ def _reference_gains(tab, Pv, Lv):
     block_entries=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
+# 1x1 models whose B, C, D and R are +0, -0 and nonzero on alternate paths.
+@example(n=1, m=1, N=4, n_paths=3, forms=["signed_zeros"] * 6, block_entries=2, seed=1)
+@example(n=1, m=1, N=3, n_paths=5, forms=["const", "signed_zeros", "scalars", "signed_zeros",
+                                          "const", "signed_zeros"], block_entries=64, seed=2)
 def test_derived_gains_equal_the_per_node_reference(n, m, N, n_paths, forms, block_entries,
                                                      seed):
     shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m), "Q": (n, n), "R": (m, m)}
@@ -326,6 +332,50 @@ def test_derived_gains_equal_the_per_node_reference(n, m, N, n_paths, forms, blo
                                    atol=1e-14 * (1.0 + np.abs(ref).max()))
         assert not (whole.flags.writeable or first.flags.writeable)
     assert not any(a.flags.writeable for pair in blocks for a in pair)
+
+
+def test_1x1_products_keep_the_bits_of_matmul_and_einsum():
+    # The 1x1 product rule is elementwise plus 0.0: K and L, the gain
+    # -K^+ L and both forms of the stationarity residual equal the matmul and
+    # einsum contractions they replace, byte for byte, on signed zeros in B,
+    # C, D, P and Lambda (R > 0 keeps K invertible for synthesis).
+    grid = make_grid(1.0, 6)
+    batch = sample_brownian(grid, 6, seed=3)
+    N, P = grid.N, batch.n_paths
+    signs = np.array([0.0, -0.0, 1.5, -2.0, -0.0, 0.5])
+
+    def rolled(scale):
+        return lambda i, W: (scale * np.roll(signs, i))[:, None, None]
+
+    model = CoefficientModel(n=1, m=1, A=rolled(0.0), B=rolled(0.7), C=rolled(-1.3),
+                             D=rolled(0.4), Q=rolled(0.0),
+                             R=lambda i, W: 1.0 + np.abs(rolled(0.25)(i, W)),
+                             G=lambda W: np.ones((W.shape[1], 1, 1)), kind="path_dependent")
+    tab = coefficient_table(model, batch.W)
+    rng = np.random.default_rng(5)
+    zeros = rng.choice([0.0, -0.0, 1.0], (2, N + 1, P, 1, 1))
+    Pv = np.abs(rng.normal(size=(N + 1, P, 1, 1))) * zeros[0]
+    Lam = rng.normal(size=(N + 1, P, 1, 1)) * zeros[1]
+    sol = RiccatiSolution(grid, PathArray(Pv), PathArray(Lam), tab)
+    K, L = _reference_gains(tab, Pv, Lam)
+    assert [g.tobytes() for g in _gains(sol)] == [K.tobytes(), L.tobytes()]
+
+    law = synthesize(sol, model)
+    theta = np.negative(np.matmul(solvability(K, L)[0], L))
+    assert law.theta.values.tobytes() == theta.tobytes()
+    assert (L == 0.0).any() and np.signbit(theta[L == 0.0]).all()  # -(K^+ L + 0.0) is -0.0
+
+    res = stationarity_residual(law, sol, model, batch.W)
+    resid = _frobenius(L + np.einsum("tpij,tpjk->tpik", K, theta)).max()
+    worst = 0.0
+    for i in range(N + 1):
+        B, C, D, R = (getattr(tab, name)[i] for name in "BCDR")
+        Pi = Lam[i] + Pv[i] @ (C + D @ theta[i])
+        r = (np.einsum("...nm,...nk->...mk", B, Pv[i]) + np.einsum("...nm,...nk->...mk", D, Pi)
+             + R @ theta[i])
+        worst = max(worst, float(_frobenius(r).max()))
+    assert np.float64(res.max_residual).tobytes() == np.float64(resid).tobytes()
+    assert np.float64(res.pi_form_residual).tobytes() == np.float64(worst).tobytes()
 
 
 def _solvability_pair(rng, m, n, rank, negatives, in_range):
@@ -995,6 +1045,107 @@ def test_entry_kernel_matches_the_matmul_kernel(n, m, per_path, per_path_gain, N
             np.testing.assert_array_equal(a, b)
         else:
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+# How an entry of a coefficient, a gain, a control or a start state is drawn:
+# a value, +0 or -0 at every index (absent from every sum), or zero at the
+# first indices or on the paths where W <= 0 only (present).
+ZERO_PATTERNS = ("value", "plus_zero", "minus_zero", "zero_early", "zero_on_paths")
+
+
+def _patterned(rng, shape, patterns, symmetric=False):
+    """An evaluator ``(i, W) -> (P, rows, cols)`` whose entries follow the
+    next of ``patterns``, popped one per entry (mirrored when ``symmetric``)."""
+    base = rng.normal(size=shape)
+    kinds = np.array([patterns.pop() for _ in range(base.size)], dtype=object).reshape(shape)
+    if symmetric:
+        base, kinds = base + base.T, np.where(np.tri(shape[0], dtype=bool), kinds, kinds.T)
+    base[kinds == "plus_zero"] = 0.0
+    base[kinds == "minus_zero"] = -0.0
+    early, on_paths = kinds == "zero_early", kinds == "zero_on_paths"
+
+    def evaluate_at(i, W):
+        M = np.repeat(base[None], W.shape[1], axis=0)
+        if i < 2:
+            M[:, early] = -0.0
+        M[:, on_paths] *= (W[i] > 0)[:, None]
+        return M
+    return evaluate_at
+
+
+def _assert_same_nonzero_bits(got, want):
+    """Equal under ``==`` (so a zero may differ in sign), and byte for byte
+    wherever nonzero."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+
+def _dense_entries(a):
+    """The entry lists of ``evaluate._entries`` with no entry marked absent."""
+    return [[list(a[..., j, l]) for l in range(a.shape[-1])] for j in range(a.shape[-2])]
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    N=st.integers(2, 6),
+    n_paths=st.integers(2, 5),
+    patterns=st.lists(st.sampled_from(ZERO_PATTERNS), min_size=78, max_size=78),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_structural_zeros_change_no_nonzero_bit(n, m, N, n_paths, patterns, seed):
+    # Entries that are +-0 at every index are skipped by every sum; entries
+    # zero at some indices only are not.  Against the dense per-step loops
+    # and the dense kernel, every value is equal, and nonzero ones keep their
+    # bits: states, controls, costs, the completion-of-squares penalty and
+    # residuals, and the sweep's rows.
+    from test_evaluate import _reference_cost, _reference_matvec, _reference_simulate
+
+    rng = np.random.default_rng(seed)
+    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m), "Q": (n, n), "R": (m, m)}
+    fns = {k: _patterned(rng, shape, patterns, k in "QR") for k, shape in shapes.items()}
+    g = _patterned(rng, (n, n), patterns, symmetric=True)
+    model = CoefficientModel(n=n, m=m, **fns, G=lambda W: g(len(W) - 1, W),
+                             kind="path_dependent")
+    grid = make_grid(1.0, N)
+    batch = sample_brownian(grid, n_paths, seed)
+    theta, u = (np.stack([f(i, batch.W) for i in range(N + 1)])
+                for f in (_patterned(rng, (m, n), patterns), _patterned(rng, (m, 1), patterns)))
+    eta = _patterned(rng, (n, 1), patterns)(2, batch.W)[0, :, 0]
+    init = InitialCondition(0, eta)
+    law = FeedbackLaw(theta=PathArray(theta), source=None)
+
+    x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
+    x_ref, u_ref = _reference_simulate(model, batch, eta, theta=theta)
+    x_u = simulate_open_loop(model, PathArray(u), init, batch)
+    x_uref, _ = _reference_simulate(model, batch, eta, u=u)
+    for got, want in (
+            (x_fb.values, x_ref), (u_fb.values, u_ref), (x_u.values, x_uref),
+            (cost(model, x_fb, u_fb, init, grid, batch).per_path,
+             _reference_cost(model, batch, x_ref, u_ref)),
+            (cost(model, x_u, PathArray(u), init, grid, batch).per_path,
+             _reference_cost(model, batch, x_uref, u))):
+        _assert_same_nonzero_bits(got, want)
+
+    S = rng.normal(size=(N + 1, n_paths, n, n))
+    sol = RiccatiSolution(grid, PathArray(S + S.swapaxes(-1, -2)),
+                          PathArray(np.zeros((N + 1, n_paths, n, n))),
+                          coefficient_table(model, batch.W))
+    penalty = np.zeros(n_paths)
+    for i in range(N):
+        gap = u[i] - _reference_matvec(theta[i], x_uref[i])
+        penalty = penalty + grid.h * _reference_form(sol.K.values[i], gap, gap)
+    library = make_perturbations(grid, batch, m)
+    controls = [(True, 0.5, v) for _, v in library[6:8]] + [(True, 0.0, None), (False, 1.0, u)]
+    results = evaluate._completion_of_squares(sol, law, model, controls, init, batch, 3.0, 0.5)
+    assert results[-1].details["penalty_mean"] == float((0.5 * penalty).mean())
+    rows = optimality_sweep(None, law, model, init, batch, library).rows
+    with mock.patch.object(evaluate, "_entries", _dense_entries):
+        assert results == evaluate._completion_of_squares(sol, law, model, controls, init,
+                                                          batch, 3.0, 0.5)
+        assert rows == optimality_sweep(None, law, model, init, batch, library).rows
 
 
 @SETTINGS

@@ -163,6 +163,17 @@ def test_ode_finite_escape_through_K_or_L(coeffs):
     assert exc.value.time is not None
 
 
+def test_a_tiny_K_with_a_large_L_escapes_rather_than_fail_range():
+    # K = 1.65e-66 and |L| = 2e250 at the first stage: L is in K's range, so
+    # the stage passes, and the solution blows up one stage later.
+    model = scenario_deterministic(0, -2.77e124, -6.57e22, -0.0, -0.00605, 1.65e-66, -7.2e125,
+                                   T=1.0)
+    with pytest.raises(FiniteEscapeError,
+                       match=r"^Riccati solution blew up near t=0\.984375$") as exc:
+        solve_deterministic(model, make_grid(1.0, 8))
+    assert exc.value.time == 0.984375
+
+
 def test_deterministic_routes_escape_after_a_step_and_guard_their_kind():
     # b = d = 0 keeps every stage finite (K = R, L = 0), so only a step's own
     # arithmetic overflows: the RK4 combination of four -q slopes after the
