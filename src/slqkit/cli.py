@@ -364,12 +364,12 @@ def run(config: ExperimentConfig) -> RunReport:
             if "completion_of_squares" in enabled or "optimality" in enabled:
                 perts = make_perturbations(grid, batch, model.m)
             # Completion of squares goes first: its arm pass steps the closed
-            # loop as arm 0, whose cost the value identity and the sweep read.
+            # loop as arm 0 and fills the memo that the value identity reads.
             if "completion_of_squares" in enabled:
                 eps = config.tolerance("cos_epsilon")
-                # Ten perturbed arms and the replay, in one arm pass with the closed loop.
-                controls = [(True, eps, v) for _, v in perts] + [(True, 0.0, None)]
-                *results, replay = _completion_of_squares(sol, law, model, controls, init,
+                # Ten perturbed arms on the closed loop; arm 0's own identity is the replay.
+                controls = [(True, eps, v) for _, v in perts]
+                replay, *results = _completion_of_squares(sol, law, model, controls, init,
                                                           batch, n_se, disc)
                 arms = {pid: {"residual": res.residual, "tolerance": res.tolerance,
                               "passed": res.passed} for (pid, _), res in zip(perts, results)}

@@ -14,15 +14,16 @@ the open-loop simulator reproduces the closed-loop states bit for bit.  The
 step and the cost quadrature read the model's coefficient table
 (:func:`slqkit.problem.coefficient_table`), built once per (model, batch)
 and shared by every check on that batch.  The three Monte Carlo checks read
-one closed-loop cost: :func:`_closed_loop` takes it from a one-arm pass,
-or from arm 0 of a completion-of-squares pass, memoized like the table with
-one float per path, so the checks on a synthesized gain read one closed loop
-whoever calls them.  Every other run of a check is an arm of one arm pass,
-with the closed loop as arm 0 where an arm steps on it: all
-completion-of-squares controls in one, and all the sweep's arms in another.
+one closed-loop cost, memoized like the table with one float per path by
+:func:`_closed_loop`: it is always arm 0 of a pass, of the
+completion-of-squares pass or of the feedback pass (:func:`_sweep_arms`),
+which with no directions is the closed loop alone.  Every other run of a
+check is an arm of one of these passes: all completion-of-squares controls
+in one, and all the sweep's responses and direct arms in the other.
 One quadrature (:class:`_Quadrature`, left point, in time order) takes every
 quadratic form one index at a time: the cost, the sweep's cross terms and the
-completion-of-squares penalty, as the arm pass yields each index.  Path-constant data (coefficient rows, a one-path solution,
+completion-of-squares penalty, as the arm pass yields each index.
+Path-constant data (coefficient rows, a one-path solution,
 time-only perturbations) stay ``(1, r, c)`` rows that broadcast.
 One Euler step and one quadratic form (:func:`_form`) serve every dimension,
 on per-entry views (:func:`_entries`), with each sum in index order, so
@@ -181,7 +182,10 @@ def _recorded(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
               arms: list, theta: np.ndarray | None = None) -> list:
     """The ``(N+1, P, n, 1)`` states of a one-arm pass of :func:`_arm_pass`
     from the start index, and with ``theta`` its ``(N+1, P, m, 1)`` controls,
-    as histories: ``x = eta`` up to the start and ``u = 0`` before it."""
+    as histories: ``x = eta`` up to the start and ``u = 0`` before it.  A
+    control ``Theta x`` that overflows while every state stays finite (it
+    enters no present entry of ``B`` or ``D``) raises
+    :class:`FiniteEscapeError` naming its first index and path."""
     N, P, s = batch.grid.N, batch.n_paths, init.start_index
     hist = [np.empty((N + 1, P, model.n, 1))]
     if theta is not None:
@@ -192,6 +196,12 @@ def _recorded(model: CoefficientModel, init: InitialCondition, batch: BrownianBa
         for v, e in zip(hist, entries):
             for j, e_j in enumerate(e):
                 v[i, :, j, 0] = e_j[0]
+    if theta is not None:
+        bad = ~np.isfinite(hist[1]).all(axis=(2, 3))
+        if bad.any():
+            i = bad.any(axis=1).argmax()
+            raise FiniteEscapeError(f"control became non-finite at step {i}, first path "
+                                    f"{bad[i].argmax()}")
     return hist
 
 
@@ -214,8 +224,8 @@ def simulate_closed_loop(
         If the gain's step count or its ``(m, n)`` entries do not fit the
         batch and the model, or the start index is not below ``N``.
     FiniteEscapeError
-        If the state overflows; the message carries the first offending
-        (step, path).
+        If the state or the recorded control overflows; the message carries
+        the first offending (step, path).
     """
     x, u = _recorded(model, init, batch, [], law.theta.values)
     return PathArray(x), PathArray(u)
@@ -246,8 +256,8 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
     len(arms)``.  ``x0`` broadcasts to ``(n, A, P)``: the arms' start states.
     An arm of ``arms`` is a triple ``(on_fb, eps, v)``: it steps on ``u_fb,i
     + eps v_i`` when ``on_fb``, else on ``eps v_i``, with ``v`` an ``(N+1, k,
-    m, 1)`` control; ``(True, 0.0, None)`` replays ``u_fb`` alone, and a
-    given control ``u`` runs as ``(False, 1.0, u)``.  Every arm takes
+    m, 1)`` control, and a given control ``u`` runs as ``(False, 1.0, u)``;
+    the closed loop's own replay is arm 0 itself.  Every arm takes
     :func:`_step` on the model's table ``tab``, elementwise, so an arm's
     entries do not depend on the stack it runs in, bit for bit.  A start
     index not below ``N`` raises :class:`InvalidArgumentError` before any
@@ -260,8 +270,7 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
     if theta is not None:
         _require_process("gain", theta, N, P, (m, n))
     for _, _, v in arms:
-        if v is not None:
-            _require_process("control", v, N, P, (m, 1))
+        _require_process("control", v, N, P, (m, 1))
     if s >= N:
         raise InvalidArgumentError(f"start_index {s} must be < N = {N}")
     coeffs = [_entries(c) for c in (tab.A, tab.B, tab.C, tab.D)]
@@ -282,9 +291,6 @@ def _arm_pass(tab, batch: BrownianBatch, s: int, x0: np.ndarray, arms: list,
                     u_k[0] = 0.0 if total is None else total
             for on_fb, eps, rows, at in runs:
                 u_run = u[:, at]
-                if rows is None:
-                    u_run[...] = u[:, :1]
-                    continue
                 np.multiply(rows[i], eps, out=u_run)
                 if on_fb:
                     np.add(u[:, :1], u_run, out=u_run)
@@ -307,16 +313,16 @@ def _runs(arms: list, lead: int) -> list:
     neighbouring arms with one ``(on_fb, eps)`` (``eps`` by its bits, so
     ``0.0`` and ``-0.0`` stay apart) are one stacked ``(N+1, m, A_run, 1)``
     row; a path-dependent control is a run of one, read as an ``(N+1, m, 1,
-    P)`` view, and so is a replay (``rows`` is ``None``)."""
+    P)`` view."""
     def key(arm):
         on_fb, eps, v = arm
-        return ((on_fb, np.float64(eps).tobytes()) if v is not None and v.shape[1] == 1
+        return ((on_fb, np.float64(eps).tobytes()) if v.shape[1] == 1
                 else object())  # equal to no other key
 
     runs, start = [], lead
     for _, group in groupby(arms, key):
         (on_fb, eps, v), *rest = group
-        rows = None if v is None else v.transpose(0, 2, 3, 1)
+        rows = v.transpose(0, 2, 3, 1)
         if rest:
             rows = np.concatenate([rows] + [w.transpose(0, 2, 3, 1) for _, _, w in rest], axis=2)
         runs.append((on_fb, eps, rows, slice(start, start + 1 + len(rest))))
@@ -475,26 +481,19 @@ def value_identity_check(
 
 def _closed_loop(model, law, init, batch, parts: list | None = None) -> CostEstimate:
     """The cost ``J_fb`` of the closed loop ``u = Theta x`` under ``law`` on
-    ``batch``, which the three Monte Carlo checks read: a one-arm feedback
-    pass of :func:`_arm_pass` that adds its :class:`_Quadrature` as it steps,
-    equal bit for bit to :func:`cost` of :func:`simulate_closed_loop`.  It is
+    ``batch``, which the three Monte Carlo checks read: arm 0 of the
+    :class:`_Quadrature` ``parts`` of a pass whose arm 0 is this closed loop,
+    or else of the feedback pass :func:`_sweep_arms` with no directions, equal
+    bit for bit to :func:`cost` of :func:`simulate_closed_loop`.  It is
     shared by :func:`slqkit.grid._shared` on ``(batch.W, law.theta.values)``
     and the model, grid and start, so a synthesized gain is simulated once per
     batch and start; the entry holds ``P`` floats, its read-only
-    ``per_path``.  Where the entry is empty, the quadrature ``parts`` of a
-    pass whose arm 0 is this closed loop fill it without a pass of its own:
-    arm 0's parts equal the one-arm pass's bit for bit."""
+    ``per_path``, and ``parts`` only fill an empty entry."""
     grid, eta = batch.grid, init.eta
 
     def build():
-        q = parts
-        if q is None:
-            tab = coefficient_table(model, batch.W)
-            quad = _Quadrature(tab, grid.h)
-            for i, x, u in _arm_pass(tab, batch, init.start_index,
-                                     _start(init, model.n, batch.n_paths), [], law.theta.values):
-                quad.add(i, x, u, x, u)
-            q = quad.parts
+        q = parts if parts is not None else _sweep_arms(
+            coefficient_table(model, batch.W), law.theta.values, [], 0.0, init, batch)[0]
         J = _estimate(*(part[0] for part in q))
         J.per_path.setflags(write=False)
         return J
@@ -537,8 +536,10 @@ def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, ini
     :func:`_arm_pass`): they share the :func:`_closed_loop` and one arm pass,
     which adds each arm's cost and penalty as it goes, and the penalty reads
     ``K`` one node at a time, as a finite ``PathArray``.  The pass steps the
-    closed loop as its arm 0 only when some control is ``on_fb``, and then
-    its arm-0 parts fill an empty memo entry of :func:`_closed_loop`."""
+    closed loop as its arm 0 only when some control is ``on_fb``; then its
+    arm-0 parts fill an empty memo entry of :func:`_closed_loop`, and arm 0's
+    own identity, the replay ``J_fb - J_fb - 0`` (exactly ``0.0``), is
+    reported first."""
     tab = coefficient_table(model, batch.W)
     N, h = batch.grid.N, batch.grid.h
     gain = _entries(law.theta.values)
@@ -568,7 +569,7 @@ def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, ini
                              batch, n_se, disc_coeff,
                              {"J_u": float(J_u[a].mean()), "J_feedback": J_fb.mean,
                               "penalty_mean": float(penalty[a].mean())})
-            for a in range(lead, lead + len(controls))]
+            for a in range(lead + len(controls))]
 
 
 def make_perturbations(grid: TimeGrid, batch: BrownianBatch, m: int = 1) -> list:
@@ -646,15 +647,17 @@ class SweepResult:
 
 
 def _sweep_arms(tab, theta: np.ndarray, directions: list, eps_direct: float, init,
-                batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each direction ``v``, per path: ``cross = B((x_fb, u_fb), (x_v,
-    v))`` and ``J0 = B((x_v, v), (x_v, v)) / 2``, with ``B`` the cost's
-    :class:`_Quadrature`, ``(x_fb, u_fb)`` the closed loop under the gain
-    ``theta`` and ``x_v`` the response to ``v`` from a zero state at the
-    start index, and the cost ``J_dir`` of the direct arm ``u_fb + eps_direct
-    v``.  The closed loop (arm 0, whose entries at each index are the cross
-    terms' operands), the responses and the direct arms share one arm pass;
-    each result is ``(V, P)``."""
+                batch) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """The feedback pass: the closed loop ``(x_fb, u_fb)`` under the gain
+    ``theta`` as arm 0 and, for each direction ``v``, the response ``x_v`` to
+    ``v`` from a zero state at the start index and the direct arm ``u_fb +
+    eps_direct v``, in one arm pass.  It returns the stack's
+    :class:`_Quadrature` parts, whose arm 0 is the closed loop's, and per
+    direction and path ``cross = B((x_fb, u_fb), (x_v, v))``, ``J0 = B((x_v,
+    v), (x_v, v)) / 2`` and the cost ``J_dir`` of the direct arm, each ``(V,
+    P)``, with ``B`` the cost's quadrature.  Arm 0's entries at each index are
+    the cross terms' operands; with no directions the pass is the closed loop
+    alone and takes no cross form."""
     V, h = len(directions), batch.grid.h
     x0 = np.zeros((tab.model.n, 1 + 2 * V, batch.n_paths))
     x0[:, :1] = x0[:, V + 1:] = _start(init, tab.model.n, batch.n_paths)
@@ -662,10 +665,11 @@ def _sweep_arms(tab, theta: np.ndarray, directions: list, eps_direct: float, ini
     own, cross = _Quadrature(tab, h), _Quadrature(tab, h)
     for i, x, u in _arm_pass(tab, batch, init.start_index, x0, arms, theta):
         own.add(i, x, u, x, u)
-        cross.add(i, [x_j[0] for x_j in x], [u_j[0] for u_j in u],
-                  [x_j[1:V + 1] for x_j in x], [u_j[1:V + 1] for u_j in u])
+        if V:
+            cross.add(i, [x_j[0] for x_j in x], [u_j[0] for u_j in u],
+                      [x_j[1:V + 1] for x_j in x], [u_j[1:V + 1] for u_j in u])
     J = 0.5 * sum(own.parts)
-    return sum(cross.parts), J[1:V + 1], J[V + 1:]
+    return own.parts, sum(cross.parts), J[1:V + 1], J[V + 1:]
 
 
 def optimality_sweep(
@@ -694,9 +698,10 @@ def optimality_sweep(
     ``+eps`` arm of the largest ``|eps|`` directly for each ``v``; it must
     match its prediction within ``SUPERPOSITION_RTOL`` relative, max norm.
     The closed loop (arm 0, whose entries give the cross terms), the
-    responses and the direct arms ``(True, eps, v)`` run as one pass of
-    :func:`_arm_pass` that adds their forms as it steps, so no arm's history
-    is stored; ``J_fb`` is the memoized :func:`_closed_loop`, read first.
+    responses and the direct arms ``(True, eps, v)`` run as one feedback
+    pass (:func:`_sweep_arms`) that adds their forms as it steps, so no arm's
+    history is stored; ``J_fb`` is the memoized :func:`_closed_loop`, which
+    arm 0's parts fill when its entry is empty.
     The superposition needs symmetric weights.  An empty ``perturbations``,
     an epsilon that is zero or not a finite real, fewer than two distinct
     ``|eps|``, a negative or non-finite ``n_se`` or ``disc_coeff``, or a
@@ -722,10 +727,10 @@ def optimality_sweep(
             "epsilons need at least two distinct |eps| for the quadratic-scaling leg, "
             f"got {epsilons!r}")
     tab = coefficient_table(model, batch.W)  # admits the weights before anything is simulated
-    J_fb = _closed_loop(model, law, init, batch)
     eps_direct = max(epsilons, key=abs)
-    cross, J0, J_dir = _sweep_arms(tab, law.theta.values, [v for _, v in perturbations],
-                                   eps_direct, init, batch)
+    parts, cross, J0, J_dir = _sweep_arms(tab, law.theta.values, [v for _, v in perturbations],
+                                          eps_direct, init, batch)
+    J_fb = _closed_loop(model, law, init, batch, parts)
     rows: list[SweepRow] = []
     even_by_arm: dict[tuple[str, float], float] = {}
     direct_errors = []

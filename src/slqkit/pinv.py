@@ -1,17 +1,18 @@
 """Moore-Penrose pseudoinverse with explicit rank control, the
 regularized-limit construction, and the solvability kernel built on them.
 
-The pseudoinverse is SVD-based: singular values at or below the cutoff are
+:func:`pinv` is SVD-based: singular values at or below the cutoff are
 treated as exact zeros.  ``pinv_limit`` computes the Tikhonov approximation
 ``(M^T M + delta I)^{-1} M^T``, which converges to the pseudoinverse as
 ``delta -> 0+``; both routes are kept available so each can check the other.
 :func:`solvability` is the one statement of the pointwise conditions (``K``
 PSD, ``L`` in its range) and of ``K^+`` used by the solvers and synthesis,
-batched over stacks; ``psd_check`` and ``range_inclusion`` are its
-single-matrix views.  Its range residual ``(K K^+) L - L`` is taken through
-the projector ``K K^+``, so a tiny ``K`` with a large ``L`` in its range does
-not overflow in ``K^+ L``.  :func:`_product` is the one matrix-product rule of
-1x1 readers: the elementwise product, bit for bit NumPy's.
+batched over stacks, with ``K^+`` from one ``eigh`` of each ``K`` (``1/k``
+when ``m = 1``); ``psd_check`` and ``range_inclusion`` are its single-matrix
+views.  Its range residual ``(K K^+) L - L`` is taken through the projector
+``K K^+``, so a tiny ``K`` with a large ``L`` in its range does not overflow
+in ``K^+ L``.  :func:`_product` is the one matrix-product rule of 1x1
+readers: the elementwise product, bit for bit NumPy's.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ def pinv(M, tol: float | None = None) -> PinvResult:
     A = _as_matrix(M, "M")
     tol = None if tol is None else _real(tol, "tol", 0.0)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    tol_used = tol if tol is not None else max(A.shape) * _EPS * smax
+    tol_used = tol if tol is not None else max(A.shape) * _EPS * s[0]
     keep = s > tol_used
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)

@@ -489,17 +489,18 @@ def scenario_counterexample(T: float) -> CoefficientModel:
     :mod:`slqkit.evaluate` quantifies this.
     """
     T = _real(T, "T", 0.0, strict=True)
+    R = 0.25
 
     def G(W: np.ndarray) -> np.ndarray:
         grid, P = make_grid(T, W.shape[0] - 1), W.shape[1]
         Y_N = [_stopped_processes(grid, np.diff(W[:, b], axis=0).T)[3][:, -1]
                for b in _path_blocks(P, grid.N, P)]
-        return (1.0 / np.concatenate(Y_N) - 0.25)[:, None, None]
+        return (1.0 / np.concatenate(Y_N) - R)[:, None, None]
 
     return CoefficientModel(
         n=1, m=1,
         A=_const(0.0), B=_const(0.0), C=_const(0.0), D=_const(1.0),
-        Q=_const(0.0), R=_const(0.25), G=G, kind="markov_in_W",
+        Q=_const(0.0), R=_const(R), G=G, kind="markov_in_W",
     )
 
 

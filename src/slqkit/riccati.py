@@ -552,8 +552,8 @@ def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiS
     integrand (:func:`slqkit.problem.counterexample_paths`).  The
     coefficients are read as in :func:`closed_form_example1`."""
     _require_grid("grid", grid, batch)
-    aux = counterexample_paths(grid, batch)
-    Pv = (1.0 / aux.Y - 0.25)[:, :, None, None]
-    Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]
     tab = coefficient_table(scenario_counterexample(grid.T), _zero_prefix(grid))
+    aux = counterexample_paths(grid, batch)
+    Pv = (1.0 / aux.Y - tab.R[0, 0, 0, 0])[:, :, None, None]
+    Lv = (-aux.zeta / (aux.Y * aux.Y))[:, :, None, None]
     return RiccatiSolution(grid, PathArray(Pv), PathArray(Lv), tab, "closed_form_counterexample")

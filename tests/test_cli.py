@@ -187,11 +187,12 @@ def test_cli_example1_report_and_artifacts(tmp_path):
 
 def test_cli_run_shares_closed_loops_and_the_perturbation_library(tmp_path, monkeypatch):
     # One memoized closed-loop cost serves the value identity, completion of
-    # squares and the sweep, built from a one-arm pass.  No run is simulated
-    # and stored on its own: the 10 + 1 CoS arms take one arm pass with the
-    # closed loop as arm 0, and the sweep's 10 zero-start responses and 10
-    # direct arms another, each adding its arms' costs as it goes.  The
-    # perturbation library is built once.
+    # squares and the sweep, filled from arm 0 of the completion-of-squares
+    # pass.  No run is simulated and stored on its own: the 10 CoS arms take
+    # one arm pass with the closed loop as arm 0, whose own identity is the
+    # replay, and the sweep's 10 zero-start responses and 10 direct arms
+    # another, each adding its arms' costs as it goes.  The perturbation
+    # library is built once.
     calls = {"closed": 0, "open": 0, "cost": 0, "library": 0, "arm_pass": 0}
 
     def counted(key, fn):
@@ -283,7 +284,7 @@ def test_cli_checks_equal_the_public_checks_on_the_same_batch(tmp_path, monkeypa
 def test_cli_reaches_into_evaluate_only_for_the_shared_arm_pass():
     # The CLI runs the public checks; of evaluate's private names it imports
     # only the completion-of-squares body, whose arm list lets the ten
-    # perturbed arms and the replay share one arm pass with the closed loop.
+    # perturbed arms share one arm pass with the closed loop, the replay.
     tree = ast.parse(Path(cli.__file__).read_text())
     private = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and node.module in ("evaluate", "slqkit.evaluate") for alias in node.names
@@ -336,6 +337,18 @@ def test_cli_divergence_check_fails_with_exit_2(tmp_path, capsys):
     (row,) = div["rows"]
     assert (row["steps"], row["n_paths"]) == (512, 200)
     assert row["ito_violations"] == row["y_violations"] > 0
+
+
+def test_cli_divergence_ladder_leads_with_the_256_by_1000_rung(tmp_path):
+    # Past 256 steps and 1000 paths the probe compares the run's own rung
+    # against (256, 1000).  Seed 8 is the first whose synthesis is feasible
+    # on this grid; the verdict is not asserted, only the rungs.
+    out = tmp_path / "ladder"
+    main(["--scenario", "counterexample", "--steps", "257", "--paths", "1001",
+          "--seed", "8", "--check", "divergence", "--out", str(out)])
+    rows = json.loads((out / "report.json").read_text())["verification"]["pass_flags"][
+        "divergence"]["rows"]
+    assert [(row["steps"], row["n_paths"]) for row in rows] == [(256, 1000), (257, 1001)]
 
 
 def test_cli_infeasible_synthesis_exits_4_with_partial_report(tmp_path, capsys):

@@ -158,7 +158,8 @@ def test_a_start_at_the_last_index_is_refused_before_any_step(monkeypatch):
 def test_a_gain_that_overflows_a_finite_state_raises_an_escape():
     # Theta_3 = 1e308 on path 2 takes u = Theta x past float-max while x is
     # still finite: the next state is non-finite, and no RuntimeWarning leaks.
-    # Every check reads the closed-loop cost first, so each names that escape.
+    # Every check steps the closed loop as the first arm of its stack, or on
+    # its own first, so each names that escape.
     model = scenario_deterministic(0, 1, 0, 0, 0, 1, 1, T=1.0)
     grid = make_grid(1.0, 8)
     batch = sample_brownian(grid, 4, seed=1)
@@ -176,6 +177,29 @@ def test_a_gain_that_overflows_a_finite_state_raises_an_escape():
             warnings.simplefilter("error")
             with pytest.raises(FiniteEscapeError,
                                match="^state became non-finite at step 4, first path 2$"):
+                run()
+
+
+def test_an_overflowing_control_that_moves_no_state_is_an_escape():
+    # With B = D = 0, Theta_3 = 1e308 on path 2 overflows u = Theta x and no
+    # state: the recording raises the escape at the control's index, before
+    # any PathArray refuses it as an argument, and the checks at its cost.
+    model = scenario_deterministic(0, 0, 0, 0, 0, 1, 1, T=1.0)
+    grid = make_grid(1.0, 8)
+    batch = sample_brownian(grid, 4, seed=1)
+    sol = solve_deterministic(model, grid)
+    theta = np.zeros((9, 4, 1, 1))
+    theta[3, 2] = 1e308
+    law = FeedbackLaw(theta=PathArray(theta), source=sol)
+    init = InitialCondition(0, np.array([10.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiniteEscapeError,
+                           match="^control became non-finite at step 3, first path 2$"):
+            simulate_closed_loop(model, law, init, batch)
+        for run in (lambda: value_identity_check(sol, law, model, init, batch),
+                    lambda: optimality_sweep(sol, law, model, init, batch)):
+            with pytest.raises(FiniteEscapeError, match="^cost became non-finite, first path 2$"):
                 run()
 
 
@@ -921,8 +945,8 @@ def test_sweep_independent_leg_catches_a_wrong_prediction(monkeypatch):
     exact = evaluate._sweep_arms
 
     def off_by_a_part_per_million(*args):
-        cross, J0, J_dir = exact(*args)
-        return cross, J0 * (1 + 1e-6), J_dir
+        parts, cross, J0, J_dir = exact(*args)
+        return parts, cross, J0 * (1 + 1e-6), J_dir
 
     monkeypatch.setattr(evaluate, "_sweep_arms", off_by_a_part_per_million)
     sweep = optimality_sweep(sol, law, model, INIT, batch)
@@ -975,13 +999,13 @@ def test_arm_passes_hold_less_than_one_batch_array(traced_peak):
     law = synthesize(sol, model)
     evaluate._closed_loop(model, law, INIT, batch)
     library = make_perturbations(grid, batch, model.m)
-    controls = [(True, 0.1, v) for _, v in library] + [(True, 0.0, None)]
+    controls = [(True, 0.1, v) for _, v in library]
     sweep, peak = traced_peak(lambda: optimality_sweep(sol, law, model, INIT, batch, library))
     assert sweep.passed
     assert peak < batch.W.nbytes
     results, peak = traced_peak(lambda: evaluate._completion_of_squares(
         sol, law, model, controls, INIT, batch, 3.0, 0.5))
-    assert all(r.passed for r in results) and results[-1].residual == 0.0
+    assert all(r.passed for r in results) and results[0].residual == 0.0
     assert peak < batch.W.nbytes
 
 
@@ -1022,7 +1046,7 @@ def test_closed_loop_cost_from_arm_0_equals_the_one_arm_pass(monkeypatch):
     batch = sample_brownian(grid, 50, seed=2)
     sol = closed_form_example1(grid, batch)
     law = synthesize(sol, model)
-    controls = [(True, 0.1, v) for _, v in make_perturbations(grid, batch)] + [(True, 0.0, None)]
+    controls = [(True, 0.1, v) for _, v in make_perturbations(grid, batch)]
     evaluate._completion_of_squares(sol, law, model, controls, INIT, batch, 3.0, 0.5)
     passes = []
     arm_pass = evaluate._arm_pass
@@ -1037,6 +1061,23 @@ def test_closed_loop_cost_from_arm_0_equals_the_one_arm_pass(monkeypatch):
     assert shared.per_path.tobytes() == own.per_path.tobytes()
     assert (shared.mean, shared.std_error, shared.components) == (
         own.mean, own.std_error, own.components)
+
+
+def test_a_sweep_on_a_fresh_batch_steps_the_closed_loop_once(monkeypatch):
+    # The sweep's feedback pass steps the closed loop as its arm 0 and fills
+    # the empty memo entry from it: no pass of the closed loop alone, and the
+    # value identity then reads the memo with no pass.
+    grid, batch, model, sol, law = _example1_setup(N=16, n_paths=50)
+    assert not law.theta.values.flags.writeable
+    passes = []
+    arm_pass = evaluate._arm_pass
+    monkeypatch.setattr(evaluate, "_arm_pass", lambda *args: passes.append(1) or arm_pass(*args))
+    assert optimality_sweep(sol, law, model, INIT, batch).passed
+    value_identity_check(sol, law, model, INIT, batch)
+    assert passes == [1]
+    x, u = simulate_closed_loop(model, law, INIT, batch)
+    assert (evaluate._closed_loop(model, law, INIT, batch).per_path.tobytes()
+            == cost(model, x, u, INIT, grid, batch).per_path.tobytes())
 
 
 # ---------------------------------------------------------------------------

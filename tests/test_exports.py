@@ -58,6 +58,28 @@ def test_only_grid_states_the_process_path_rule():
     assert offenders == []
 
 
+def test_three_functions_run_the_arm_pass():
+    # One Euler driver, three passes over it: the public simulators'
+    # recording, the completion-of-squares arms and the feedback pass, of
+    # which every closed-loop cost is arm 0.  Another caller steps a closed
+    # loop of its own.
+    callers = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("_arm_pass"):
+                callers.append(f"{path.name}:{function}")
+            visit(child, path, function)
+
+    for path in sorted(Path(slqkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert sorted(callers) == ["evaluate.py:_completion_of_squares", "evaluate.py:_recorded",
+                               "evaluate.py:_sweep_arms"]
+
+
 def test_the_solvability_tolerance_is_stated_once():
     # pinv.SOLVE_TOL is the rule's tolerance; a numeric literal default for a
     # parameter named tol restates it, and can drift from it.

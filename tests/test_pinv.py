@@ -1,5 +1,7 @@
 """Tests for the pseudoinverse, its regularized limit, and the predicates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,10 @@ def test_range_inclusion_guards():
         range_inclusion(np.eye(2), np.zeros((3, 1)))
     with pytest.raises(InvalidArgumentError):
         range_inclusion(np.ones((2, 3)), np.zeros((2, 1)))
+    # The batched kernel behind it takes stacks only: a vector is not promoted.
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape("K must be a stack of matrices, got shape (2,)")):
+        solvability(np.zeros(2), np.zeros((2, 1)))
 
 
 def test_psd_check_basic_cases():

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -59,6 +60,10 @@ def test_coeff_normalizes_shapes():
     out = model.coeff("A", 2, W, 4)
     assert out.shape == (1, 1, 1)  # a path-constant value is one row
     np.testing.assert_array_equal(out, 0.5)
+    # So is a Python scalar for a 1x1 slot.
+    out = dataclasses.replace(model, A=lambda i, W: 0.5).coeff("A", 2, W, 4)
+    assert out.shape == (1, 1, 1)
+    np.testing.assert_array_equal(out, 0.5)
     # Per-path 3-d and per-path-scalar 1-d returns are accepted for 1x1.
     per_path = CoefficientModel(
         n=1, m=1,
@@ -92,6 +97,11 @@ def test_coeff_rejects_wrong_shapes():
             n=2, m=1,
             A=lambda i, W: 1.0, B=bad.B, C=bad.C, D=bad.D, Q=bad.Q, R=bad.R, G=bad.G,
         ).coeff("A", 0, np.zeros((1, 2)), 2)
+    # A per-path stack of another path count, and a 4-d return.
+    for A, match in ((lambda i, W: np.zeros((3, 1, 1)), "shape (3, 1, 1), expected (4,1,1)"),
+                     (lambda i, W: np.zeros((4, 1, 1, 1)), "ndim=4 output")):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"A evaluator returned {match}")):
+            dataclasses.replace(base, A=A).coeff("A", 0, np.zeros((1, 4)), 4)
 
 
 def test_initial_condition_shapes_and_guards():
@@ -112,6 +122,10 @@ def test_initial_condition_shapes_and_guards():
     assert InitialCondition(start_index=np.int64(1), eta=np.array([1.0])).start_index == 1
     with pytest.raises(InvalidArgumentError):
         InitialCondition(start_index=0, eta=np.array([np.nan]))
+    assert InitialCondition(start_index=0, eta=np.float64(2.0)).eta.shape == (1,)
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            "eta must be a vector or (n_paths, n) array, got shape (2, 2, 1)")):
+        InitialCondition(start_index=0, eta=np.zeros((2, 2, 1)))
     with pytest.raises(InvalidArgumentError):
         init.eta_column(3, 5)  # length mismatch
     with pytest.raises(InvalidArgumentError):

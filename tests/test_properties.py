@@ -758,8 +758,8 @@ def test_superposition_predicts_directly_simulated_costs(n, path_dependent, N, n
     v = rng.normal(size=(N + 1, n_paths, n, 1))
     x_fb, u_fb = simulate_closed_loop(model, law, init, batch)
     J_fb = cost(model, x_fb, u_fb, init, grid, batch).per_path
-    (cross,), (J0,), _ = evaluate._sweep_arms(coefficient_table(model, batch.W), theta, [v],
-                                              eps, init, batch)
+    _, (cross,), (J0,), _ = evaluate._sweep_arms(coefficient_table(model, batch.W), theta, [v],
+                                                 eps, init, batch)
     u = PathArray(u_fb.values + eps * v)
     J = cost(model, simulate_open_loop(model, u, init, batch), u, init, grid, batch).per_path
     predicted = J_fb + eps * cross + eps * eps * J0
@@ -937,23 +937,23 @@ def test_arm_pass_equals_the_per_arm_route_bit_for_bit(n, m, path_dependent, N, 
         np.testing.assert_array_equal(evaluate._closed_loop(model, law, init, batch).per_path,
                                       J_fb.per_path)
         want = _per_arm_sweep_arms(model, x_fb, u_fb, directions, eps_direct, init, batch)
-        got = evaluate._sweep_arms(tab, theta, directions, eps_direct, init, batch)
-        for a, b in zip(got, want):
+        parts, *got = evaluate._sweep_arms(tab, theta, directions, eps_direct, init, batch)
+        for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a, b)
         sweep = optimality_sweep(None, law, model, init, batch, perturbations=library)
-        with mock.patch.object(evaluate, "_sweep_arms", lambda *args: want):
+        with mock.patch.object(evaluate, "_sweep_arms", lambda *args: (parts, *want)):
             reference = optimality_sweep(None, law, model, init, batch, perturbations=library)
         assert sweep.rows == reference.rows
         assert sweep.superposition_error == reference.superposition_error
 
-        controls = [(True, eps, v) for v in directions] + [(True, 0.0, None)]
+        controls = [(True, eps, v) for v in directions]
         results = evaluate._completion_of_squares(sol, law, model, controls, init, batch,
                                                   3.0, 0.5)
-        dense = [u_fb + eps * v for v in directions] + [u_fb]
+        dense = [u_fb] + [u_fb + eps * v for v in directions]
         want = _per_arm_completion_of_squares(model, theta, Kv, dense, init, batch,
                                               J_fb.per_path)
         assert [(r.residual, r.details["std_error"]) for r in results] == want
-        assert results[-1].residual == 0.0 and results[-1].details["penalty_mean"] == 0.0
+        assert results[0].residual == 0.0 and results[0].details["penalty_mean"] == 0.0
 
 
 def _matmul_simulate(tab, init, batch, theta=None, control=None):
@@ -1138,7 +1138,7 @@ def test_structural_zeros_change_no_nonzero_bit(n, m, N, n_paths, patterns, seed
         gap = u[i] - _reference_matvec(theta[i], x_uref[i])
         penalty = penalty + grid.h * _reference_form(sol.K.values[i], gap, gap)
     library = make_perturbations(grid, batch, m)
-    controls = [(True, 0.5, v) for _, v in library[6:8]] + [(True, 0.0, None), (False, 1.0, u)]
+    controls = [(True, 0.5, v) for _, v in library[6:8]] + [(False, 1.0, u)]
     results = evaluate._completion_of_squares(sol, law, model, controls, init, batch, 3.0, 0.5)
     assert results[-1].details["penalty_mean"] == float((0.5 * penalty).mean())
     rows = optimality_sweep(None, law, model, init, batch, library).rows

@@ -255,6 +255,25 @@ def test_oracle_guards_and_errors():
         )
 
 
+def test_a_stage_K_off_symmetry_is_refused_by_the_batched_verdict():
+    # R_0 is asymmetric by 1e-7, which the table admits against the largest
+    # weight on the grid (1e-8 * (1 + 100)); K = R at the first node is not
+    # symmetric within the solvability tolerance, so the completed sweep's
+    # batched verdict refuses it and the stage-by-stage replay names it.
+    R_0 = np.array([[1.0, 1e-7], [0.0, 1.0]])
+    model = CoefficientModel(
+        n=1, m=2, A=lambda i, W: np.zeros((1, 1)), B=lambda i, W: np.ones((1, 2)),
+        C=lambda i, W: np.zeros((1, 1)), D=lambda i, W: np.zeros((1, 2)),
+        Q=lambda i, W: np.ones((1, 1)), R=lambda i, W: R_0 if i == 0 else 100.0 * np.eye(2),
+        G=lambda W: np.ones((1, 1)), kind="deterministic")
+    grid = make_grid(1.0, 8)
+    for solve, asymmetry in ((solve_deterministic, "1.000e-07"),
+                             (discrete_recursion_oracle, "1.250e-08")):
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                f"K is not symmetric within tolerance (max asymmetry {asymmetry})")):
+            solve(model, grid)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
