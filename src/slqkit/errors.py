@@ -77,6 +77,19 @@ def _finite(what: str, v, time: float | None = None) -> None:
         raise FiniteEscapeError(f"{what} became non-finite, first path {first}", time=time)
 
 
+def _moments(v: np.ndarray, ddof: int = 0) -> tuple[float, float]:
+    """``(v.mean(), v.std(ddof=ddof))`` of the 1-D ``v``.  Each that overflows on
+    finite entries is taken on ``v / max|v|`` and scaled back, as
+    :func:`slqkit.pinv._frobenius` takes norms; every other is the plain one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = float(v.mean()), float(v.std(ddof=ddof))
+    if all(map(math.isfinite, plain)) or not np.isfinite(v).all():
+        return plain
+    scale = float(np.abs(v).max())
+    rescaled = float((v / scale).mean()), float((v / scale).std(ddof=ddof))
+    return tuple(x if math.isfinite(x) else scale * y for x, y in zip(plain, rescaled))
+
+
 class RiccatiSingularError(SlqError):
     """The control-weight operator lost definiteness / range solvability."""
 

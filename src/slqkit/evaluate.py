@@ -50,7 +50,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import FiniteEscapeError, InvalidArgumentError, _finite, _integer, _real
+from .errors import FiniteEscapeError, InvalidArgumentError, _finite, _integer, _moments, _real
 from .feedback import FeedbackLaw
 from .grid import (BrownianBatch, PathArray, TimeGrid, _path_blocks, _path_major_increments,
                    _require_grid, _require_process, _shared, make_grid)
@@ -430,8 +430,8 @@ def _estimate(run_state: np.ndarray, run_ctrl: np.ndarray, term: np.ndarray) -> 
 def _combined(diff: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-path difference (CRN discipline)."""
     P = diff.shape[0]
-    se = float(diff.std(ddof=1) / math.sqrt(P)) if P > 1 else 0.0
-    return float(diff.mean()), se
+    mean, sd = _moments(diff, min(P - 1, 1))
+    return mean, sd / math.sqrt(P) if P > 1 else 0.0
 
 
 def _tolerance(se: float, n_se: float, disc_coeff: float, h: float) -> float:
@@ -535,11 +535,11 @@ def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, ini
     """:func:`completion_of_squares_check` of each of ``controls`` (arms of
     :func:`_arm_pass`): they share the :func:`_closed_loop` and one arm pass,
     which adds each arm's cost and penalty as it goes, and the penalty reads
-    ``K`` one node at a time, as a finite ``PathArray``.  The pass steps the
-    closed loop as its arm 0 only when some control is ``on_fb``; then its
-    arm-0 parts fill an empty memo entry of :func:`_closed_loop`, and arm 0's
-    own identity, the replay ``J_fb - J_fb - 0`` (exactly ``0.0``), is
-    reported first."""
+    ``K`` one node at a time (a non-finite ``K`` escapes with the penalty).
+    The pass steps the closed loop as its arm 0 only when some control is
+    ``on_fb``; then its arm-0 parts fill an empty memo entry of
+    :func:`_closed_loop`, and arm 0's own identity, the replay
+    ``J_fb - J_fb - 0`` (exactly ``0.0``), is reported first."""
     tab = coefficient_table(model, batch.W)
     N, h = batch.grid.N, batch.grid.h
     gain = _entries(law.theta.values)
@@ -552,8 +552,8 @@ def _completion_of_squares(sol: RiccatiSolution, law, model, controls: list, ini
                              controls, law.theta.values if lead else None):
         q.add(i, x, u, x, u)
         if i < N:
-            K = _entries(PathArray(_gain(sol, "K", slice(i, i + 1))).values)
             with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+                K = _entries(_gain(sol, "K", slice(i, i + 1)))
                 gap = [u_j if fb is None else u_j - fb
                        for u_j, fb in zip(u, (_dot(row, x, i) for row in gain))]
                 form = _form(K, gap, gap, 0)
@@ -753,7 +753,7 @@ def optimality_sweep(
                 first_order_ok = False
             even_by_arm[(pid, abs(eps))] = even
             rows.append(SweepRow(
-                perturbation_id=pid, epsilon=eps, J=float(J_p.mean()),
+                perturbation_id=pid, epsilon=eps, J=_combined(J_p)[0],
                 J_minus_Jfb=gap, std_err=gap_se, even_gap=even,
                 odd_fd=odd, odd_fd_std_err=odd_se,
                 gap_tolerance=gap_tol, gap_ok=ok,

@@ -167,12 +167,17 @@ def regularity_diagnostics(
     _require_process("gain", th, grid.N, th.shape[1], th.shape[2:])
     # NumPy sums the rows of one path pairwise, and of several in time order.
     sq = np.empty((0, th.shape[1]))
-    for rows in [slice(None)] if th.shape[1] == 1 else _time_blocks(th[:-1]):
-        sq = np.concatenate((sq, np.sum(th[:-1][rows] ** 2, axis=(2, 3)))).sum(0, keepdims=True)
-    sq = grid.h * sq[0]
-    bound_threshold = (10.0 * float(np.median(sq)) if bound_threshold is None
-                       else _real(bound_threshold, "bound_threshold", 0.0))
-    qs = np.quantile(sq, [0.5, 0.9, 0.99])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in [slice(None)] if th.shape[1] == 1 else _time_blocks(th[:-1]):
+            sq = np.concatenate((sq, np.sum(th[:-1][rows] ** 2, axis=(2, 3)))).sum(0, keepdims=True)
+        sq = grid.h * sq[0]
+        if not np.isfinite(sq).all():  # a path's squares overflowed: sum them on theta / max|theta|
+            s = np.abs(th[:-1]).max(axis=(0, 2, 3))
+            S = th[:-1] / s[:, None, None]
+            sq = np.where(np.isfinite(sq), sq, grid.h * s * s * np.sum(S * S, axis=(0, 2, 3)))
+        bound_threshold = (10.0 * float(np.median(sq)) if bound_threshold is None
+                           else _real(bound_threshold, "bound_threshold", 0.0))
+        qs = np.quantile(sq, [0.5, 0.9, 0.99])
     report = RegularityReport(
         pathwise_sqnorm=sq,
         max=float(sq.max()),

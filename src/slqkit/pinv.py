@@ -157,7 +157,8 @@ def _pseudo_inverse(K: float | np.ndarray) -> tuple:
         return (1.0 / K if K != 0.0 else 0.0), K
     m = K.shape[-1]
     if m == 1:
-        return np.divide(1.0, K, out=np.zeros_like(K), where=K != 0.0), K[..., 0, 0]
+        with np.errstate(over="ignore"):  # 1 / k of a subnormal k is inf, as for a float
+            return np.divide(1.0, K, out=np.zeros_like(K), where=K != 0.0), K[..., 0, 0]
     lam, V = np.linalg.eigh(0.5 * (K + K.swapaxes(-1, -2)))
     if K.ndim == 2:
         lam = lam.tolist()
@@ -176,15 +177,22 @@ def _verdicts(K, Kd, lam_min, L, tol: float) -> tuple[np.ndarray, np.ndarray]:
         k_max = np.abs(lam_min)
     else:
         asym = np.abs(K - K.swapaxes(-1, -2)).max(axis=(-2, -1))
-        if np.any(asym > tol * (1.0 + np.abs(K).max(axis=(-2, -1)))):
+        if np.any(asym > _line(tol, np.abs(K).max(axis=(-2, -1)))):
             raise InvalidArgumentError(
                 f"K is not symmetric within tolerance (max asymmetry {asym.max():.3e})"
             )
         K = 0.5 * (K + K.swapaxes(-1, -2))
         k_max = np.abs(K).max(axis=(-2, -1))
-    psd = lam_min >= -tol * (1.0 + k_max)
+    psd = lam_min >= -_line(tol, k_max)
     residual = _product(np.matmul, _product(np.matmul, K, Kd), L) - L
-    return psd, _frobenius(residual) <= tol * (1.0 + _frobenius(L))
+    return psd, _frobenius(residual) <= _line(tol, _frobenius(L))
+
+
+def _line(tol: float, scale: np.ndarray) -> np.ndarray:
+    """``tol * (1 + scale)``, the pass line of :func:`_verdicts`; a line past the
+    largest float is ``inf``, within which every finite value lies."""
+    with np.errstate(over="ignore"):
+        return tol * (1.0 + scale)
 
 
 def _product(general, *factors):

@@ -14,7 +14,8 @@ is handled by four routes:
   agree at first order in the step).  Each states its one-step map once,
   over the product, transpose, finiteness test and identity of its stage,
   and one backward sweep, :func:`_sweep`, runs both (on Python floats for a
-  1x1 model, on 2-D arrays otherwise) and judges their solvability;
+  1x1 model, on 2-D arrays otherwise) and judges their stages by one
+  batched verdict, whether it completes or a step raises;
 * :func:`solve_bsre_regression` — least-squares Monte Carlo backward
   induction for scalar problems, regressing on a Markov state (the model's
   declared features, else ``W_t``), each step judged as a sweep's stage;
@@ -23,7 +24,8 @@ is handled by four routes:
   truth everywhere else.
 
 Each returns the pair ``(P, Lam)`` and its coefficient table, from which
-:func:`_gain` derives ``K`` or ``L`` where it is read.
+:func:`_gain` derives ``K`` or ``L`` where it is read.  The solvers read the
+table's rows once per solve and symmetrize by one rule, :func:`_sym`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .errors import (
     RiccatiSingularError,
     _finite,
     _integer,
+    _moments,
 )
 from .grid import (BrownianBatch, PathArray, TimeGrid, _require_grid, _require_process,
                    _time_blocks)
@@ -168,13 +171,10 @@ _DT_P_D = partial(np.einsum, "...nm,...nk,...kl->...ml")
 _AT_B = partial(np.einsum, "...nm,...nk->...mk")
 
 
-def _node(tab: CoefficientTable, i: int) -> tuple:
-    """The table's ``(A, B, C, D, Q, R)`` at node ``i``, each ``(k, rows, cols)``."""
-    return tuple(getattr(tab, name)[i] for name in ("A", "B", "C", "D", "Q", "R"))
-
-
-def _sym(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.swapaxes(-1, -2))
+def _sym(X, T: Callable = partial(np.swapaxes, axis1=-1, axis2=-2)):
+    """``(X + T(X)) / 2``, the one symmetrization of every route: ``T`` is the
+    transpose of ``X``'s algebra (the identity on a Python float)."""
+    return 0.5 * (X + T(X))
 
 
 def _sweep(route: str, model: CoefficientModel, grid: TimeGrid, stages: int,
@@ -188,29 +188,23 @@ def _sweep(route: str, model: CoefficientModel, grid: TimeGrid, stages: int,
     ``a * b + 0.0``, since NumPy's 1x1 ``matmul`` sums from ``+0.0``), any
     other on 2-D arrays (``ndarray.dot``, ``.T``), with the same bits.
     ``record(K, L, t)`` keeps one of at most ``stages`` pairs and returns
-    ``K^+``; the pairs are judged in one batch.  If one fails, or a step
-    raised, they are re-checked one at a time in order, so the first failing
-    stage raises the escape, PSD or range error of ``messages`` (or the
-    asymmetry error); a step's own error propagates only if none fails."""
+    ``K^+``.  Whether the sweep completes or a step raises, the recorded
+    stages before the first with a non-finite ``K`` or ``L`` (the bound) are
+    judged in one batch: an asymmetric ``K`` among them raises the asymmetry
+    error, else the first that fails raises the PSD or range error of
+    ``messages``, else a bound raises the escape error at its stage, else a
+    step's own error propagates.  A stage whose decomposition raised is
+    judged by its finiteness alone."""
     if model.kind != "deterministic":
         raise InvalidArgumentError(f'{route} needs kind="deterministic", got {model.kind!r}')
     N, n, m = grid.N, model.n, model.m
     tab = coefficient_table(model, _zero_prefix(grid))
     Pv = np.empty((N + 1, 1, n, n))
-    Pv[N] = _sym(tab.G)
-    rows = [getattr(tab, name)[:, 0] for name in ("A", "B", "C", "D", "Q", "R")]
-    if n == m == 1:
-        rows = [v[:, 0, 0].tolist() for v in rows]
-        ops = (lambda a, b: a * b + 0.0), (lambda a: a), math.isfinite, 1.0
-        P = float(Pv[N, 0, 0, 0])
-    else:
-        ops = np.ndarray.dot, attrgetter("T"), lambda M: np.isfinite(M).all(), np.eye(n)
-        P = Pv[N, 0]
-    rows = list(zip(*rows))
+    rows = [getattr(tab, name)[:, 0] for name in "ABCDQR"]
     K, Kd = np.empty((2, stages, m, m))
     L = np.empty((stages, m, n))
     lam_min, t = np.empty((2, stages))
-    size = 0
+    size, error = 0, None
     escape, not_psd, off_range = messages
 
     def record(K_j, L_j, t_j: float):
@@ -221,29 +215,33 @@ def _sweep(route: str, model: CoefficientModel, grid: TimeGrid, stages: int,
         Kd[j] = K_d
         return K_d
 
-    def replay() -> None:
-        for K_j, L_j, t_j in zip(K[:size], L[:size], t[:size]):
-            if not (np.isfinite(K_j).all() and np.isfinite(L_j).all()):
-                raise FiniteEscapeError(escape.format(t=t_j), time=t_j)
-            _, psd, in_range = solvability(K_j, L_j, SOLVE_TOL)
-            if not (psd and in_range):
-                raise RiccatiSingularError((off_range if psd else not_psd).format(t=t_j), time=t_j)
-
     # Overflow on escaping instances surfaces as FiniteEscapeError: silence its warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        Pv[N] = _sym(tab.G)
+        if n == m == 1:
+            rows = [v[:, 0, 0].tolist() for v in rows]
+            ops = (lambda a, b: a * b + 0.0), (lambda a: a), math.isfinite, 1.0
+            P = float(Pv[N, 0, 0, 0])
+        else:
+            ops = np.ndarray.dot, attrgetter("T"), lambda M: np.isfinite(M).all(), np.eye(n)
+            P = Pv[N, 0]
+        rows = list(zip(*rows))
         try:
             for i in range(N - 1, -1, -1):
                 P = Pv[i] = step(i, P, rows[i], record, ops)
-        except (FiniteEscapeError, np.linalg.LinAlgError):
-            replay()
-            raise
-        try:  # a completed sweep has recorded every stage
-            passed = np.isfinite(K).all() and np.isfinite(L).all() and all(
-                v.all() for v in _verdicts(K, Kd, lam_min, L, SOLVE_TOL))
-        except InvalidArgumentError:  # asymmetry: the replay names the stage
-            passed = False
-        if not passed:
-            replay()
+        except (FiniteEscapeError, np.linalg.LinAlgError) as exc:
+            error = exc
+        finite = np.isfinite(K[:size]).all(axis=(1, 2)) & np.isfinite(L[:size]).all(axis=(1, 2))
+        bound = int(np.argmin(np.append(finite, False)))  # the first non-finite stage, or size
+        judged = slice(min(bound, size - isinstance(error, np.linalg.LinAlgError)))
+        psd, in_range = _verdicts(K[judged], Kd[judged], lam_min[judged], L[judged], SOLVE_TOL)
+    if not (ok := psd & in_range).all():
+        j = int(np.argmin(ok))
+        raise RiccatiSingularError((off_range if psd[j] else not_psd).format(t=t[j]), time=t[j])
+    if bound < size:
+        raise FiniteEscapeError(escape.format(t=t[bound]), time=t[bound])
+    if error is not None:
+        raise error
     return RiccatiSolution(grid, PathArray(Pv), PathArray(np.zeros_like(Pv)), tab)
 
 
@@ -281,16 +279,13 @@ def solve_deterministic(model: CoefficientModel, grid: TimeGrid) -> RiccatiSolut
         _, T, finite, _ = ops
         coeffs += tuple(map(T, coeffs[:4]))  # transposed once per node
 
-        def sym(X):
-            return 0.5 * (X + T(X))
-
         dt, t = -grid.h / 4.0, grid.points[i + 1]
         for _ in range(4):
             k1 = rhs(P, coeffs, t, record, ops)
-            k2 = rhs(sym(P + 0.5 * dt * k1), coeffs, t + 0.5 * dt, record, ops)
-            k3 = rhs(sym(P + 0.5 * dt * k2), coeffs, t + 0.5 * dt, record, ops)
-            k4 = rhs(sym(P + dt * k3), coeffs, t + dt, record, ops)
-            P = sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            k2 = rhs(_sym(P + 0.5 * dt * k1, T), coeffs, t + 0.5 * dt, record, ops)
+            k3 = rhs(_sym(P + 0.5 * dt * k2, T), coeffs, t + 0.5 * dt, record, ops)
+            k4 = rhs(_sym(P + dt * k3, T), coeffs, t + dt, record, ops)
+            P = _sym(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), T)
             t += dt
             if not finite(P):
                 raise FiniteEscapeError(escape.format(t=t), time=t)
@@ -335,7 +330,7 @@ def discrete_recursion_oracle(model: CoefficientModel, grid: TimeGrid) -> Riccat
         t = grid.points[i]
         Hd = record(H, M, t)
         P = dot(dot(T(Phi), Pn), Phi) + h * dot(dot(T(C), Pn), C) + h * Q - dot(T(M), dot(Hd, M))
-        P = 0.5 * (P + T(P))
+        P = _sym(P, T)
         if not finite(P):
             raise FiniteEscapeError(escape.format(t=t), time=t)
         return P
@@ -379,7 +374,7 @@ def _whiten(rows: list[np.ndarray]) -> np.ndarray:
     of such directions, and exactly collinear features (example 1's two at
     ``t_1``) count once.
     """
-    kept = [(f - np.mean(f)) / sd for f in rows if (sd := float(np.std(f))) >= SPREAD_FLOOR]
+    kept = [(f - ms[0]) / ms[1] for f in rows if (ms := _moments(f))[1] >= SPREAD_FLOOR]
     if not kept:
         return np.empty((0, rows[0].shape[0]))
     S = np.stack(kept)
@@ -503,6 +498,7 @@ def solve_bsre_regression(
     Pv = np.empty((N + 1, n_paths))
     Lv = np.zeros((N + 1, n_paths))
     Pv[N] = tab.G[:, 0, 0]
+    rows = list(zip(*(getattr(tab, name)[:, :, 0, 0] for name in "ABCDQR")))
     for i in range(N - 1, -1, -1):
         Z = _whiten([f[i] for f in feats])
         if math.comb(len(Z) + basis.degree, basis.degree) > n_paths:  # rank-deficient, unbuilt
@@ -514,7 +510,7 @@ def solve_bsre_regression(
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow escapes below
             m_hat = fit(p_next)
             lam = fit((p_next - m_hat) * (W[i + 1] - W[i]) / h)
-            a, b, c, d, q, r = (v[:, 0, 0] for v in _node(tab, i))
+            a, b, c, d, q, r = rows[i]
             K = r + d * d * p_next
             L = b * p_next + d * (p_next * c + lam)
             _finite(f"regression K or L at step {i}", np.stack((K, L)), t)
@@ -542,8 +538,13 @@ def closed_form_example1(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolutio
     tab = coefficient_table(scenario_example1(grid.T), _zero_prefix(grid))
     y = example1_y(grid, batch.W)
     Pv = (1.0 / y - tab.R[0, 0, 0, 0])[:, :, None, None]
-    Lv = (-np.cos(batch.W) / (y * y))[:, :, None, None]
-    return RiccatiSolution(grid, PathArray(Pv), PathArray(Lv), tab, "closed_form_example1")
+    with np.errstate(over="ignore"):
+        y2 = y * y
+    Lv = -np.cos(batch.W) / y2
+    big = np.isinf(y2)  # where Lambda rounds to a subnormal or 0, taken as -cos(W) / y / y
+    Lv[big] = -np.cos(batch.W[big]) / y[big] / y[big]
+    return RiccatiSolution(grid, PathArray(Pv), PathArray(Lv[:, :, None, None]), tab,
+                           "closed_form_example1")
 
 
 def closed_form_counterexample(grid: TimeGrid, batch: BrownianBatch) -> RiccatiSolution:

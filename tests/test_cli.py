@@ -2,20 +2,26 @@
 exit codes, reproducibility, and flag handling."""
 
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slqkit import cli, evaluate
-from slqkit.cli import ExperimentConfig, load_config, main
+from slqkit.cli import CHECKS, SOLVERS, TOLERANCE_DEFAULTS, ExperimentConfig, load_config, main
 from slqkit.errors import ConfigError
 from slqkit.feedback import synthesize
 from slqkit.grid import PathArray, make_grid, sample_brownian
@@ -484,6 +490,74 @@ def test_every_failure_exits_through_the_exit_table(tmp_path, monkeypatch, capsy
     assert rc not in (1, 2)
     assert (rc, err.partition(":")[0]) == (code, label), err
     assert "Traceback" not in err
+
+
+# Finite reals a config may hold, the extremes first: signed zeros, the
+# smallest subnormal, huge values and the largest float.
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _configs(draw):
+    steps = draw(st.integers(2, 24))
+    tolerances = draw(st.dictionaries(
+        st.sampled_from(sorted(TOLERANCE_DEFAULTS)),
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e300, 1.7976931348623157e308]),
+                  st.floats(0.0, 10.0))))
+    if "basis_degree" in tolerances:  # a fractional or huge degree is refused before it runs
+        tolerances["basis_degree"] = float(draw(st.integers(0, 4)))
+    return {
+        "scenario": draw(st.sampled_from(["example1", "counterexample", "deterministic"])),
+        "solver": draw(st.sampled_from(SOLVERS)),
+        "checks": draw(st.one_of(st.just("all"),
+                                 st.lists(st.sampled_from(CHECKS), unique=True))),
+        "T": draw(st.one_of(st.sampled_from([1e300, 1e-300, 1.0]), st.floats(1e-3, 10.0))),
+        "steps": steps, "paths": draw(st.integers(2, 40)),
+        "seed": draw(st.integers(0, 2**32)), "start_index": draw(st.integers(0, steps - 1)),
+        "eta": [draw(_EXTREME)], "tolerances": tolerances,
+        "deterministic": draw(st.lists(_EXTREME, min_size=7, max_size=7)),
+    }
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(config=_configs())
+@example(config={"scenario": "deterministic", "seed": 300, "steps": 24, "paths": 40,
+                 "start_index": 16, "eta": [-9.6e15],
+                 "deterministic": [-0.0, 1e-7, 5e-324, 1e-300, 5e-324, 1e300, 2.7e16]})
+@example(config={"scenario": "counterexample", "T": 1e300, "steps": 4, "paths": 3})
+@example(config={"scenario": "example1", "solver": "regression", "T": 1e300, "steps": 2,
+                 "paths": 2, "seed": 0})
+@example(config={"scenario": "deterministic",
+                 "deterministic": [-1e300, 1.1, -1e300, 1.1, 0, -1e300, 1.7976931348623155e308]})
+@example(config={"scenario": "example1", "T": 1e300, "steps": 4, "paths": 3})
+@example(config={"scenario": "counterexample", "T": 1e-300, "steps": 2, "paths": 2,
+                 "tolerances": {"synthesis": 1e300}})
+@example(config={"scenario": "deterministic", "T": 1e-300, "steps": 2, "paths": 2,
+                 "deterministic": [0, 1, 0, 0, 0, 1e-300, 1]})
+@example(config={"scenario": "deterministic", "solver": "regression", "steps": 12, "paths": 25,
+                 "deterministic": [-6, -0.0, -5e-324, -5e-324, 5e-324, 5e-324, -0.94]})
+@example(config={"scenario": "deterministic", "solver": "regression", "steps": 9, "paths": 19,
+                 "seed": 2091441664, "start_index": 7, "eta": [8.4],
+                 "tolerances": {"basis_degree": 0.0},
+                 "deterministic": [1e-300, -0.89, 3.64, -5e-324, -5e-324,
+                                   1.7976931348623157e308, 5e-324]})
+def test_every_config_exits_by_the_taxonomy(config):
+    # Whatever the config, a run ends in 0 (passed), 2 (a check failed), 3 (a
+    # config error) or 4 (a numerical failure): never a traceback, and never a
+    # RuntimeWarning, which would mean an overflow escaped the escape rules.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**config, "output_dir": str(Path(tmp) / "out")}))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = _exit_code(["--config", str(path)])
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
 
 
 def test_cli_flags_override_config_file(tmp_path):

@@ -1027,14 +1027,32 @@ def test_completion_of_squares_reads_K_one_node_at_a_time(traced_peak):
 
 def test_completion_of_squares_refuses_a_non_finite_K():
     # K = r + d^2 P overflows on a finite P = 1e308: the check refuses it as
-    # the PathArray of K does, rather than return a non-finite penalty.
+    # an escape of its penalty, rather than return a non-finite penalty.
     model = scenario_deterministic(0, 1, 0, 2, 1, 1, 1, T=1.0)
     grid = make_grid(1.0, 8)
     batch = sample_brownian(grid, 4, seed=1)
     law = FeedbackLaw(theta=PathArray(np.zeros((9, 1, 1, 1))), source=None)
-    with pytest.raises(InvalidArgumentError, match="^PathArray values contain non-finite entries$"):
+    with pytest.raises(FiniteEscapeError,
+                       match="^completion-of-squares penalty became non-finite, first path 0$"):
         completion_of_squares_check(_constant_solution(model, grid, 1e308), law, model,
                                     _zero_control(grid, 1), INIT, batch)
+
+
+def test_standard_error_of_differences_whose_squares_overflow():
+    # The squares of 1e160-scale differences overflow: the standard error is
+    # 1e160 times that of [1, -1, 3, 2], not inf, so no tolerance built on it
+    # is infinite; mean and spread of finite squares keep their bits.
+    d = np.array([1.0, -1.0, 3.0, 2.0])
+    mean, se = evaluate._combined(1e160 * d)
+    assert mean == 1.25e160
+    np.testing.assert_allclose(se, 1e160 * evaluate._combined(d)[1], rtol=1e-15)
+    rng = np.random.default_rng(4)
+    for x in (rng.normal(size=50), 1e150 * rng.normal(size=7), np.array([2.5])):
+        assert evaluate._combined(x) == (
+            float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0)
+    # A sum that overflows too: the mean is taken on the rescaled differences.
+    np.testing.assert_allclose(evaluate._combined(np.array([1e308, 1.7e308, 1.5e308]))[0],
+                               1.4e308, rtol=1e-15)
 
 
 def test_closed_loop_cost_from_arm_0_equals_the_one_arm_pass(monkeypatch):

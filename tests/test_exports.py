@@ -80,6 +80,21 @@ def test_three_functions_run_the_arm_pass():
                                "evaluate.py:_sweep_arms"]
 
 
+def test_the_deterministic_sweep_takes_one_verdict():
+    # The deterministic routes' stages are judged by the one batched verdict
+    # of riccati._sweep, on the completed and the raising path alike; only the
+    # regression route calls solvability, on a step's paths.
+    source = Path(slqkit.__file__).with_name("riccati.py").read_text()
+    calls = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            calls[node.name] = [ast.unparse(c.func) for c in ast.walk(node)
+                                if isinstance(c, ast.Call)]
+    assert calls["_sweep"].count("_verdicts") == 1
+    assert [name for name, called in calls.items() if "solvability" in called] == [
+        "solve_bsre_regression"]
+
+
 def test_the_solvability_tolerance_is_stated_once():
     # pinv.SOLVE_TOL is the rule's tolerance; a numeric literal default for a
     # parameter named tol restates it, and can drift from it.

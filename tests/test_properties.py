@@ -713,6 +713,18 @@ def test_verdicts_decompose_nothing_and_solves_decompose_once_per_stage(monkeypa
     decomposed.clear()
     discrete_recursion_oracle(model, grid)
     assert decomposed == [1] * grid.N
+    # A failing solve judges its recorded stages by the same one batch: each
+    # of the 811 stages before the escape is decomposed once, when recorded.
+    def const(M):
+        return lambda i, W: np.array(M, dtype=float)
+
+    escaping = CoefficientModel(n=1, m=2, A=const([[500]]), B=const([[0, 0]]), C=const([[0]]),
+                                D=const([[1, 0]]), Q=const([[1]]), R=const(np.eye(2)),
+                                G=lambda W: np.ones((1, 1)), kind="deterministic")
+    decomposed.clear()
+    with pytest.raises(FiniteEscapeError, match=r"^Riccati solution blew up near t=0\.207031$"):
+        solve_deterministic(escaping, make_grid(1.0, 64))
+    assert decomposed == [1] * 811
 
 
 def _random_model(rng, n, path_dependent, m=None):

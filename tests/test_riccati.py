@@ -19,6 +19,7 @@ from slqkit.problem import (
     ZETA_SCALE,
     CoefficientModel,
     CoefficientTable,
+    example1_y,
     scenario_counterexample,
     scenario_deterministic,
     scenario_example1,
@@ -192,6 +193,15 @@ def test_deterministic_routes_escape_after_a_step_and_guard_their_kind():
             f"{route.__name__} needs kind=\"deterministic\", got 'path_dependent'")
 
 
+def test_an_overflowing_G_escapes_without_a_warning():
+    # sym(G) overflows on G = float max; the overflow is the escape at the
+    # first stage, formed under the sweep's silenced warnings like the rest.
+    model = scenario_deterministic(-1e300, 1.1, -1e300, 1.1, 0, -1e300, 1.7976931348623155e308,
+                                   T=1.0)
+    with pytest.raises(FiniteEscapeError, match=r"^Riccati solution blew up near t=1$"):
+        solve_deterministic(model, make_grid(1.0, 24))
+
+
 # ---------------------------------------------------------------------------
 # Discrete dynamic-programming oracle
 # ---------------------------------------------------------------------------
@@ -258,8 +268,8 @@ def test_oracle_guards_and_errors():
 def test_a_stage_K_off_symmetry_is_refused_by_the_batched_verdict():
     # R_0 is asymmetric by 1e-7, which the table admits against the largest
     # weight on the grid (1e-8 * (1 + 100)); K = R at the first node is not
-    # symmetric within the solvability tolerance, so the completed sweep's
-    # batched verdict refuses it and the stage-by-stage replay names it.
+    # symmetric within the solvability tolerance, so the sweep's one batched
+    # verdict refuses it, naming the largest asymmetry of the judged stages.
     R_0 = np.array([[1.0, 1e-7], [0.0, 1.0]])
     model = CoefficientModel(
         n=1, m=2, A=lambda i, W: np.zeros((1, 1)), B=lambda i, W: np.ones((1, 2)),
@@ -296,6 +306,21 @@ def test_closed_form_example1_terminal_matches_G_bitwise():
     sol = closed_form_example1(grid, batch)
     g = scenario_example1(1.0).terminal(batch.W, batch.n_paths)
     np.testing.assert_array_equal(sol.P.values[-1], g)
+
+
+def test_closed_form_example1_lambda_where_y_squared_overflows():
+    # On T = 2.68e154, y = T/2 + O(T) crosses sqrt(float max) = 1.34e154: where
+    # y * y overflows, Lambda is -cos(W) / y / y, a subnormal or a signed zero,
+    # elsewhere -cos(W) / (y * y) as always, and no warning leaks.
+    grid = make_grid(2.68e154, 8)
+    batch = sample_brownian(grid, 20, seed=1)
+    lam = closed_form_example1(grid, batch).Lambda.values[..., 0, 0]
+    y, cos = example1_y(grid, batch.W), np.cos(batch.W)
+    big = np.abs(y) > 1.3407807929942596e154
+    assert big.any() and (~big).any()
+    np.testing.assert_array_equal(lam[big], -cos[big] / y[big] / y[big])
+    np.testing.assert_array_equal(lam[~big], -cos[~big] / (y[~big] * y[~big]))
+    assert np.all(np.abs(lam[big]) < 1e-300)
 
 
 def test_closed_form_example1_K_is_reciprocal_y():
@@ -484,6 +509,13 @@ def test_regression_collinear_and_degenerate_slices_fit():
     Z2 = _whiten([sin_w[2], integral[2]])
     np.testing.assert_allclose(Z2 @ Z2.T / 500, np.eye(2), atol=1e-12)
     assert _design_matrix(Z2, 3).shape == (9, 500)
+
+
+def test_whiten_takes_a_spread_whose_squares_overflow():
+    # The squares of 1e160-scale features overflow; their spread is taken
+    # on the rescaled rows, and the whitened row is that of the unscaled one.
+    f = np.array([1.0, -1.0, 3.0, 2.0])
+    np.testing.assert_allclose(_whiten([1e160 * f]), _whiten([f]), rtol=1e-15)
 
 
 def test_regression_slice_fit_matches_lstsq():
